@@ -6,15 +6,23 @@ are known in closed form, which makes the sphere a complete numerical test
 bed: eigenvalue counting against the Weyl law, partial eta sums against the
 eta decomposition identity, and exact rational closed forms for the eta
 invariant at s = 0.
+
+Spectra are never stored: a table is a (kind, a, n_max) record that yields
+one block of eigenvalues and multiplicities per quantum number n, so every
+reduction runs in O(n_max) memory.  Float sums use ``math.fsum``, which is
+correctly rounded and therefore independent of summation order.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterator
+
+import numpy as np
 
 #: Reference constants used to validate the zeta evaluator at runtime.
 ZETA3 = 1.2020569031595942854
@@ -28,8 +36,12 @@ class BergerParams:
     a: object
 
     def __post_init__(self) -> None:
-        if float(self.a) <= 0:
-            raise ValueError("parameter a must be positive")
+        try:
+            a = float(self.a)
+        except OverflowError:
+            a = math.inf
+        if not (math.isfinite(a) and a > 0):
+            raise ValueError(f"parameter a must be finite and > 0, got {a!r}")
 
     @property
     def a_float(self) -> float:
@@ -51,14 +63,97 @@ class SpectrumEntry:
     multiplicity: int
 
 
+def _laplacian_block(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Laplacian eigenvalues and multiplicities at quantum number n, by l."""
+    l = np.arange(n // 2 + 1)
+    values = n * (n + 2) + (a**-2 - 1) * (n - 2 * l) ** 2
+    mults = np.full(l.size, 2 * n + 2)
+    if n % 2 == 0:
+        mults[-1] = n + 1
+    return values, mults
+
+
+def _curl_block(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Curl eigenvalues and multiplicities at quantum number n >= 2.
+
+    Rows are series I, II, then III and IV interleaved for l = 1 .. n // 2.
+    """
+    lap, lap_mults = _laplacian_block(a, n)
+    root = np.sqrt(a**2 + lap[1:])
+    values = np.empty(2 + 2 * root.size)
+    values[0] = n / a
+    values[1] = (n + 2 * (a**2 - 1)) / a
+    values[2::2] = a + root
+    values[3::2] = a - root
+    mults = np.empty(values.size, dtype=np.int64)
+    mults[0] = 2 * n - 2
+    mults[1] = 1 if n == 2 else 2 * n - 2
+    mults[2::2] = lap_mults[1:]
+    mults[3::2] = lap_mults[1:]
+    return values, mults
+
+
+def _row_labels(kind: str, n: int) -> Iterator[tuple[str, int]]:
+    """(series, l) of each row of the block at n, in block order."""
+    if kind == "laplacian":
+        yield from (("LAPLACE", l) for l in range(n // 2 + 1))
+        return
+    yield "I", 0
+    yield "II", 0
+    for l in range(1, n // 2 + 1):
+        yield "III", l
+        yield "IV", l
+
+
+class _Entries:
+    """Read-only view of a table's rows as ``SpectrumEntry`` objects."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: SpectrumTable) -> None:
+        self._table = table
+
+    def __len__(self) -> int:
+        # Rows per n: n // 2 + 1 (Laplacian) or 2 + 2 * (n // 2) (curl);
+        # sum_{n <= N} n // 2 = (N // 2) * ((N + 1) // 2).
+        n = self._table.n_max
+        halves = (n // 2) * ((n + 1) // 2)
+        if self._table.kind == "curl":
+            return 2 * (n - 1) + 2 * halves
+        return n + 1 + halves
+
+    def __iter__(self) -> Iterator[SpectrumEntry]:
+        kind = self._table.kind
+        for n, values, mults in self._table.blocks():
+            for (series, l), v, m in zip(
+                _row_labels(kind, n), values.tolist(), mults.tolist()
+            ):
+                yield SpectrumEntry(series, n, l, v, m)
+
+
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Eigenvalues grouped by (series, n, l) with multiplicity weights."""
+    """Eigenvalues grouped by (series, n, l) with multiplicity weights.
+
+    The rows are produced on demand, one block per quantum number n.
+    """
 
     kind: str
     a: float
     n_max: int
-    entries: tuple
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """(n, values, multiplicities) for each quantum number in order."""
+        if self.kind == "curl":
+            block, first = _curl_block, 2
+        else:
+            block, first = _laplacian_block, 0
+        for n in range(first, self.n_max + 1):
+            yield (n, *block(self.a, n))
+
+    @property
+    def entries(self) -> _Entries:
+        return _Entries(self)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -70,52 +165,11 @@ class SpectrumTable:
         return buf.getvalue()
 
 
-def _laplacian_value(a: float, n: int, l: int) -> float:
-    return n * (n + 2) + (a**-2 - 1) * (n - 2 * l) ** 2
-
-
-def _laplacian_mult(n: int, l: int) -> int:
-    if n == 0:
-        return 1
-    if n % 2 == 1:
-        return 2 * n + 2
-    if l < n // 2:
-        return 2 * n + 2
-    return n + 1
-
-
 def laplacian_spectrum(p: BergerParams, n_max: int) -> SpectrumTable:
     """Laplace-Beltrami eigenvalues on 0-forms up to quantum number n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    a = p.a_float
-    entries = []
-    for n in range(n_max + 1):
-        for l in range(n // 2 + 1):
-            entries.append(
-                SpectrumEntry(
-                    "LAPLACE",
-                    n,
-                    l,
-                    _laplacian_value(a, n, l),
-                    _laplacian_mult(n, l),
-                )
-            )
-    return SpectrumTable("laplacian", a, n_max, tuple(entries))
-
-
-def _curl_entries(a: float, n: int) -> Iterable[SpectrumEntry]:
-    yield SpectrumEntry("I", n, 0, n / a, 2 * n - 2)
-    mult_ii = 1 if n == 2 else 2 * n - 2
-    yield SpectrumEntry("II", n, 0, (n + 2 * (a**2 - 1)) / a, mult_ii)
-    for l in range(1, n // 2 + 1):
-        root = math.sqrt(a**2 + _laplacian_value(a, n, l))
-        if n % 2 == 1 or l < n // 2:
-            mult = 2 * n + 2
-        else:
-            mult = n + 1
-        yield SpectrumEntry("III", n, l, a + root, mult)
-        yield SpectrumEntry("IV", n, l, a - root, mult)
+    return SpectrumTable("laplacian", p.a_float, n_max)
 
 
 def curl_spectrum(p: BergerParams, n_max: int) -> SpectrumTable:
@@ -126,11 +180,7 @@ def curl_spectrum(p: BergerParams, n_max: int) -> SpectrumTable:
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    a = p.a_float
-    entries = []
-    for n in range(2, n_max + 1):
-        entries.extend(_curl_entries(a, n))
-    return SpectrumTable("curl", a, n_max, tuple(entries))
+    return SpectrumTable("curl", p.a_float, n_max)
 
 
 def completeness_bound(t: SpectrumTable) -> float:
@@ -142,8 +192,8 @@ def completeness_bound(t: SpectrumTable) -> float:
     """
     if t.kind != "curl":
         raise ValueError("completeness bound applies to curl tables")
-    n = t.n_max + 1
-    return min(abs(e.value) for e in _curl_entries(t.a, n))
+    values, _ = _curl_block(t.a, t.n_max + 1)
+    return float(np.abs(values).min())
 
 
 def counting_function(t: SpectrumTable, lam: float, sign: int) -> int:
@@ -159,10 +209,9 @@ def counting_function(t: SpectrumTable, lam: float, sign: int) -> int:
             "increase n_max"
         )
     total = 0
-    for e in t.entries:
-        v = sign * e.value
-        if 0 < v < lam:
-            total += e.multiplicity
+    for _, values, mults in t.blocks():
+        v = sign * values
+        total += int(mults[(0 < v) & (v < lam)].sum())
     return total
 
 
@@ -173,6 +222,8 @@ def weyl_check(p: BergerParams, lam: float, n_max: int | None = None) -> dict:
     reported ratio is N(lam) * 3 / (a lam^3); the deviation from 1 is
     expected to decay like 1/lam.
     """
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be finite and > 0, got {lam}")
     a = p.a_float
     if n_max is None:
         n_max = int(math.ceil(a * lam)) + int(math.ceil(2 * lam)) + 10
@@ -193,26 +244,21 @@ def weyl_check(p: BergerParams, lam: float, n_max: int | None = None) -> dict:
     }
 
 
-def _kahan_sum(values: Iterable[float]) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = v - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total
+def _check_s(s: float, lower: int, what: str) -> None:
+    if not (math.isfinite(s) and s > lower):
+        raise ValueError(f"s must be finite and > {lower} for {what}, got {s}")
+
+
+def _eta_terms(t: SpectrumTable, s: float) -> Iterator[list[float]]:
+    """sign(v) * multiplicity * |v|^-s, one list per block."""
+    for _, values, mults in t.blocks():
+        yield (np.copysign(mults, values) * np.abs(values) ** -s).tolist()
 
 
 def eta_partial(t: SpectrumTable, s: float) -> float:
-    """Partial eta sum over the table, in a fixed deterministic order."""
-    if s <= 3:
-        raise ValueError("eta partial sums require s > 3")
-    ordered = sorted(t.entries, key=lambda e: (e.series, e.n, e.l))
-    return _kahan_sum(
-        math.copysign(1.0, e.value) * e.multiplicity * abs(e.value) ** -s
-        for e in ordered
-    )
+    """Partial eta sum over the table, correctly rounded."""
+    _check_s(s, 3, "eta partial sums")
+    return math.fsum(itertools.chain.from_iterable(_eta_terms(t, s)))
 
 
 def zeta(s: float, terms: int = 200) -> float:
@@ -224,7 +270,7 @@ def zeta(s: float, terms: int = 200) -> float:
     if s <= 1:
         raise ValueError("direct evaluation requires s > 1")
     m = terms
-    direct = _kahan_sum(k**-s for k in range(1, m + 1))
+    direct = math.fsum(k**-s for k in range(1, m + 1))
     tail = m ** (1 - s) / (s - 1) - 0.5 * m**-s
     tail += s * m ** (-s - 1) / 12
     tail -= s * (s + 1) * (s + 2) * m ** (-s - 3) / 720
@@ -232,20 +278,28 @@ def zeta(s: float, terms: int = 200) -> float:
     return direct + tail
 
 
+def _positive_laplacian(
+    p: BergerParams, n_max: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(mu, multiplicity) arrays of the positive eigenvalues, per block."""
+    for _, values, mults in laplacian_spectrum(p, n_max).blocks():
+        keep = values > 0
+        yield values[keep], mults[keep]
+
+
+def _theta_terms(
+    p: BergerParams, s: float, n_max: int
+) -> Iterator[list[float]]:
+    """Theta brackets weighted by multiplicity, one list per block."""
+    a = p.a_float
+    for mu, mults in _positive_laplacian(p, n_max):
+        w = np.sqrt(a**2 + mu)
+        yield (mults * ((w + a) ** -s - (w - a) ** -s)).tolist()
+
+
 def theta_partial(p: BergerParams, s: float, n_max: int) -> float:
     """The Laplacian-indexed series of the eta decomposition."""
-    a = p.a_float
-    t = laplacian_spectrum(p, n_max)
-    ordered = sorted(t.entries, key=lambda e: (e.n, e.l))
-    return _kahan_sum(
-        e.multiplicity
-        * (
-            (math.sqrt(a**2 + e.value) + a) ** -s
-            - (math.sqrt(a**2 + e.value) - a) ** -s
-        )
-        for e in ordered
-        if e.value > 0
-    )
+    return math.fsum(itertools.chain.from_iterable(_theta_terms(p, s, n_max)))
 
 
 def eta_decomposition_rhs(p: BergerParams, s: float, n_max: int) -> float:
@@ -254,8 +308,7 @@ def eta_decomposition_rhs(p: BergerParams, s: float, n_max: int) -> float:
     theta(s) + (2a)^{-s} + 4 a^s zeta(s-1), with theta summed over the
     positive Laplacian eigenvalues of the same truncation.
     """
-    if s <= 2:
-        raise ValueError("the decomposition requires s > 2")
+    _check_s(s, 2, "the decomposition")
     a = p.a_float
     return theta_partial(p, s, n_max) + (2 * a) ** -s + 4 * a**s * zeta(s - 1)
 
@@ -283,14 +336,12 @@ def hitchin_remainder(p: BergerParams, s: float, n_max: int) -> float:
     w = sqrt(a^2 + mu); the remainder times mu^2 must stay bounded.
     """
     a = p.a_float
-    t = laplacian_spectrum(p, n_max)
     worst = 0.0
-    for e in t.entries:
-        if e.value <= 0:
-            continue
-        w = math.sqrt(a**2 + e.value)
+    for mu, _ in _positive_laplacian(p, n_max):
+        w = np.sqrt(a**2 + mu)
         bracket = (w + a) ** -s - (w - a) ** -s
         expansion = -2 * s * a * w ** -(s + 1)
         expansion -= s * (s + 1) * (s + 2) / 3 * a**3 * w ** -(s + 3)
-        worst = max(worst, abs(bracket - expansion) * e.value**2)
+        scaled = np.abs(bracket - expansion) * mu**2
+        worst = max(worst, float(scaled.max(initial=0.0)))
     return worst

@@ -2,8 +2,8 @@
 
 Exit codes: 0 all assertions pass, 1 a mathematical verification failed,
 2 usage or IO error.  Reports are deterministic byte-for-byte for identical
-arguments: the symbolic pipelines are exact and every floating-point
-reduction uses a fixed summation order.
+arguments: the symbolic pipelines are exact and every floating-point sum is
+correctly rounded (``math.fsum``), so it does not depend on summation order.
 """
 
 from __future__ import annotations
@@ -126,6 +126,8 @@ def cmd_asym(args: argparse.Namespace) -> int:
 def _parse_a(text: str):
     try:
         return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"parameter a {text!r} divides by zero") from None
     except ValueError:
         return float(text)
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from curlasym import berger
 from curlasym.berger import (
     ZETA3,
     ZETA5,
@@ -32,6 +34,11 @@ class TestBergerParams:
             BergerParams(0)
         with pytest.raises(ValueError):
             BergerParams(Fraction(-1, 2))
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_finite_required(self, a):
+        with pytest.raises(ValueError, match="parameter a"):
+            BergerParams(a)
 
     def test_exact_requires_rational(self):
         assert BergerParams(Fraction(3, 2)).a_exact == Fraction(3, 2)
@@ -105,6 +112,13 @@ class TestCurlSpectrum:
             curl_spectrum(BergerParams(1), 1)
 
 
+    def test_entries_length_matches_rows(self):
+        p = BergerParams(Fraction(3, 2))
+        for n in range(2, 30):
+            for t in (curl_spectrum(p, n), laplacian_spectrum(p, n)):
+                assert len(t.entries) == sum(1 for _ in t.entries)
+
+
 class TestCounting:
     def test_round_sphere_reference_count(self):
         t = curl_spectrum(BergerParams(1), 110)
@@ -146,6 +160,12 @@ class TestWeyl:
         assert r["deviation_minus"] <= 3 / 100
 
 
+    @pytest.mark.parametrize("lam", [0.0, -5.0, math.nan, math.inf])
+    def test_lambda_domain(self, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            weyl_check(BergerParams(1), lam)
+
+
 class TestZeta:
     def test_reference_constants(self):
         assert abs(zeta(3.0) - ZETA3) < 1e-12
@@ -170,6 +190,13 @@ class TestEta:
             eta_partial(t, 3.0)
         with pytest.raises(ValueError):
             eta_decomposition_rhs(BergerParams(2), 2.0, 10)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_nonfinite_s_rejected(self, s):
+        with pytest.raises(ValueError):
+            eta_partial(curl_spectrum(BergerParams(2), 10), s)
+        with pytest.raises(ValueError):
+            eta_decomposition_rhs(BergerParams(2), s, 10)
 
     def test_decomposition_identity_medium_truncation(self):
         for a in (Fraction(1, 2), 1, 2):
@@ -220,3 +247,39 @@ class TestClosedForms:
     def test_float_parameter_rejected(self):
         with pytest.raises(TypeError):
             eta_closed_forms(BergerParams(1.7))
+
+
+class TestStreaming:
+    """The spectra are produced per quantum number and never stored."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: eta_partial(curl_spectrum(BergerParams(2), 1000), 6.0),
+            lambda: weyl_check(BergerParams(1), 100.0),
+        ],
+        ids=["eta_nmax_1000", "weyl_lambda_100"],
+    )
+    def test_peak_memory_bounded(self, call):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_eta_partial_is_correctly_rounded(self):
+        """fsum equals the exact sum of the same float terms, rounded once."""
+        mpmath = pytest.importorskip("mpmath")
+        for a in (Fraction(1, 2), 1, Fraction(3, 2), 2):
+            t = curl_spectrum(BergerParams(a), 40)
+            terms = [x for chunk in berger._eta_terms(t, 6.0) for x in chunk]
+            with mpmath.workdps(50):
+                exact = float(mpmath.fsum(terms))
+            assert eta_partial(t, 6.0) == exact
+            scalar = [
+                math.copysign(e.multiplicity, e.value) * abs(e.value) ** -6.0
+                for e in t.entries
+            ]
+            assert terms == pytest.approx(scalar, rel=5e-16, abs=0)

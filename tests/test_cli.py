@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -116,6 +117,33 @@ class TestBerger:
 
     def test_bad_parameter(self):
         assert run(["berger", "eta", "--a", "-1", "--nmax", "100"]) == 2
+
+    def test_spectrum_csv_golden(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        args = ["berger", "spectrum", "--a", "3/2", "--nmax", "40"]
+        assert run(args, out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e59fdbc04e962f3bee0b0e2572ab5e2f7573abf05e4cf411c4576fd203211ebb"
+        )
+
+    @pytest.mark.parametrize(
+        "args, word",
+        [
+            (["weyl", "--lambda", "0"], "lambda"),
+            (["weyl", "--lambda", "-5"], "lambda"),
+            (["weyl", "--lambda", "nan"], "lambda"),
+            (["eta", "--s", "nan", "--nmax", "10"], "s must be finite"),
+            (["eta", "--s", "inf", "--nmax", "10"], "s must be finite"),
+            (["eta", "--a", "1/0", "--nmax", "10"], "parameter a"),
+            (["eta", "--a", "nan", "--nmax", "10"], "parameter a"),
+            (["eta", "--a", "inf", "--nmax", "10"], "parameter a"),
+        ],
+    )
+    def test_invalid_input_is_usage_error(self, capsys, args, word):
+        assert run(["berger", *args]) == 2
+        err = capsys.readouterr().err
+        assert word in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestKernel:
