@@ -36,12 +36,16 @@ class BergerParams:
     a: object
 
     def __post_init__(self) -> None:
+        a = math.inf
         try:
             a = float(self.a)
+            ok = a > 0 and math.isfinite(a**2) and math.isfinite(a**-2)
         except OverflowError:
-            a = math.inf
-        if not (math.isfinite(a) and a > 0):
-            raise ValueError(f"parameter a must be finite and > 0, got {a!r}")
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"parameter a must be > 0 with a**2 and a**-2 finite floats, got {a!r}"
+            )
 
     @property
     def a_float(self) -> float:
@@ -222,16 +226,22 @@ def weyl_check(p: BergerParams, lam: float, n_max: int | None = None) -> dict:
     reported ratio is N(lam) * 3 / (a lam^3); the deviation from 1 is
     expected to decay like 1/lam.
     """
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lambda must be finite and > 0, got {lam}")
     a = p.a_float
+    try:
+        a_lam3 = a * lam**3
+    except OverflowError:
+        a_lam3 = math.inf
+    if not (math.isfinite(lam) and lam > 0 and 0 < a_lam3 < math.inf):
+        raise ValueError(
+            f"lambda must be > 0 with a * lambda**3 a finite non-zero float, got {lam}"
+        )
     if n_max is None:
         n_max = int(math.ceil(a * lam)) + int(math.ceil(2 * lam)) + 10
     t = curl_spectrum(p, n_max)
     n_plus = counting_function(t, lam, 1)
     n_minus = counting_function(t, lam, -1)
-    ratio_plus = n_plus * 3 / (a * lam**3)
-    ratio_minus = n_minus * 3 / (a * lam**3)
+    ratio_plus = n_plus * 3 / a_lam3
+    ratio_minus = n_minus * 3 / a_lam3
     return {
         "lambda": lam,
         "n_plus": n_plus,

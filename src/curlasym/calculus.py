@@ -26,6 +26,7 @@ from .exactpoly import (
     poly_add,
     poly_diff,
     poly_from_dict,
+    poly_mul,
     poly_to_dict,
     rat,
 )
@@ -382,8 +383,6 @@ def subprincipal(q: SymbolJet, mj) -> Matrix:
 
 
 def _poly_mul_trunc(a: TruncatedPoly, b: TruncatedPoly, order: int) -> TruncatedPoly:
-    from .exactpoly import poly_mul
-
     p = poly_mul(a, b)
     return p.truncate(min(p.order, order))
 

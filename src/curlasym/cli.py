@@ -59,8 +59,8 @@ def _load_config(name: str) -> CurvatureConfig:
         return unit_config(name)
     try:
         with open(name, "r", encoding="utf-8") as fh:
-            return CurvatureConfig.from_dict(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
+            return CurvatureConfig.from_dict(json.load(fh, parse_float=Fraction))
+    except (OSError, ValueError, ZeroDivisionError) as exc:
         raise SystemExit(f"cannot load config {name!r}: {exc}")
 
 

@@ -9,51 +9,69 @@ covector), truncated by joint total degree.  Coefficients are Gaussian
 rationals, i.e. complex numbers with exact rational real and imaginary parts,
 so all symbolic results are bit-exact.
 
-A TruncatedPoly stores a finite map from exponent tuples to non-zero
-GaussianRational coefficients together with a truncation order.  Values are
-immutable by convention and all operations are pure functions, so they are
-safe to share across threads.
+A TruncatedPoly is an integer polynomial over one positive common
+denominator (as in FLINT's fmpq_poly): a map from a packed exponent key to
+the numerator pair (re, im) of each non-zero coefficient.  A key is the total
+degree followed by one base-8 digit per variable (packed exponent vectors,
+Monagan & Pearce 2007), so a monomial product is one integer addition and a
+degree bound one comparison.  Each operation ends in one gcd normalisation,
+so equal values have equal representations.  Values are immutable.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from itertools import product
+from math import gcd, lcm
+from typing import Iterable, Iterator
 
-try:
-    from gmpy2 import mpq as _mpq
 
-    def rat(value: object = 0, den: object = None) -> object:
-        """Coerce to the exact rational type (gmpy2.mpq when available)."""
-        if den is None:
-            return _mpq(value)
-        return _mpq(value, den)
-
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-
-    def rat(value: object = 0, den: object = None) -> object:
-        """Coerce to the exact rational type (Fraction fallback)."""
-        if den is None:
-            if isinstance(value, str):
-                return Fraction(value)
-            return Fraction(value)
-        return Fraction(value, den)
+def rat(value: object = 0, den: object = None) -> Fraction:
+    """Coerce to the exact rational type."""
+    return Fraction(value) if den is None else Fraction(value, den)
 
 
 NUM_VARS = 6
 VAR_NAMES = ("x1", "x2", "x3", "e1", "e2", "e3")
 #: Variable indices: base coordinates x1..x3 and covector increments e1..e3.
 X1, X2, X3, E1, E2, E3 = range(6)
+#: Largest truncation order: every exponent must fit one base-8 digit.
+MAX_ORDER = 7
 
 Exponent = tuple
 
 _ZERO_EXP = (0,) * NUM_VARS
+_DEG_SHIFT = 3 * NUM_VARS
+_EXP_MASK = (1 << _DEG_SHIFT) - 1
+_SHIFTS = tuple(3 * (NUM_VARS - 1 - v) for v in range(NUM_VARS))
+
+
+def _pack(exp: Iterable[int]) -> int | None:
+    """Key of an exponent tuple; None if it has none."""
+    exp = tuple(exp)
+    if len(exp) != NUM_VARS or not all(0 <= e <= MAX_ORDER for e in exp):
+        return None
+    key = sum(exp)
+    for e in exp:
+        key = key << 3 | e
+    return key
+
+
+def _unpack(key: int) -> Exponent:
+    return tuple(key >> s & 7 for s in _SHIFTS)
 
 
 def rat_str(q: object) -> str:
     """Render a rational as "p/q" (or "p" when the denominator is 1)."""
     return str(q)
+
+
+def _qstr(num: int, den: int) -> str:
+    """rat_str(rat(num, den)), computed on the integers."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 class GaussianRational:
@@ -67,12 +85,6 @@ class GaussianRational:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GaussianRational is immutable")
-
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def from_strings(re: str, im: str) -> "GaussianRational":
-        return GaussianRational(rat(re), rat(im))
 
     # -- predicates -------------------------------------------------------
 
@@ -130,7 +142,7 @@ class GaussianRational:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)) or type(other).__name__ == "mpq":
+        if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
         return NotImplemented
 
@@ -149,49 +161,71 @@ def _coerce(value: object) -> GaussianRational:
     return GaussianRational(value)
 
 
+def _split(value: object) -> tuple:
+    """Integers (re, im, den) with value == (re + i*im) / den and den > 0."""
+    c = _coerce(value)
+    r, i = c.re, c.im
+    den = lcm(r.denominator, i.denominator)
+    return r.numerator * den // r.denominator, i.numerator * den // i.denominator, den
+
+
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
 
+class _Terms(Mapping):
+    """Read-only decoded view of a TruncatedPoly: exponent -> GaussianRational."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: "TruncatedPoly") -> None:
+        self._p = p
+
+    def __len__(self) -> int:
+        return len(self._p._num)
+
+    def __iter__(self) -> Iterator[Exponent]:
+        return map(_unpack, self._p._num)
+
+    def __getitem__(self, exp: Exponent) -> GaussianRational:
+        re, im = self._p._num[_pack(exp)]
+        return GaussianRational(Fraction(re, self._p.den), Fraction(im, self._p.den))
+
+
 class TruncatedPoly:
     """A polynomial in six variables truncated by joint total degree.
 
-    Invariants: every stored exponent tuple has total degree <= order and no
-    stored coefficient is zero, so equal values have equal representations.
+    Invariants: every stored key has total degree <= order, no stored
+    numerator pair is (0, 0), and den is positive and coprime to the
+    numerators jointly (den == 1 for zero), so equal values have equal
+    representations.
     """
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order", "den", "_num")
 
-    def __init__(
-        self,
-        order: int,
-        terms: Mapping[Exponent, GaussianRational] | None = None,
-        *,
-        _trusted: bool = False,
-    ) -> None:
-        if order < 0:
-            raise ValueError(f"truncation order must be >= 0, got {order}")
-        if terms is None:
-            clean: dict = {}
-        elif _trusted:
-            clean = dict(terms)
-        else:
-            clean = {}
-            for exp, coeff in terms.items():
-                coeff = _coerce(coeff)
-                if coeff.is_zero():
-                    continue
-                if len(exp) != NUM_VARS or any(e < 0 for e in exp):
-                    raise ValueError(f"bad exponent tuple {exp!r}")
-                if sum(exp) > order:
-                    continue
-                clean[tuple(exp)] = coeff
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, order: int, terms: Mapping | None = None) -> None:
+        if not 0 <= order <= MAX_ORDER:
+            raise ValueError(f"truncation order must be in 0..{MAX_ORDER}: {order}")
+        coeffs = {}
+        for exp, coeff in (terms or {}).items():
+            coeff = _coerce(coeff)
+            if coeff.is_zero():
+                continue
+            if len(exp) != NUM_VARS or any(e < 0 for e in exp):
+                raise ValueError(f"bad exponent tuple {exp!r}")
+            if sum(exp) <= order:
+                coeffs[_pack(exp)] = _split(coeff)
+        den = lcm(*(d for _, _, d in coeffs.values()))
+        num = {k: (re * den // d, im * den // d) for k, (re, im, d) in coeffs.items()}
+        _poly(order, den, num, self)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TruncatedPoly is immutable")
+
+    @property
+    def terms(self) -> Mapping:
+        return _Terms(self)
 
     # -- constructors -----------------------------------------------------
 
@@ -201,77 +235,55 @@ class TruncatedPoly:
 
     @staticmethod
     def constant(value: object, order: int) -> "TruncatedPoly":
-        coeff = _coerce(value)
-        if coeff.is_zero():
-            return TruncatedPoly(order)
-        return TruncatedPoly(order, {_ZERO_EXP: coeff}, _trusted=True)
+        return TruncatedPoly(order, {_ZERO_EXP: value})
 
     @staticmethod
     def variable(var: int, order: int, coeff: object = 1) -> "TruncatedPoly":
         if not 0 <= var < NUM_VARS:
             raise ValueError(f"variable index out of range: {var}")
-        if order < 1:
-            return TruncatedPoly(order)
-        exp = [0] * NUM_VARS
-        exp[var] = 1
-        c = _coerce(coeff)
-        if c.is_zero():
-            return TruncatedPoly(order)
-        return TruncatedPoly(order, {tuple(exp): c}, _trusted=True)
-
-    @staticmethod
-    def monomial(exp: Iterable[int], coeff: object, order: int) -> "TruncatedPoly":
-        return TruncatedPoly(order, {tuple(exp): _coerce(coeff)})
+        exp = tuple(int(v == var) for v in range(NUM_VARS))
+        return TruncatedPoly(order, {exp: coeff})
 
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def constant_term(self) -> GaussianRational:
-        return self.terms.get(_ZERO_EXP, GR_ZERO)
+        return self.coefficient(_ZERO_EXP)
 
     def coefficient(self, exp: Iterable[int]) -> GaussianRational:
         return self.terms.get(tuple(exp), GR_ZERO)
-
-    def degree(self) -> int:
-        """Actual maximal total degree of the stored terms (0 for zero)."""
-        if not self.terms:
-            return 0
-        return max(sum(exp) for exp in self.terms)
 
     def evaluate(self, point: Iterable[object]) -> GaussianRational:
         """Exact evaluation at a 6-tuple of rationals."""
         vals = [rat(v) for v in point]
         if len(vals) != NUM_VARS:
             raise ValueError("evaluation point must have 6 components")
-        total = GR_ZERO
-        for exp, coeff in self.terms.items():
-            factor = rat(1)
-            for e, v in zip(exp, vals):
+        re = im = Fraction(0)
+        for key, (cr, ci) in self._num.items():
+            factor = Fraction(1, self.den)
+            for e, v in zip(_unpack(key), vals):
                 if e:
                     factor *= v**e
-            total = total + coeff * factor
-        return total
+            re, im = re + cr * factor, im + ci * factor
+        return GaussianRational(re, im)
 
     def restrict(self, zero_vars: Iterable[int]) -> "TruncatedPoly":
         """Set the given variables to zero, keeping the truncation order."""
-        zs = set(zero_vars)
-        kept = {
-            exp: coeff
-            for exp, coeff in self.terms.items()
-            if all(exp[v] == 0 for v in zs)
-        }
-        return TruncatedPoly(self.order, kept, _trusted=True)
+        mask = sum(7 << _SHIFTS[v] for v in set(zero_vars))
+        kept = {k: c for k, c in self._num.items() if not k & mask}
+        return _poly(self.order, self.den, kept)
 
     def truncate(self, order: int) -> "TruncatedPoly":
         """Drop all terms of total degree > order and lower the bound."""
-        if order >= self.order:
-            if order == self.order:
-                return self
-            raise ValueError("cannot raise the truncation order")
-        kept = {exp: c for exp, c in self.terms.items() if sum(exp) <= order}
-        return TruncatedPoly(order, kept, _trusted=True)
+        if order == self.order:
+            return self
+        if not 0 <= order < self.order:
+            raise ValueError(f"cannot truncate order {self.order} to {order}")
+        limit = (order + 1) << _DEG_SHIFT
+        kept = {k: c for k, c in self._num.items() if k < limit}
+        return _poly(order, self.den, kept)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -282,106 +294,109 @@ class TruncatedPoly:
         return poly_add(self, other.__neg__())
 
     def __neg__(self) -> "TruncatedPoly":
-        return TruncatedPoly(
-            self.order,
-            {exp: -c for exp, c in self.terms.items()},
-            _trusted=True,
-        )
-
-    def __mul__(self, other: object) -> "TruncatedPoly":
-        if isinstance(other, TruncatedPoly):
-            return poly_mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other: object) -> "TruncatedPoly":
-        return self.scale(other)
+        neg = {k: (-re, -im) for k, (re, im) in self._num.items()}
+        return _poly(self.order, self.den, neg, reduce=False)
 
     def scale(self, value: object) -> "TruncatedPoly":
-        coeff = _coerce(value)
-        if coeff.is_zero():
+        a, b, d = _split(value)
+        if not (a or b):
             return TruncatedPoly(self.order)
-        return TruncatedPoly(
-            self.order,
-            {exp: c * coeff for exp, c in self.terms.items()},
-            _trusted=True,
-        )
+        num = {k: (x * a - y * b, x * b + y * a) for k, (x, y) in self._num.items()}
+        return _poly(self.order, self.den * d, num)
 
     def conjugate(self) -> "TruncatedPoly":
-        return TruncatedPoly(
-            self.order,
-            {exp: c.conjugate() for exp, c in self.terms.items()},
-            _trusted=True,
-        )
+        conj = {k: (re, -im) for k, (re, im) in self._num.items()}
+        return _poly(self.order, self.den, conj, reduce=False)
 
     # -- comparison and display ------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
-        return self.order == other.order and self.terms == other.terms
+        same = self.order == other.order and self.den == other.den
+        return same and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash((self.order, frozenset(self.terms.items())))
+        return hash((self.order, self.den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return f"TruncatedPoly(0; order {self.order})"
         parts = []
-        for exp in sorted(self.terms):
-            coeff = self.terms[exp]
+        for exp, coeff in sorted(self.terms.items()):
             mono = "*".join(
                 f"{name}^{e}" if e > 1 else name
                 for name, e in zip(VAR_NAMES, exp)
                 if e
             )
             parts.append(f"({coeff}){'*' + mono if mono else ''}")
-        return f"TruncatedPoly({' + '.join(parts)}; order {self.order})"
+        return f"TruncatedPoly({' + '.join(parts) or 0}; order {self.order})"
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _poly(order, den, num, out=None, reduce=True) -> TruncatedPoly:
+    """The poly num / den (stored into ``out`` if given); num has no (0, 0).
+
+    Unless ``reduce`` is false (den is known to be coprime to the numerators
+    already), the gcd of den and every numerator is divided out.
+    """
+    if reduce and den != 1:
+        g = den
+        for re, im in num.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                break
+        if g != 1:
+            den //= g
+            num = {k: (re // g, im // g) for k, (re, im) in num.items()}
+    p = _new(TruncatedPoly) if out is None else out
+    _set(p, "order", order)
+    _set(p, "den", den)
+    _set(p, "_num", num)
+    return p
 
 
 def poly_add(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
     """Exact sum; the result carries order min(a.order, b.order)."""
     order = min(a.order, b.order)
-    out: dict = {}
-    for src in (a.terms, b.terms):
-        for exp, coeff in src.items():
-            if sum(exp) > order:
-                continue
-            acc = out.get(exp)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = coeff
-    return TruncatedPoly(order, out, _trusted=True)
+    limit = (order + 1) << _DEG_SHIFT
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    out = {k: (re * fa, im * fa) for k, (re, im) in a._num.items() if k < limit}
+    get = out.get
+    for k, (re, im) in b._num.items():
+        if k < limit:
+            acc = get(k, (0, 0))
+            out[k] = (acc[0] + re * fb, acc[1] + im * fb)
+    return _poly(order, den, {k: c for k, c in out.items() if c[0] or c[1]})
 
 
 def poly_mul(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
-    """Exact product with terms above min(a.order, b.order) discarded."""
+    """Exact product with terms above min(a.order, b.order) discarded.
+
+    A key sum can carry out of an exponent digit only when that exponent
+    exceeds 7, which needs total degree > 7 >= order; a carry only raises
+    the degree field, so such products are discarded all the same.
+    """
     order = min(a.order, b.order)
+    limit = (order + 1) << _DEG_SHIFT
+    # Sorted keys ascend in total degree, so each row stops at the first
+    # product above the order.
+    b_terms = sorted(b._num.items())
     out: dict = {}
-    for ea, ca in a.terms.items():
-        da = sum(ea)
-        if da > order:
-            continue
-        for eb, cb in b.terms.items():
-            if da + sum(eb) > order:
-                continue
-            exp = (
-                ea[0] + eb[0],
-                ea[1] + eb[1],
-                ea[2] + eb[2],
-                ea[3] + eb[3],
-                ea[4] + eb[4],
-                ea[5] + eb[5],
-            )
-            coeff = ca * cb
-            acc = out.get(exp)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff.is_zero():
-                out.pop(exp, None)
+    get = out.get
+    for ka, (ar, ai) in a._num.items():
+        for kb, (br, bi) in b_terms:
+            k = ka + kb
+            if k >= limit:
+                break
+            acc = get(k)
+            if acc is None:
+                out[k] = (ar * br - ai * bi, ar * bi + ai * br)
             else:
-                out[exp] = coeff
-    return TruncatedPoly(order, out, _trusted=True)
+                out[k] = (acc[0] + ar * br - ai * bi, acc[1] + ar * bi + ai * br)
+    return _poly(order, a.den * b.den, {k: c for k, c in out.items() if c[0] or c[1]})
 
 
 def poly_diff(a: TruncatedPoly, var: int) -> TruncatedPoly:
@@ -394,15 +409,14 @@ def poly_diff(a: TruncatedPoly, var: int) -> TruncatedPoly:
         raise ValueError(f"variable index out of range: {var}")
     if a.order < 1:
         raise ValueError("cannot differentiate a poly of truncation order 0")
-    out: dict = {}
-    for exp, coeff in a.terms.items():
-        e = exp[var]
-        if e == 0:
-            continue
-        new = list(exp)
-        new[var] = e - 1
-        out[tuple(new)] = coeff * e
-    return TruncatedPoly(a.order - 1, out, _trusted=True)
+    shift = _SHIFTS[var]
+    step = (1 << _DEG_SHIFT) + (1 << shift)
+    out = {}
+    for k, (re, im) in a._num.items():
+        e = k >> shift & 7
+        if e:
+            out[k - step] = (re * e, im * e)
+    return _poly(a.order - 1, a.den, out)
 
 
 def binomial_power_jet(u: TruncatedPoly, r: object) -> TruncatedPoly:
@@ -436,15 +450,12 @@ def binomial_power_jet(u: TruncatedPoly, r: object) -> TruncatedPoly:
 
 def poly_to_dict(p: TruncatedPoly) -> dict:
     """JSON-ready form with terms sorted lexicographically by exponent."""
+    den, terms = p.den, sorted(p._num.items(), key=lambda kc: kc[0] & _EXP_MASK)
     return {
         "order": p.order,
         "terms": [
-            {
-                "exp": list(exp),
-                "re": rat_str(p.terms[exp].re),
-                "im": rat_str(p.terms[exp].im),
-            }
-            for exp in sorted(p.terms)
+            {"exp": list(_unpack(k)), "re": _qstr(re, den), "im": _qstr(im, den)}
+            for k, (re, im) in terms
         ],
     }
 
@@ -453,7 +464,7 @@ def poly_from_dict(data: Mapping) -> TruncatedPoly:
     terms = {}
     for entry in data["terms"]:
         exp = tuple(int(e) for e in entry["exp"])
-        terms[exp] = GaussianRational.from_strings(entry["re"], entry["im"])
+        terms[exp] = GaussianRational(entry["re"], entry["im"])
     return TruncatedPoly(int(data["order"]), terms)
 
 
@@ -467,14 +478,6 @@ def poly_loads(text: str) -> TruncatedPoly:
 
 def iter_exponents(order: int) -> Iterator[Exponent]:
     """All exponent tuples of total degree <= order, lexicographic order."""
-
-    def rec(prefix: list, remaining: int, slots: int) -> Iterator[Exponent]:
-        if slots == 0:
-            yield tuple(prefix)
-            return
-        for e in range(remaining + 1):
-            prefix.append(e)
-            yield from rec(prefix, remaining - e, slots - 1)
-            prefix.pop()
-
-    yield from rec([], order, NUM_VARS)
+    for exp in product(range(order + 1), repeat=NUM_VARS):
+        if sum(exp) <= order:
+            yield exp

@@ -16,6 +16,7 @@ expansions of parallel transport maps.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exactpoly import (
@@ -127,7 +128,20 @@ class CurvatureConfig:
         }
 
     @staticmethod
-    def from_dict(data: Mapping) -> "CurvatureConfig":
+    def from_dict(data: object) -> "CurvatureConfig":
+        """Inverse of to_dict.
+
+        Entries must be integers, exact rationals or rational strings; read
+        JSON with ``parse_float=Fraction`` so that decimals stay exact.
+        """
+        if not isinstance(data, Mapping) or not {"ric", "dric"} <= data.keys():
+            raise ValueError("config must be an object with keys 'ric' and 'dric'")
+        for key, depth in (("ric", 2), ("dric", 3)):
+            if not _is_exact_array(data[key], depth):
+                raise ValueError(
+                    f"{key} must be a {'x'.join('3' * depth)} list of integers, "
+                    "decimals or 'p/q' strings"
+                )
         return CurvatureConfig(data["ric"], data["dric"])
 
     def dumps(self) -> str:
@@ -135,7 +149,18 @@ class CurvatureConfig:
 
     @staticmethod
     def loads(text: str) -> "CurvatureConfig":
-        return CurvatureConfig.from_dict(json.loads(text))
+        return CurvatureConfig.from_dict(json.loads(text, parse_float=Fraction))
+
+
+def _is_exact_array(value: object, depth: int) -> bool:
+    """Whether value is a depth-fold nested 3-list of exact rational entries."""
+    if depth == 0:
+        return isinstance(value, (int, Fraction, str)) and not isinstance(value, bool)
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == 3
+        and all(_is_exact_array(v, depth - 1) for v in value)
+    )
 
 
 def riemann_from_ricci(cfg: CurvatureConfig):

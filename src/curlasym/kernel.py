@@ -10,20 +10,34 @@ All checks live on the Euclidean model of the tangent space at the anchor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-from scipy.integrate import quad
-from scipy.special import roots_genlaguerre
 
 from .exactpoly import rat, rat_str
 from .geometry import CurvatureConfig, epsilon
 
 _EULER_GAMMA = 0.5772156649015328606
 
-#: Quadrature nodes for the large-argument integral representation of K_1.
-_GL_NODES, _GL_WEIGHTS = roots_genlaguerre(70, 0.5)
+# scipy is imported on first use, not with the package: it costs about 50 MB
+# of memory and half a second of start-up, and the exact commands (project,
+# asym) never call it.
+
+
+@functools.cache
+def _gauss_laguerre() -> tuple:
+    """Quadrature nodes and weights for the large-argument K_1 integral."""
+    from scipy.special import roots_genlaguerre
+
+    return roots_genlaguerre(70, 0.5)
+
+
+def __getattr__(name: str):
+    """The node and weight tables as ``_GL_NODES`` and ``_GL_WEIGHTS``."""
+    if name in ("_GL_NODES", "_GL_WEIGHTS"):
+        return _gauss_laguerre()[name == "_GL_WEIGHTS"]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def bessel_k1(t: float) -> float:
@@ -38,10 +52,11 @@ def bessel_k1(t: float) -> float:
         raise ValueError("argument must be positive")
     if t <= 2:
         return _k1_series(t)
+    nodes, weights = _gauss_laguerre()
     return (
         math.exp(-t)
         / t
-        * float(sum(w * math.sqrt(x + 2 * t) for x, w in zip(_GL_NODES, _GL_WEIGHTS)))
+        * float(sum(w * math.sqrt(x + 2 * t) for x, w in zip(nodes, weights)))
     )
 
 
@@ -88,8 +103,10 @@ def basset_check(y: float, cutoff: float = 2.5e4) -> tuple:
     quadrature on [0, cutoff] (tail below 1/(2 cutoff^2) <= 1e-9) and
     compares with the Bessel closed form (value 2 at y = 0).
     """
-    if y < 0:
-        raise ValueError("y must be >= 0")
+    from scipy.integrate import quad
+
+    if not (math.isfinite(y) and y >= 0):
+        raise ValueError(f"y must be finite and >= 0, got {y}")
 
     def f(t: float) -> float:
         return (1 + t * t) ** -1.5

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .exactpoly import TruncatedPoly, poly_add, poly_diff, poly_mul
+from .exactpoly import TruncatedPoly, poly_add, poly_mul
 
 Matrix = tuple
 
@@ -83,10 +83,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def mat_diff(a: Matrix, var: int) -> Matrix:
-    return mat_map(lambda p: poly_diff(p, var), a)
 
 
 def mat_truncate(a: Matrix, order: int) -> Matrix:

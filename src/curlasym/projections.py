@@ -29,6 +29,7 @@ from .exactpoly import (
     TruncatedPoly,
     poly_add,
     poly_mul,
+    poly_to_dict,
     rat,
     rat_str,
 )
@@ -150,18 +151,12 @@ class ProjectionFamily:
             "jet": self.jet.to_dict(),
             "steps": [
                 {
-                    name: [[_poly_json(p) for p in row] for row in m]
+                    name: [[poly_to_dict(p) for p in row] for row in m]
                     for name, m in step.items()
                 }
                 for step in self.steps
             ],
         }
-
-
-def _poly_json(p: TruncatedPoly) -> dict:
-    from .exactpoly import poly_to_dict
-
-    return poly_to_dict(p)
 
 
 def run_algorithm(
@@ -251,7 +246,7 @@ def verify_projection(fam: ProjectionFamily) -> dict:
                 "kind": "idempotency",
                 "degree": -k,
                 "residual": [
-                    [_poly_json(p) for p in row] for row in idem.components[k]
+                    [poly_to_dict(p) for p in row] for row in idem.components[k]
                 ],
             }
             break
@@ -264,7 +259,7 @@ def verify_projection(fam: ProjectionFamily) -> dict:
                     "kind": "commutation",
                     "degree": 1 - k,
                     "residual": [
-                        [_poly_json(p) for p in row]
+                        [poly_to_dict(p) for p in row]
                         for row in comm.components[k]
                     ],
                 }

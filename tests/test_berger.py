@@ -35,7 +35,7 @@ class TestBergerParams:
         with pytest.raises(ValueError):
             BergerParams(Fraction(-1, 2))
 
-    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 1e200, 1e-200])
     def test_finite_required(self, a):
         with pytest.raises(ValueError, match="parameter a"):
             BergerParams(a)
@@ -160,7 +160,7 @@ class TestWeyl:
         assert r["deviation_minus"] <= 3 / 100
 
 
-    @pytest.mark.parametrize("lam", [0.0, -5.0, math.nan, math.inf])
+    @pytest.mark.parametrize("lam", [0.0, -5.0, math.nan, math.inf, 1e-300])
     def test_lambda_domain(self, lam):
         with pytest.raises(ValueError, match="lambda"):
             weyl_check(BergerParams(1), lam)

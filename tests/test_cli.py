@@ -137,6 +137,9 @@ class TestBerger:
             (["eta", "--a", "1/0", "--nmax", "10"], "parameter a"),
             (["eta", "--a", "nan", "--nmax", "10"], "parameter a"),
             (["eta", "--a", "inf", "--nmax", "10"], "parameter a"),
+            (["eta", "--a", "1e200", "--nmax", "10"], "parameter a"),
+            (["eta", "--a", "1e-200", "--nmax", "10"], "parameter a"),
+            (["weyl", "--lambda", "1e-300"], "lambda"),
         ],
     )
     def test_invalid_input_is_usage_error(self, capsys, args, word):
@@ -146,7 +149,46 @@ class TestBerger:
         assert len(err.strip().splitlines()) == 1
 
 
+class TestConfigFile:
+    ZERO3 = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"ric": 5, "dric": 5}',
+            '[1, 2]',
+            '{"ric": ["100", "010", "001"], "dric": 0}',
+            '{"ric": [[null, 0, 0], [0, 0, 0], [0, 0, 0]], "dric": 0}',
+        ],
+    )
+    def test_bad_shape_or_type_is_usage_error(self, capsys, tmp_path, text):
+        assert run(["asym", "--config", self.write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load config" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_decimals_are_read_exactly(self, tmp_path):
+        dric = json.dumps([self.ZERO3] * 3)
+        text = '{"ric": [[0.1, 0, 0], [0, 0, 0], [0, 0, 0]], "dric": ' + dric + "}"
+        out = tmp_path / "p.json"
+        args = ["project", "--config", self.write(tmp_path, text), "--aleph", "+"]
+        assert run([*args, "--accuracy", "1"], out) == 0
+        assert json.loads(out.read_text())["config"]["ric"][0][0] == "1/10"
+
+
 class TestKernel:
+    @pytest.mark.parametrize("y", ["nan", "inf"])
+    def test_non_finite_y_is_usage_error(self, capsys, y):
+        assert run(["kernel", "--y", y]) == 2
+        err = capsys.readouterr().err
+        assert "y must be finite" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_default_suite(self, tmp_path):
         out = tmp_path / "k.json"
         assert run(["kernel"], out) == 0

@@ -199,3 +199,155 @@ class TestSerialization:
         rng = random.Random(8)
         p = random_poly(rng, 3)
         assert poly_dumps(p) == poly_dumps(poly_loads(poly_dumps(p)))
+
+
+# -- integer-backed storage -------------------------------------------------
+#
+# The reference below keeps one pair of Fractions per exponent tuple, the
+# textbook representation, so every kernel operation can be checked against
+# an implementation that shares none of its code.
+
+
+def ref_terms(p):
+    return {exp: (c.re, c.im) for exp, c in p.terms.items()}
+
+
+def ref_clean(terms, order):
+    return {
+        e: c for e, c in terms.items() if sum(e) <= order and (c[0] or c[1])
+    }
+
+
+def ref_add(a, b):
+    order = min(a.order, b.order)
+    out = dict(ref_terms(a))
+    for e, (re, im) in ref_terms(b).items():
+        r0, i0 = out.get(e, (0, 0))
+        out[e] = (r0 + re, i0 + im)
+    return ref_clean(out, order)
+
+
+def ref_mul(a, b):
+    order = min(a.order, b.order)
+    out = {}
+    for ea, (ar, ai) in ref_terms(a).items():
+        for eb, (br, bi) in ref_terms(b).items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            r0, i0 = out.get(e, (0, 0))
+            out[e] = (r0 + ar * br - ai * bi, i0 + ar * bi + ai * br)
+    return ref_clean(out, order)
+
+
+def ref_diff(a, var):
+    out = {}
+    for e, (re, im) in ref_terms(a).items():
+        if e[var]:
+            d = list(e)
+            d[var] -= 1
+            out[tuple(d)] = (re * e[var], im * e[var])
+    return ref_clean(out, a.order - 1)
+
+
+def ref_scale(a, c):
+    out = {
+        e: (re * c.re - im * c.im, re * c.im + im * c.re)
+        for e, (re, im) in ref_terms(a).items()
+    }
+    return ref_clean(out, a.order)
+
+
+class TestAgainstFractionReference:
+    @given(polys(), polys())
+    @settings(max_examples=150)
+    def test_mul_and_add(self, a, b):
+        assert ref_terms(poly_mul(a, b)) == ref_mul(a, b)
+        assert ref_terms(poly_add(a, b)) == ref_add(a, b)
+
+    @given(polys())
+    def test_diff(self, a):
+        if a.order == 0:
+            return
+        for var in range(6):
+            d = poly_diff(a, var)
+            assert d.order == a.order - 1
+            assert ref_terms(d) == ref_diff(a, var)
+
+    @given(polys(), gaussian_rationals())
+    def test_scale_and_conjugate(self, a, c):
+        assert ref_terms(a.scale(c)) == ref_scale(a, c)
+        assert ref_terms(a.conjugate()) == {
+            e: (re, -im) for e, (re, im) in ref_terms(a).items()
+        }
+
+
+class TestCanonicalForm:
+    def test_product_truncated_to_zero_is_zero(self):
+        x = TruncatedPoly.variable(0, 1, rat(1, 2))
+        y = TruncatedPoly.variable(1, 1, rat(1, 3))
+        zero = TruncatedPoly.zero(1)
+        prod = poly_mul(x, y)
+        assert prod == zero
+        assert hash(prod) == hash(zero)
+        assert prod.den == 1
+
+    def test_product_with_cancelling_terms(self):
+        # (x + i y)(x - i y) = x^2 + y^2: the x y terms cancel in the product.
+        x = TruncatedPoly.variable(0, 2, rat(1, 3))
+        iy = TruncatedPoly.variable(1, 2, GaussianRational(0, rat(1, 3)))
+        left = poly_mul(poly_add(x, iy), poly_add(x, -iy))
+        right = poly_add(poly_mul(x, x), poly_mul(iy.conjugate(), iy))
+        assert left == right and hash(left) == hash(right)
+        assert len(left.terms) == 2
+        diff = poly_add(left, -right)
+        assert diff == TruncatedPoly.zero(2)
+        assert hash(diff) == hash(TruncatedPoly.zero(2))
+
+    @given(polys())
+    def test_sum_cancelling_to_zero_is_zero(self, a):
+        zero = TruncatedPoly.zero(a.order)
+        s = poly_add(a, -a)
+        assert s == zero and hash(s) == hash(zero) and s.den == 1
+
+    def test_same_value_two_ways_same_representation(self):
+        x = TruncatedPoly.variable(0, 2)
+        built = poly_add(x.scale(rat(1, 2)), x.scale(rat(1, 3)))
+        direct = TruncatedPoly(2, {(1, 0, 0, 0, 0, 0): rat(5, 6)})
+        assert built == direct
+        assert hash(built) == hash(direct)
+        assert built.den == direct.den == 6
+        assert poly_dumps(built) == poly_dumps(direct)
+
+    @given(polys(), gaussian_rationals())
+    def test_scale_round_trip_same_representation(self, a, c):
+        if c.is_zero():
+            return
+        back = a.scale(c).scale(GR_ONE / c)
+        assert back == a and hash(back) == hash(a) and back.den == a.den
+
+
+class TestStorageLimits:
+    @pytest.mark.parametrize("order", [8, 9, 20])
+    def test_order_above_seven_rejected(self, order):
+        with pytest.raises(ValueError):
+            TruncatedPoly(order)
+        with pytest.raises(ValueError):
+            TruncatedPoly.constant(1, order)
+
+    def test_order_seven_keeps_top_degree(self):
+        x = TruncatedPoly.variable(0, 7)
+        p = x
+        for _ in range(6):
+            p = poly_mul(p, x)
+        assert p.coefficient((7, 0, 0, 0, 0, 0)) == GR_ONE
+        assert poly_mul(p, x).is_zero()
+
+    def test_terms_cannot_be_mutated(self):
+        p = TruncatedPoly.variable(0, 2, rat(1, 2))
+        exp = (1, 0, 0, 0, 0, 0)
+        with pytest.raises(TypeError):
+            p.terms[exp] = GR_ONE
+        with pytest.raises(TypeError):
+            del p.terms[exp]
+        with pytest.raises(AttributeError):
+            p.terms = {}
+        assert p.terms == {exp: GaussianRational(rat(1, 2))}
