@@ -4,10 +4,10 @@ Subpackage layout:
 
 - exactpoly, polymat: exact Gaussian-rational truncated polynomials and
   matrices of them.
-- geometry: curvature-seeded metric jets, norm power jets, curl and
-  d / delta symbols, parallel transport jets.
+- geometry: curvature-seeded metric jets, norm power jets (plain
+  TruncatedPoly values), curl and d / delta symbols, parallel transport jets.
 - calculus: graded symbol jets, composition, subprincipal symbol, Poisson
-  bracket, adjoint, trace, transport corrections.
+  bracket (a plain Matrix), adjoint, trace, transport corrections.
 - configs: named unit curvature configurations and random ones.
 - projections: the iterative spectral projection construction, its
   verification, and the asymmetry report.

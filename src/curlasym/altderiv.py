@@ -14,9 +14,11 @@ asymmetry value can feel.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .exactpoly import (
+    ETA_VARS,
     GR_I,
     GaussianRational,
     TruncatedPoly,
@@ -39,17 +41,13 @@ from .polymat import (
     Matrix,
     identity_mat,
     mat_add,
+    mat_diff,
     mat_map,
+    mat_poly_scale,
     mat_scale,
 )
 
 _WORK_ORDER = 4
-_X_VARS = (0, 1, 2)
-_ETA_VARS = (3, 4, 5)
-
-
-def _delta(a: int, b: int) -> int:
-    return 1 if a == b else 0
 
 
 def hodge_symbol(cfg: CurvatureConfig) -> tuple:
@@ -148,18 +146,18 @@ def sqrt_hierarchy(q1: Matrix, q0: Matrix, mj: MetricJet) -> HodgeHierarchy:
     ident = identity_mat(order)
     xi = xi_polys(order)
 
-    eu1 = euclid_norm_power_jet(1, order).jet
-    eum1 = euclid_norm_power_jet(-1, order).jet
-    eum2 = euclid_norm_power_jet(-2, order).jet
-    rn1 = norm_power_jet(mj, 1, order).jet
-    rnm1 = norm_power_jet(mj, -1, order).jet
+    eu1 = euclid_norm_power_jet(1, order)
+    eum1 = euclid_norm_power_jet(-1, order)
+    eum2 = euclid_norm_power_jet(-2, order)
+    rn1 = norm_power_jet(mj, 1, order)
+    rnm1 = norm_power_jet(mj, -1, order)
 
     half = rat(1, 2)
     inv_i = -GR_I  # 1/i
 
     def dxi(p: TruncatedPoly, *vs: int) -> TruncatedPoly:
         for v in vs:
-            p = poly_diff(p, _ETA_VARS[v])
+            p = poly_diff(p, ETA_VARS[v])
         return p
 
     def transport_term(m: Matrix) -> Matrix:
@@ -171,88 +169,64 @@ def sqrt_hierarchy(q1: Matrix, q0: Matrix, mj: MetricJet) -> HodgeHierarchy:
                 m,
             )
             out = term if out is None else mat_add(out, term)
-        return mat_map(lambda p: p.scale(inv_i), out)
+        return mat_scale(out, inv_i)
 
-    def hess_term(m: Matrix, weight) -> Matrix:
-        """weight * |xi|^{-?} sum of d2_xi |xi| times d2_x of m."""
+    def derivative_term(m: Matrix, weight, rank: int) -> Matrix:
+        """weight * sum over index tuples I of rank `rank` of the eta
+        derivative d^I |xi| times the x derivative d^I m."""
         out = None
-        for mu in range(3):
-            for nu in range(3):
-                w = dxi(eu1, mu, nu)
-                term = mat_map(
-                    lambda p: poly_mul(
-                        w, poly_diff(poly_diff(p, mu), nu)
-                    ),
-                    m,
-                )
-                out = term if out is None else mat_add(out, term)
-        return mat_map(lambda p: poly_mul(p, weight), out)
+        for idx in itertools.product(range(3), repeat=rank):
+            dm = m
+            for v in idx:
+                dm = mat_diff(dm, v)
+            term = mat_poly_scale(dm, dxi(eu1, *idx))
+            out = term if out is None else mat_add(out, term)
+        return mat_poly_scale(out, weight)
 
-    def third_term(m: Matrix, weight) -> Matrix:
-        out = None
-        for mu in range(3):
-            for nu in range(3):
-                for ro in range(3):
-                    w = dxi(eu1, mu, nu, ro)
-                    term = mat_map(
-                        lambda p: poly_mul(
-                            w,
-                            poly_diff(
-                                poly_diff(poly_diff(p, mu), nu), ro
-                            ),
-                        ),
-                        m,
-                    )
-                    out = term if out is None else mat_add(out, term)
-        return mat_map(lambda p: poly_mul(p, weight), out)
-
-    def times(jet, m: Matrix) -> Matrix:
-        return mat_map(lambda p: poly_mul(jet, p), m)
-
-    rn_mat = mat_map(lambda p: poly_mul(rn1, p), ident)
-    rnm1_mat = mat_map(lambda p: poly_mul(rnm1, p), ident)
+    rn_mat = mat_poly_scale(ident, rn1)
+    rnm1_mat = mat_poly_scale(ident, rnm1)
 
     half_eum1 = eum1.scale(half)
 
     r0 = mat_add(
-        times(half_eum1, q1),
+        mat_poly_scale(q1, half_eum1),
         mat_scale(transport_term(rn_mat), rat(-1, 2)),
     )
     r_m1 = mat_add(
         mat_add(
-            times(half_eum1, q0),
+            mat_poly_scale(q0, half_eum1),
             mat_scale(transport_term(r0), rat(-1, 2)),
         ),
-        hess_term(rn_mat, eum1.scale(rat(1, 4))),
+        derivative_term(rn_mat, eum1.scale(rat(1, 4)), 2),
     )
     r_m2 = mat_add(
         mat_add(
             mat_scale(transport_term(r_m1), rat(-1, 2)),
-            hess_term(r0, eum1.scale(rat(1, 4))),
+            derivative_term(r0, eum1.scale(rat(1, 4)), 2),
         ),
-        mat_scale(third_term(rn_mat, eum1.scale(rat(1, 12))), inv_i),
+        mat_scale(derivative_term(rn_mat, eum1.scale(rat(1, 12)), 3), inv_i),
     )
 
     s_m2 = mat_add(
-        mat_scale(times(eum2, r0), rat(-1)),
+        mat_scale(mat_poly_scale(r0, eum2), rat(-1)),
         mat_scale(transport_term(rnm1_mat), rat(-1)),
     )
     s_m3 = mat_add(
         mat_add(
-            mat_scale(times(eum2, r_m1), rat(-1)),
+            mat_scale(mat_poly_scale(r_m1, eum2), rat(-1)),
             mat_scale(transport_term(s_m2), rat(-1)),
         ),
-        hess_term(rnm1_mat, eum1.scale(half)),
+        derivative_term(rnm1_mat, eum1.scale(half), 2),
     )
     s_m4 = mat_add(
         mat_add(
             mat_add(
-                mat_scale(times(eum2, r_m2), rat(-1)),
+                mat_scale(mat_poly_scale(r_m2, eum2), rat(-1)),
                 mat_scale(transport_term(s_m3), rat(-1)),
             ),
-            hess_term(s_m2, eum1.scale(half)),
+            derivative_term(s_m2, eum1.scale(half), 2),
         ),
-        mat_scale(third_term(rnm1_mat, eum1.scale(rat(1, 6))), inv_i),
+        mat_scale(derivative_term(rnm1_mat, eum1.scale(rat(1, 6)), 3), inv_i),
     )
 
     return HodgeHierarchy(

@@ -27,6 +27,9 @@ import numpy as np
 #: Reference constants used to validate the zeta evaluator at runtime.
 ZETA3 = 1.2020569031595942854
 ZETA5 = 1.0369277551433699263
+#: Largest spectrum weyl_check builds on its own; the work grows as n_max^2
+#: (about 1.5 s at this bound on a 2-core machine).
+WEYL_MAX_NMAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -237,6 +240,10 @@ def weyl_check(p: BergerParams, lam: float, n_max: int | None = None) -> dict:
         )
     if n_max is None:
         n_max = int(math.ceil(a * lam)) + int(math.ceil(2 * lam)) + 10
+        if n_max > WEYL_MAX_NMAX:
+            raise ValueError(
+                f"lambda {lam} at a={a} needs n_max {n_max:.4g} > {WEYL_MAX_NMAX}"
+            )
     t = curl_spectrum(p, n_max)
     n_plus = counting_function(t, lam, 1)
     n_minus = counting_function(t, lam, -1)
@@ -265,10 +272,22 @@ def _eta_terms(t: SpectrumTable, s: float) -> Iterator[list[float]]:
         yield (np.copysign(mults, values) * np.abs(values) ** -s).tolist()
 
 
+def _finite_fsum(blocks: Iterator[list[float]], what: str) -> float:
+    """math.fsum over the blocks; ValueError unless it is a finite float."""
+    with np.errstate(all="ignore"):
+        try:
+            total = math.fsum(itertools.chain.from_iterable(blocks))
+        except (OverflowError, ValueError):
+            total = math.nan
+    if not math.isfinite(total):
+        raise ValueError(f"{what} is not a finite float")
+    return total
+
+
 def eta_partial(t: SpectrumTable, s: float) -> float:
     """Partial eta sum over the table, correctly rounded."""
     _check_s(s, 3, "eta partial sums")
-    return math.fsum(itertools.chain.from_iterable(_eta_terms(t, s)))
+    return _finite_fsum(_eta_terms(t, s), f"the eta partial sum at a={t.a}, s={s}")
 
 
 def zeta(s: float, terms: int = 200) -> float:
@@ -309,7 +328,9 @@ def _theta_terms(
 
 def theta_partial(p: BergerParams, s: float, n_max: int) -> float:
     """The Laplacian-indexed series of the eta decomposition."""
-    return math.fsum(itertools.chain.from_iterable(_theta_terms(p, s, n_max)))
+    return _finite_fsum(
+        _theta_terms(p, s, n_max), f"the theta sum at a={p.a_float}, s={s}"
+    )
 
 
 def eta_decomposition_rhs(p: BergerParams, s: float, n_max: int) -> float:
@@ -320,7 +341,14 @@ def eta_decomposition_rhs(p: BergerParams, s: float, n_max: int) -> float:
     """
     _check_s(s, 2, "the decomposition")
     a = p.a_float
-    return theta_partial(p, s, n_max) + (2 * a) ** -s + 4 * a**s * zeta(s - 1)
+    theta = theta_partial(p, s, n_max)
+    try:
+        rhs = theta + (2 * a) ** -s + 4 * a**s * zeta(s - 1)
+    except OverflowError:
+        rhs = math.inf
+    if not math.isfinite(rhs):
+        raise ValueError(f"the eta decomposition at a={a}, s={s} is not a finite float")
+    return rhs
 
 
 def eta_closed_forms(p: BergerParams) -> dict:

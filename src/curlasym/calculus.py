@@ -16,64 +16,68 @@ matrix trace, and the two parallel-transport trace corrections.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .exactpoly import (
+    ETA_VARS,
     GR_I,
     GR_ONE,
+    X_VARS,
     GaussianRational,
     TruncatedPoly,
-    poly_add,
     poly_diff,
     poly_from_dict,
-    poly_mul,
-    poly_to_dict,
     rat,
 )
 from .polymat import (
     Matrix,
     identity_mat,
     mat_add,
+    mat_commutator,
     mat_conj,
+    mat_diff,
     mat_is_zero,
-    mat_map,
     mat_mul,
+    mat_poly_scale,
     mat_restrict,
     mat_scale,
     mat_shape,
     mat_sub,
+    mat_to_dict,
+    mat_trace,
     mat_transpose,
     mat_truncate,
     zero_mat,
 )
 
-_X_VARS = (0, 1, 2)
-_ETA_VARS = (3, 4, 5)
 
-
+@dataclass(frozen=True, slots=True)
 class SymbolJet:
-    """Graded list of matrix components expanded at (0, xi0)."""
+    """Graded list of matrix components expanded at (0, xi0).
 
-    __slots__ = ("top_degree", "accuracy", "shape", "components")
+    The constructor pads missing levels with zeros and truncates level k at
+    order accuracy - k, so components always has accuracy + 1 entries.
+    """
 
-    def __init__(
-        self,
-        top_degree: int,
-        accuracy: int,
-        shape: tuple,
-        components: Sequence[Matrix],
-    ) -> None:
-        if accuracy < 0:
+    top_degree: int
+    accuracy: int
+    shape: tuple
+    components: Sequence[Matrix]
+
+    def __post_init__(self) -> None:
+        if self.accuracy < 0:
             raise ValueError("accuracy must be >= 0")
-        comps = list(components)
-        if len(comps) > accuracy + 1:
+        shape = tuple(self.shape)
+        comps = list(self.components)
+        if len(comps) > self.accuracy + 1:
             raise ValueError("more components than graded levels")
         fixed = []
-        for k in range(accuracy + 1):
-            order = accuracy - k
+        for k in range(self.accuracy + 1):
+            order = self.accuracy - k
             if k < len(comps):
                 m = comps[k]
-                if mat_shape(m) != tuple(shape):
+                if mat_shape(m) != shape:
                     raise ValueError("component shape mismatch")
                 if _mat_order(m) < order:
                     raise ValueError(
@@ -82,20 +86,11 @@ class SymbolJet:
                     )
                 fixed.append(mat_truncate(m, order))
             else:
-                fixed.append(zero_mat(tuple(shape), order))
-        object.__setattr__(self, "top_degree", top_degree)
-        object.__setattr__(self, "accuracy", accuracy)
-        object.__setattr__(self, "shape", tuple(shape))
+                fixed.append(zero_mat(shape, order))
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "components", tuple(fixed))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SymbolJet is immutable")
-
     # -- queries ----------------------------------------------------------
-
-    def component(self, k: int) -> Matrix:
-        """Component at graded level k (homogeneity degree top_degree - k)."""
-        return self.components[k]
 
     def component_by_degree(self, degree: int) -> Matrix:
         return self.components[self.top_degree - degree]
@@ -105,16 +100,6 @@ class SymbolJet:
 
     def is_zero(self) -> bool:
         return all(mat_is_zero(m) for m in self.components)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymbolJet):
-            return NotImplemented
-        return (
-            self.top_degree == other.top_degree
-            and self.accuracy == other.accuracy
-            and self.shape == other.shape
-            and self.components == other.components
-        )
 
     # -- linear structure -------------------------------------------------
 
@@ -164,10 +149,7 @@ class SymbolJet:
             "top_degree": self.top_degree,
             "accuracy": self.accuracy,
             "shape": list(self.shape),
-            "components": [
-                [[poly_to_dict(p) for p in row] for row in m]
-                for m in self.components
-            ],
+            "components": [mat_to_dict(m) for m in self.components],
         }
 
     @staticmethod
@@ -216,38 +198,20 @@ def compose(b: SymbolJet, a: SymbolJet) -> SymbolJet:
     n = b.accuracy
     out_shape = (b.shape[0], a.shape[1])
 
-    eta_cache: dict = {}
-    x_cache: dict = {}
+    cache: dict = {}
 
-    def eta_deriv(level: int, m: tuple) -> Matrix:
-        key = (level, m)
-        if key not in eta_cache:
-            if m == (0, 0, 0):
-                eta_cache[key] = b.components[level]
+    def deriv(side: int, level: int, m: tuple) -> Matrix:
+        """d_eta^m of b's level (side 0) or d_x^m of a's level (side 1)."""
+        key = (side, level, m)
+        if key not in cache:
+            if not any(m):
+                cache[key] = (b, a)[side].components[level]
             else:
                 i = next(j for j in range(3) if m[j] > 0)
-                prev = list(m)
-                prev[i] -= 1
-                base = eta_deriv(level, tuple(prev))
-                eta_cache[key] = mat_map(
-                    lambda p: poly_diff(p, _ETA_VARS[i]), base
-                )
-        return eta_cache[key]
-
-    def x_deriv(level: int, m: tuple) -> Matrix:
-        key = (level, m)
-        if key not in x_cache:
-            if m == (0, 0, 0):
-                x_cache[key] = a.components[level]
-            else:
-                i = next(j for j in range(3) if m[j] > 0)
-                prev = list(m)
-                prev[i] -= 1
-                base = x_deriv(level, tuple(prev))
-                x_cache[key] = mat_map(
-                    lambda p: poly_diff(p, _X_VARS[i]), base
-                )
-        return x_cache[key]
+                prev = m[:i] + (m[i] - 1,) + m[i + 1 :]
+                var = (ETA_VARS, X_VARS)[side][i]
+                cache[key] = mat_diff(deriv(side, level, prev), var)
+        return cache[key]
 
     out = [None] * (n + 1)
     minus_i_pow = [GR_ONE]
@@ -263,10 +227,10 @@ def compose(b: SymbolJet, a: SymbolJet) -> SymbolJet:
             for k in range(n + 1 - jb - ja):
                 level = jb + ja + k
                 for m in _multi_indices(k):
-                    bm = eta_deriv(jb, m)
+                    bm = deriv(0, jb, m)
                     if mat_is_zero(bm):
                         continue
-                    am = x_deriv(ja, m)
+                    am = deriv(1, ja, m)
                     if mat_is_zero(am):
                         continue
                     fact = 1
@@ -295,133 +259,55 @@ def _multi_indices(k: int):
             yield (m1, m2, k - m1 - m2)
 
 
+def _christoffel_t(mj, order: int) -> list:
+    """The matrices A_g^T, where A_g[r][c] = Gamma^r_{g c}, at the given order."""
+    gamma = mj.gamma
+    return [
+        mat_truncate(
+            tuple(tuple(gamma[c][g][r] for c in range(3)) for r in range(3)), order
+        )
+        for g in range(3)
+    ]
+
+
 def subprincipal(q: SymbolJet, mj) -> Matrix:
     """Subprincipal symbol of an operator on 1-forms.
 
     Implements q_{s-1} + (i/2) d2 q_s / dx dxi plus the three Christoffel
-    terms (density contraction, row lowering, column raising).  Scalar 1x1
-    jets are supported as operators on half-densities: the bundle terms drop
-    and only the density contraction remains.  The result is reliable to
-    truncation order accuracy - 2.
+    terms, with E_g = d q_s / d xi_g: the density contraction
+    (i/2) tr(A_g) E_g and the row lowering and column raising
+    -(i/2) (A_g^T E_g + E_g A_g^T).  Scalar 1x1 jets are supported as
+    operators on half-densities: the bundle terms drop and only the density
+    contraction remains.  The result is reliable to truncation order
+    accuracy - 2.
     """
     if q.shape not in ((3, 3), (1, 1)):
         raise ValueError("subprincipal requires a 3x3 or 1x1 jet")
     scalar = q.shape == (1, 1)
     if q.accuracy < 2:
         raise ValueError("subprincipal needs at least two graded levels")
-    n = q.accuracy
-    order = n - 2
+    order = q.accuracy - 2
     qs = q.components[0]
-    qs1 = q.components[1]
     half_i = GR_I * rat(1, 2)
 
-    out = mat_truncate(qs1, order)
-
-    # Mixed second derivative term.
-    for g_var in range(3):
-        term = mat_map(
-            lambda p: poly_diff(poly_diff(p, _ETA_VARS[g_var]), _X_VARS[g_var]),
-            qs,
-        )
-        out = mat_add(out, mat_scale(mat_truncate(term, order), half_i))
-
-    gamma = mj.gamma
-    eta_d = [
-        mat_map(lambda p: poly_diff(p, _ETA_VARS[g_var]), qs)
-        for g_var in range(3)
-    ]
-
-    # Density term: Gamma^a_{g a} d q_s / d xi_g.
-    for g_var in range(3):
-        trace_gamma = gamma[0][g_var][0]
-        for a_i in range(1, 3):
-            trace_gamma = poly_add(trace_gamma, gamma[a_i][g_var][a_i])
-        term = mat_map(
-            lambda p: _poly_mul_trunc(trace_gamma, p, order), eta_d[g_var]
-        )
+    out = mat_truncate(q.components[1], order)
+    for g, at in enumerate(_christoffel_t(mj, order)):
+        d_eta = mat_diff(qs, ETA_VARS[g])
+        e = mat_truncate(d_eta, order)
+        term = mat_add(mat_diff(d_eta, X_VARS[g]), mat_poly_scale(e, mat_trace(at)))
+        if not scalar:
+            term = mat_sub(term, mat_add(mat_mul(at, e), mat_mul(e, at)))
         out = mat_add(out, mat_scale(term, half_i))
-
-    if scalar:
-        return mat_truncate(out, order)
-
-    # Row term: -Gamma^a_{g mu} d [q_s]_a{}^nu / d xi_g.
-    rows = []
-    for mu in range(3):
-        row = []
-        for nu in range(3):
-            acc = TruncatedPoly.zero(order)
-            for g_var in range(3):
-                for a_i in range(3):
-                    acc = poly_add(
-                        acc,
-                        _poly_mul_trunc(
-                            gamma[a_i][g_var][mu], eta_d[g_var][a_i][nu], order
-                        ),
-                    )
-            row.append(acc)
-        rows.append(tuple(row))
-    out = mat_add(out, mat_scale(tuple(rows), -half_i))
-
-    # Column term: -Gamma^nu_{g a} d [q_s]_mu{}^a / d xi_g.
-    rows = []
-    for mu in range(3):
-        row = []
-        for nu in range(3):
-            acc = TruncatedPoly.zero(order)
-            for g_var in range(3):
-                for a_i in range(3):
-                    acc = poly_add(
-                        acc,
-                        _poly_mul_trunc(
-                            gamma[nu][g_var][a_i], eta_d[g_var][mu][a_i], order
-                        ),
-                    )
-            row.append(acc)
-        rows.append(tuple(row))
-    out = mat_add(out, mat_scale(tuple(rows), -half_i))
-    return mat_truncate(out, order)
+    return out
 
 
-def _poly_mul_trunc(a: TruncatedPoly, b: TruncatedPoly, order: int) -> TruncatedPoly:
-    p = poly_mul(a, b)
-    return p.truncate(min(p.order, order))
+def _covariant_x_derivative(m: Matrix, g: int, at: Matrix, order: int) -> Matrix:
+    """d_{x_g} m - [A_g^T, m] for a (1,1)-tensor symbol m, at the given order."""
+    dm = mat_truncate(mat_diff(m, X_VARS[g]), order)
+    return mat_sub(dm, mat_commutator(at, mat_truncate(m, order)))
 
 
-class PoissonBracket:
-    """Result wrapper for the generalized Poisson bracket."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Matrix) -> None:
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PoissonBracket is immutable")
-
-
-def _covariant_x_derivative(m: Matrix, g_var: int, gamma, order: int) -> Matrix:
-    """Christoffel-corrected x-derivative of a (1,1)-tensor symbol."""
-    rows = []
-    for a_i in range(3):
-        row = []
-        for k_i in range(3):
-            acc = poly_diff(m[a_i][k_i], _X_VARS[g_var])
-            acc = acc.truncate(min(acc.order, order))
-            for j in range(3):
-                acc = poly_add(
-                    acc,
-                    -_poly_mul_trunc(gamma[j][g_var][a_i], m[j][k_i], order),
-                )
-                acc = poly_add(
-                    acc,
-                    _poly_mul_trunc(gamma[k_i][g_var][j], m[a_i][j], order),
-                )
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def poisson_bracket(qp: Matrix, rp: Matrix, mj) -> PoissonBracket:
+def poisson_bracket(qp: Matrix, rp: Matrix, mj) -> Matrix:
     """Generalized Poisson bracket of two principal symbol matrices.
 
     Both x-derivatives carry Christoffel corrections; the bracket reduces to
@@ -430,16 +316,14 @@ def poisson_bracket(qp: Matrix, rp: Matrix, mj) -> PoissonBracket:
     order = min(_mat_order(qp), _mat_order(rp)) - 1
     if order < 0:
         raise ValueError("inputs must have truncation order >= 1")
-    gamma = mj.gamma
     out = zero_mat((3, 3), order)
-    for g_var in range(3):
-        dq_cov = _covariant_x_derivative(qp, g_var, gamma, order)
-        dr_cov = _covariant_x_derivative(rp, g_var, gamma, order)
-        dq_eta = mat_map(lambda p: poly_diff(p, _ETA_VARS[g_var]), qp)
-        dr_eta = mat_map(lambda p: poly_diff(p, _ETA_VARS[g_var]), rp)
-        out = mat_add(out, mat_truncate(mat_mul(dq_cov, dr_eta), order))
-        out = mat_sub(out, mat_truncate(mat_mul(dq_eta, dr_cov), order))
-    return PoissonBracket(out)
+    for g, at in enumerate(_christoffel_t(mj, order)):
+        dq_cov = _covariant_x_derivative(qp, g, at, order)
+        dr_cov = _covariant_x_derivative(rp, g, at, order)
+        dq_eta = mat_diff(qp, ETA_VARS[g])
+        dr_eta = mat_diff(rp, ETA_VARS[g])
+        out = mat_add(out, mat_sub(mat_mul(dq_cov, dr_eta), mat_mul(dq_eta, dr_cov)))
+    return mat_truncate(out, order)
 
 
 def adjoint_prin_sub(q: SymbolJet, mj) -> tuple:
@@ -466,14 +350,7 @@ def adjoint_prin_sub(q: SymbolJet, mj) -> tuple:
 
 def trace_diag(q: SymbolJet) -> SymbolJet:
     """Componentwise matrix trace, keeping the grading schedule."""
-    if q.shape[0] != q.shape[1]:
-        raise ValueError("trace requires square components")
-    comps = []
-    for m in q.components:
-        acc = m[0][0]
-        for i in range(1, q.shape[0]):
-            acc = poly_add(acc, m[i][i])
-        comps.append(((acc,),))
+    comps = [((mat_trace(m),),) for m in q.components]
     return SymbolJet(q.top_degree, q.accuracy, (1, 1), comps)
 
 
@@ -491,14 +368,14 @@ def transport_correction(q0: Matrix, mj, level: int, qm1: Matrix | None = None) 
     """
     if level not in (2, 3):
         raise ValueError("level must be 2 or 3")
-    if qm1 is not None and not mat_is_zero(mat_restrict(qm1, _X_VARS)):
+    if qm1 is not None and not mat_is_zero(mat_restrict(qm1, X_VARS)):
         raise ValueError(
             "degree -1 component does not vanish at the anchor point"
         )
 
     def eta_deriv_at_zero(p: TruncatedPoly, vs: tuple) -> GaussianRational:
         for v in vs:
-            p = poly_diff(p, _ETA_VARS[v])
+            p = poly_diff(p, ETA_VARS[v])
         return p.constant_term()
 
     total = GaussianRational(0)

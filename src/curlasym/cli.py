@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .altderiv import aprin_alternative, build_hierarchy
 from .berger import (
@@ -24,6 +23,7 @@ from .berger import (
     weyl_check,
 )
 from .configs import UNIT_CONFIG_NAMES, unit_config
+from .exactpoly import parse_rational
 from .geometry import CurvatureConfig
 from .kernel import (
     LOG_COEFF_TARGET,
@@ -59,7 +59,7 @@ def _load_config(name: str) -> CurvatureConfig:
         return unit_config(name)
     try:
         with open(name, "r", encoding="utf-8") as fh:
-            return CurvatureConfig.from_dict(json.load(fh, parse_float=Fraction))
+            return CurvatureConfig.from_dict(json.load(fh, parse_float=parse_rational))
     except (OSError, ValueError, ZeroDivisionError) as exc:
         raise SystemExit(f"cannot load config {name!r}: {exc}")
 
@@ -125,7 +125,7 @@ def cmd_asym(args: argparse.Namespace) -> int:
 
 def _parse_a(text: str):
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except ZeroDivisionError:
         raise ValueError(f"parameter a {text!r} divides by zero") from None
     except ValueError:

@@ -21,6 +21,7 @@ so equal values have equal representations.  Values are immutable.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
@@ -33,10 +34,30 @@ def rat(value: object = 0, den: object = None) -> Fraction:
     return Fraction(value) if den is None else Fraction(value, den)
 
 
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)`` with a bounded decimal exponent.
+
+    Fraction expands "1e999999999" into an integer of a billion digits.  An
+    exponent of magnitude above Python's own limit for parsing integers
+    (``sys.get_int_max_str_digits()``, 4300 by default) is refused instead.
+    """
+    _, e, exponent = text.lower().partition("e")
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    try:
+        too_large = bool(e) and abs(int(exponent)) > limit
+    except ValueError:
+        too_large = False  # not a decimal exponent: Fraction reports it
+    if too_large:
+        raise ValueError(f"decimal exponent of {text!r} exceeds {limit} in magnitude")
+    return Fraction(text)
+
+
 NUM_VARS = 6
 VAR_NAMES = ("x1", "x2", "x3", "e1", "e2", "e3")
 #: Variable indices: base coordinates x1..x3 and covector increments e1..e3.
 X1, X2, X3, E1, E2, E3 = range(6)
+X_VARS = (X1, X2, X3)
+ETA_VARS = (E1, E2, E3)
 #: Largest truncation order: every exponent must fit one base-8 digit.
 MAX_ORDER = 7
 

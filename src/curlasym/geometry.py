@@ -16,16 +16,16 @@ expansions of parallel transport maps.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exactpoly import (
     E1,
     GR_I,
-    GR_ONE,
-    GaussianRational,
     TruncatedPoly,
     binomial_power_jet,
+    parse_rational,
     poly_add,
     poly_diff,
     poly_mul,
@@ -61,21 +61,24 @@ def _delta(a: int, b: int) -> int:
     return 1 if a == b else 0
 
 
+@dataclass(frozen=True, slots=True)
 class CurvatureConfig:
     """Ricci tensor and its covariant derivative at the origin.
 
     ric0 is a symmetric 3x3 matrix of rationals; dric0 holds the three
-    symmetric 3x3 matrices (grad_1 Ric, grad_2 Ric, grad_3 Ric).  Symmetry in
-    the last two indices is enforced; no differential identity relating the
-    24 constants is imposed, they are treated as independent.
+    symmetric 3x3 matrices (grad_1 Ric, grad_2 Ric, grad_3 Ric).  Entries are
+    stored as nested tuples of Fractions (strings are parsed exactly).
+    Symmetry in the last two indices is enforced; no differential identity
+    relating the 24 constants is imposed, they are treated as independent.
     """
 
-    __slots__ = ("ric0", "dric0")
+    ric0: Sequence
+    dric0: Sequence
 
-    def __init__(self, ric0: Sequence, dric0: Sequence) -> None:
-        ric = tuple(tuple(rat(v) for v in row) for row in ric0)
+    def __post_init__(self) -> None:
+        ric = tuple(tuple(_exact(v) for v in row) for row in self.ric0)
         dric = tuple(
-            tuple(tuple(rat(v) for v in row) for row in m) for m in dric0
+            tuple(tuple(_exact(v) for v in row) for row in m) for m in self.dric0
         )
         if len(ric) != 3 or any(len(r) != 3 for r in ric):
             raise ValueError("ric0 must be 3x3")
@@ -95,9 +98,6 @@ class CurvatureConfig:
         object.__setattr__(self, "ric0", ric)
         object.__setattr__(self, "dric0", dric)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CurvatureConfig is immutable")
-
     @staticmethod
     def flat() -> "CurvatureConfig":
         z = ((0, 0, 0),) * 3
@@ -114,11 +114,6 @@ class CurvatureConfig:
     def dscalar0(self, s: int) -> object:
         return sum(self.dric0[s][i][i] for i in range(3))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CurvatureConfig):
-            return NotImplemented
-        return self.ric0 == other.ric0 and self.dric0 == other.dric0
-
     def to_dict(self) -> dict:
         return {
             "ric": [[rat_str(v) for v in row] for row in self.ric0],
@@ -132,7 +127,7 @@ class CurvatureConfig:
         """Inverse of to_dict.
 
         Entries must be integers, exact rationals or rational strings; read
-        JSON with ``parse_float=Fraction`` so that decimals stay exact.
+        JSON with ``parse_float=parse_rational`` so that decimals stay exact.
         """
         if not isinstance(data, Mapping) or not {"ric", "dric"} <= data.keys():
             raise ValueError("config must be an object with keys 'ric' and 'dric'")
@@ -149,7 +144,11 @@ class CurvatureConfig:
 
     @staticmethod
     def loads(text: str) -> "CurvatureConfig":
-        return CurvatureConfig.from_dict(json.loads(text, parse_float=Fraction))
+        return CurvatureConfig.from_dict(json.loads(text, parse_float=parse_rational))
+
+
+def _exact(value: object) -> Fraction:
+    return parse_rational(value) if isinstance(value, str) else rat(value)
 
 
 def _is_exact_array(value: object, depth: int) -> bool:
@@ -211,44 +210,19 @@ def riemann_from_ricci(cfg: CurvatureConfig):
     return riem0, driem0
 
 
+@dataclass(frozen=True, slots=True)
 class MetricJet:
     """All geometric jets derived from one curvature configuration."""
 
-    __slots__ = (
-        "config",
-        "order",
-        "g",
-        "g_inv",
-        "rho",
-        "rho_inv",
-        "gamma",
-        "riem0",
-        "driem0",
-    )
-
-    def __init__(self, config, order, g, g_inv, rho, rho_inv, gamma, riem0, driem0):
-        for name, value in (
-            ("config", config),
-            ("order", order),
-            ("g", g),
-            ("g_inv", g_inv),
-            ("rho", rho),
-            ("rho_inv", rho_inv),
-            ("gamma", gamma),
-            ("riem0", riem0),
-            ("driem0", driem0),
-        ):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MetricJet is immutable")
-
-    def e_lower(self, a: int, b: int, c: int) -> TruncatedPoly:
-        """Orientation tensor E_{abc} = rho * epsilon_{abc}."""
-        sign = epsilon(a, b, c)
-        if sign == 0:
-            return TruncatedPoly.zero(self.rho.order)
-        return self.rho.scale(sign)
+    config: CurvatureConfig
+    order: int
+    g: Matrix
+    g_inv: Matrix
+    rho: TruncatedPoly
+    rho_inv: TruncatedPoly
+    gamma: tuple
+    riem0: tuple
+    driem0: tuple
 
     def e_mixed(self) -> tuple:
         """E_a{}^{bc} with the last two indices raised by the inverse metric."""
@@ -379,20 +353,6 @@ def build_metric_jet(cfg: CurvatureConfig, order: int = 3) -> MetricJet:
     return MetricJet(cfg, order, g, g_inv, rho, rho_inv, gamma, riem0, driem0)
 
 
-class NormPowerJet:
-    """Jet of a power of a covector norm, anchored at xi0 = (0, 0, 1)."""
-
-    __slots__ = ("power", "jet", "quadratic_form")
-
-    def __init__(self, power, jet, quadratic_form):
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "jet", jet)
-        object.__setattr__(self, "quadratic_form", quadratic_form)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("NormPowerJet is immutable")
-
-
 def xi_polys(order: int) -> tuple:
     """The covector components (xi0 + eta)_a as order-`order` polynomials."""
     return tuple(
@@ -404,8 +364,8 @@ def xi_polys(order: int) -> tuple:
     )
 
 
-def norm_power_jet(mj: MetricJet, r: object, order: int | None = None) -> NormPowerJet:
-    """Jet of the Riemannian norm power ||xi||^r at (0, xi0).
+def _norm_power(quad: TruncatedPoly, r: object) -> TruncatedPoly:
+    """Jet of quad^(r/2) for a squared norm jet with value 1 at the anchor.
 
     The exponent r must have denominator 1 or 2 so the expansion stays in the
     binomial-series regime with half-integer exponents.
@@ -413,6 +373,11 @@ def norm_power_jet(mj: MetricJet, r: object, order: int | None = None) -> NormPo
     r = rat(r)
     if r.denominator not in (1, 2):
         raise ValueError("norm power exponent must have denominator 1 or 2")
+    return binomial_power_jet(quad - TruncatedPoly.constant(1, quad.order), r / 2)
+
+
+def norm_power_jet(mj: MetricJet, r: object, order: int | None = None) -> TruncatedPoly:
+    """Jet of the Riemannian norm power ||xi||^r at (0, xi0)."""
     if order is None:
         order = mj.order
     if order > mj.order:
@@ -424,21 +389,16 @@ def norm_power_jet(mj: MetricJet, r: object, order: int | None = None) -> NormPo
             q = poly_add(
                 q, poly_mul(mj.g_inv[a][b].truncate(order), poly_mul(xi[a], xi[b]))
             )
-    u = q - TruncatedPoly.constant(1, order)
-    return NormPowerJet(r, binomial_power_jet(u, r / 2), "riemannian")
+    return _norm_power(q, r)
 
 
-def euclid_norm_power_jet(r: object, order: int) -> NormPowerJet:
+def euclid_norm_power_jet(r: object, order: int) -> TruncatedPoly:
     """Jet of the Euclidean norm power |xi|^r at (0, xi0)."""
-    r = rat(r)
-    if r.denominator not in (1, 2):
-        raise ValueError("norm power exponent must have denominator 1 or 2")
     xi = xi_polys(order)
     q = TruncatedPoly.zero(order)
     for a in range(3):
         q = poly_add(q, poly_mul(xi[a], xi[a]))
-    u = q - TruncatedPoly.constant(1, order)
-    return NormPowerJet(r, binomial_power_jet(u, r / 2), "euclidean")
+    return _norm_power(q, r)
 
 
 def curl_symbol(mj: MetricJet, accuracy: int = 3):
@@ -515,18 +475,13 @@ def d_delta_symbols(mj: MetricJet, accuracy: int = 3):
     return d_sym, delta_sym
 
 
+@dataclass(frozen=True, slots=True)
 class TransportJet:
     """Cubic Taylor expansion of a parallel transport map."""
 
-    __slots__ = ("endpoints", "z_vector", "z_covector")
-
-    def __init__(self, endpoints, z_vector, z_covector):
-        object.__setattr__(self, "endpoints", endpoints)
-        object.__setattr__(self, "z_vector", z_vector)
-        object.__setattr__(self, "z_covector", z_covector)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TransportJet is immutable")
+    endpoints: object
+    z_vector: Matrix
+    z_covector: Matrix
 
 
 def poly_scale_x(p: TruncatedPoly, factor: object) -> TruncatedPoly:

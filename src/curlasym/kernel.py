@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 from .exactpoly import rat, rat_str
 from .geometry import CurvatureConfig, epsilon
@@ -46,12 +46,16 @@ def bessel_k1(t: float) -> float:
     Ascending series for t <= 2; for larger t the integral representation
     K_1(z) = (e^-z / z) Int_0^inf e^-u sqrt(u) sqrt(u + 2z) du evaluated by
     generalized Gauss-Laguerre quadrature.  Relative accuracy better than
-    1e-12 on [1e-4, 50].
+    1e-12 on [1e-4, 50].  K_1(t) ~ 1/t is not a finite float below about
+    5.6e-309; such t raise ValueError.
     """
-    if t <= 0:
-        raise ValueError("argument must be positive")
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"argument must be positive and finite, got {t}")
     if t <= 2:
-        return _k1_series(t)
+        value = _k1_series(t)
+        if not math.isfinite(value):
+            raise ValueError(f"K_1({t}) overflows a float")
+        return value
     nodes, weights = _gauss_laguerre()
     return (
         math.exp(-t)
@@ -70,7 +74,8 @@ def _k1_series(z: float) -> float:
         k += 1
         term *= half * half / (k * (k + 1))
         i1 += term
-        if term < 1e-19 * i1:
+        # <=, not <: below t ~ 1e-304 both sides underflow to 0.
+        if term <= 1e-19 * i1:
             break
     # Digamma sum: psi(k+1) + psi(k+2) = -2 gamma + H_k + H_{k+1}.
     total = 0.0
@@ -103,7 +108,7 @@ def basset_check(y: float, cutoff: float = 2.5e4) -> tuple:
     quadrature on [0, cutoff] (tail below 1/(2 cutoff^2) <= 1e-9) and
     compares with the Bessel closed form (value 2 at y = 0).
     """
-    from scipy.integrate import quad
+    from scipy.integrate import IntegrationWarning, quad
 
     if not (math.isfinite(y) and y >= 0):
         raise ValueError(f"y must be finite and >= 0, got {y}")
@@ -111,12 +116,20 @@ def basset_check(y: float, cutoff: float = 2.5e4) -> tuple:
     def f(t: float) -> float:
         return (1 + t * t) ** -1.5
 
-    if y == 0:
-        val, _ = quad(f, 0, cutoff, limit=400)
-    else:
-        val, _ = quad(f, 0, cutoff, weight="cos", wvar=y, limit=400)
+    # A quadrature that reports failure (a NaN at y >~ 1e75) checks nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            if y == 0:
+                val, _ = quad(f, 0, cutoff, limit=400)
+            else:
+                val, _ = quad(f, 0, cutoff, weight="cos", wvar=y, limit=400)
+        except IntegrationWarning:
+            val = math.nan
     quadrature = 2 * val
     reference = 2.0 if y == 0 else 2 * y * bessel_k1(y)
+    if not (math.isfinite(quadrature) and math.isfinite(reference)):
+        raise ValueError(f"Basset's integral is not a finite float at y={y}")
     return quadrature, reference, abs(quadrature - reference)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .exactpoly import TruncatedPoly, poly_add, poly_mul
+from .exactpoly import TruncatedPoly, poly_add, poly_diff, poly_mul, poly_to_dict
 
 Matrix = tuple
 
@@ -37,6 +37,10 @@ def identity_mat(order: int, dim: int = 3) -> Matrix:
 
 def mat_map(f: Callable[[TruncatedPoly], TruncatedPoly], m: Matrix) -> Matrix:
     return tuple(tuple(f(entry) for entry in row) for row in m)
+
+
+def mat_diff(a: Matrix, var: int) -> Matrix:
+    return mat_map(lambda p: poly_diff(p, var), a)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -106,6 +110,11 @@ def mat_trace(a: Matrix) -> TruncatedPoly:
     for i in range(1, rows):
         acc = poly_add(acc, a[i][i])
     return acc
+
+
+def mat_to_dict(a: Matrix) -> list:
+    """JSON-ready form: nested lists of ``poly_to_dict`` entries."""
+    return [[poly_to_dict(p) for p in row] for row in a]
 
 
 def mat_is_zero(a: Matrix) -> bool:

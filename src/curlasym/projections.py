@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .calculus import (
     SymbolJet,
@@ -24,12 +24,11 @@ from .calculus import (
     transport_correction,
 )
 from .exactpoly import (
-    GR_I,
+    X_VARS,
     GaussianRational,
     TruncatedPoly,
     poly_add,
     poly_mul,
-    poly_to_dict,
     rat,
     rat_str,
 )
@@ -54,6 +53,7 @@ from .polymat import (
     mat_restrict,
     mat_scale,
     mat_sub,
+    mat_to_dict,
     mat_truncate,
 )
 
@@ -82,22 +82,6 @@ def gr_str(z) -> str:
     return f"{re}{sign}{im}i"
 
 
-def curl_principal_matrix(mj: MetricJet, order: int) -> Matrix:
-    """Principal symbol matrix of curl as order-`order` polynomials."""
-    e = mj.e_mixed()
-    xi = xi_polys(mj.order)
-    rows = []
-    for a in range(3):
-        row = []
-        for b in range(3):
-            acc = TruncatedPoly.zero(mj.order)
-            for c in range(3):
-                acc = poly_add(acc, poly_mul(e[a][b][c], xi[c]))
-            row.append(acc.scale(-GR_I).truncate(order))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def initial_symbols(mj: MetricJet, order: int | None = None) -> dict:
     """Pointwise eigenprojection matrices of the curl principal symbol.
 
@@ -106,8 +90,8 @@ def initial_symbols(mj: MetricJet, order: int | None = None) -> dict:
     """
     if order is None:
         order = mj.order
-    inv2 = norm_power_jet(mj, -2, order).jet
-    inv1 = norm_power_jet(mj, -1, order).jet
+    inv2 = norm_power_jet(mj, -2, order)
+    inv1 = norm_power_jet(mj, -1, order)
     xi = xi_polys(order)
     g_inv = mat_truncate(mj.g_inv, order)
 
@@ -122,7 +106,7 @@ def initial_symbols(mj: MetricJet, order: int | None = None) -> dict:
         p0_rows.append(tuple(row))
     p0 = tuple(p0_rows)
 
-    curl_prin = curl_principal_matrix(mj, order)
+    curl_prin = curl_symbol(mj, order).principal()
     half = rat(1, 2)
     base = mat_scale(mat_sub(identity_mat(order), p0), half)
     swirl = mat_scale(mat_poly_scale(curl_prin, inv1), half)
@@ -150,10 +134,7 @@ class ProjectionFamily:
             "accuracy": self.accuracy,
             "jet": self.jet.to_dict(),
             "steps": [
-                {
-                    name: [[poly_to_dict(p) for p in row] for row in m]
-                    for name, m in step.items()
-                }
+                {name: mat_to_dict(m) for name, m in step.items()}
                 for step in self.steps
             ],
         }
@@ -178,7 +159,7 @@ def run_algorithm(
     prin = initial_symbols(mj, order=n)
     curl_jet = curl_symbol(mj, accuracy=n)
     curl_prin = curl_jet.principal()
-    inv1 = norm_power_jet(mj, -1, n).jet
+    inv1 = norm_power_jet(mj, -1, n)
 
     p = SymbolJet(0, n, (3, 3), [prin[aleph]])
     steps = []
@@ -245,9 +226,7 @@ def verify_projection(fam: ProjectionFamily) -> dict:
             first_failure = {
                 "kind": "idempotency",
                 "degree": -k,
-                "residual": [
-                    [poly_to_dict(p) for p in row] for row in idem.components[k]
-                ],
+                "residual": mat_to_dict(idem.components[k]),
             }
             break
     comm_pass = True
@@ -258,10 +237,7 @@ def verify_projection(fam: ProjectionFamily) -> dict:
                 first_failure = {
                     "kind": "commutation",
                     "degree": 1 - k,
-                    "residual": [
-                        [poly_to_dict(p) for p in row]
-                        for row in comm.components[k]
-                    ],
+                    "residual": mat_to_dict(comm.components[k]),
                 }
                 break
     return {
@@ -282,7 +258,7 @@ def subprincipal_check(fam: ProjectionFamily, mj: MetricJet) -> Matrix:
     reliable to order accuracy - 2) vanishes identically.
     """
     sub = subprincipal(fam.jet, mj)
-    return mat_restrict(sub, (0, 1, 2))
+    return mat_restrict(sub, X_VARS)
 
 
 @dataclass(frozen=True)

@@ -306,7 +306,7 @@ def test_criterion_11_calculus_property_suite():
                 mat_mul(subprincipal(q, mj), r.principal()),
             ),
             mat_scale(
-                poisson_bracket(q.principal(), r.principal(), mj).value, half_i
+                poisson_bracket(q.principal(), r.principal(), mj), half_i
             ),
         )
         ok = ok and mat_is_zero(mat_sub(lhs, rhs))

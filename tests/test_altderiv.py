@@ -38,8 +38,8 @@ from curlasym.projections import aprin_closed_form
 
 def _power_jets(h):
     """Half and inverse-half power jets assembled from hierarchy components."""
-    rn1 = norm_power_jet(h.mj, 1, 3).jet
-    rnm1 = norm_power_jet(h.mj, -1, 3).jet
+    rn1 = norm_power_jet(h.mj, 1, 3)
+    rnm1 = norm_power_jet(h.mj, -1, 3)
     lead_r = mat_map(lambda p: poly_mul(rn1, p), identity_mat(3))
     lead_s = mat_map(lambda p: poly_mul(rnm1, p), identity_mat(3))
     r_jet = SymbolJet(

@@ -57,6 +57,12 @@ class TestSymbolJet:
         with pytest.raises(ValueError):
             SymbolJet(0, 3, (3, 3), [m])
 
+    def test_frozen_and_hashable(self):
+        jet = SymbolJet(0, 2, (3, 3), [identity_mat(2)])
+        with pytest.raises(AttributeError):
+            jet.accuracy = 3
+        assert hash(jet) == hash(identity_jet(2))
+
     def test_component_by_degree(self):
         rng = random.Random(30)
         jet = random_jet(rng, 2)
@@ -136,7 +142,7 @@ class TestSubprincipalComposition:
             q = random_jet(rng, 2, density=0.15)
             r = random_jet(rng, 2, density=0.15)
             lhs = subprincipal(compose(q, r), mj)
-            bracket = poisson_bracket(q.principal(), r.principal(), mj).value
+            bracket = poisson_bracket(q.principal(), r.principal(), mj)
             rhs = mat_add(
                 mat_add(
                     mat_mul(q.principal(), subprincipal(r, mj)),
@@ -157,7 +163,7 @@ class TestSubprincipalComposition:
             q = random_jet(rng, 2, density=0.3)
             r = random_jet(rng, 2, density=0.3)
             lhs = subprincipal(compose(q, r), mj)
-            bracket = poisson_bracket(q.principal(), r.principal(), mj).value
+            bracket = poisson_bracket(q.principal(), r.principal(), mj)
             rhs = mat_add(
                 mat_add(
                     mat_mul(q.principal(), subprincipal(r, mj)),

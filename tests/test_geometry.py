@@ -69,6 +69,21 @@ class TestCurvatureConfig:
         with pytest.raises(ValueError):
             CurvatureConfig(ric, dric)
 
+    def test_equal_configs_hash_equal(self):
+        cfg = random_config(random.Random(13))
+        as_lists = [[str(v) for v in row] for row in cfg.ric0]
+        same = CurvatureConfig(as_lists, [list(m) for m in cfg.dric0])
+        assert same == cfg and hash(same) == hash(cfg)
+        assert len({cfg, same, CurvatureConfig.flat()}) == 2
+
+    def test_records_are_frozen(self):
+        cfg = unit_config("c7")
+        mj = build_metric_jet(cfg)
+        tj = transport_jet(mj, "origin_to_y")
+        for record, field in ((cfg, "ric0"), (mj, "g"), (tj, "z_vector")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
 
 class TestRiemannFromRicci:
     def test_ricci_contraction_recovered(self):
@@ -150,10 +165,10 @@ class TestNormJets:
         rng = random.Random(16)
         cfg = random_config(rng)
         mj = build_metric_jet(cfg, order=3)
-        plus = norm_power_jet(mj, 1, 3).jet
-        minus = norm_power_jet(mj, -1, 3).jet
+        plus = norm_power_jet(mj, 1, 3)
+        minus = norm_power_jet(mj, -1, 3)
         assert poly_mul(plus, minus) == TruncatedPoly.constant(1, 3)
-        sq = norm_power_jet(mj, 2, 3).jet
+        sq = norm_power_jet(mj, 2, 3)
         assert poly_mul(plus, plus) == sq
 
     def test_riemannian_square_is_quadratic_form(self):
@@ -165,22 +180,22 @@ class TestNormJets:
         for a in range(3):
             for b in range(3):
                 acc = poly_add(acc, poly_mul(mj.g_inv[a][b], poly_mul(xi[a], xi[b])))
-        assert norm_power_jet(mj, 2, 3).jet == acc
+        assert norm_power_jet(mj, 2, 3) == acc
 
     def test_euclid_pair(self):
-        plus = euclid_norm_power_jet(1, 4).jet
-        minus = euclid_norm_power_jet(-1, 4).jet
+        plus = euclid_norm_power_jet(1, 4)
+        minus = euclid_norm_power_jet(-1, 4)
         assert poly_mul(plus, minus) == TruncatedPoly.constant(1, 4)
         xi = xi_polys(4)
         sq = poly_add(
             poly_add(poly_mul(xi[0], xi[0]), poly_mul(xi[1], xi[1])),
             poly_mul(xi[2], xi[2]),
         )
-        assert euclid_norm_power_jet(2, 4).jet == sq
+        assert euclid_norm_power_jet(2, 4) == sq
 
     def test_flat_norms_agree(self):
         mj = build_metric_jet(CurvatureConfig.flat(), order=3)
-        assert norm_power_jet(mj, -1, 3).jet == euclid_norm_power_jet(-1, 3).jet
+        assert norm_power_jet(mj, -1, 3) == euclid_norm_power_jet(-1, 3)
 
 
 class TestOperatorSymbols:

@@ -1,0 +1,121 @@
+"""Independent oracles for the hand-rolled numerics and series.
+
+scipy's K_1 backs ``bessel_k1``.  sympy's truncated power series
+(``sympy.polys.ring_series``) back the binomial series of
+``binomial_power_jet``, the Neumann series of the inverse metric and the
+norm power jets: each jet is compared with the series of the same function
+computed by sympy from the exact inputs.  A jet truncated at joint order N
+is the t-series of f(t x, t eta) truncated at t^N, so every variable is
+scaled by one extra ring generator t and sympy truncates in t.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+
+from curlasym.configs import random_config, unit_config
+from curlasym.exactpoly import VAR_NAMES, TruncatedPoly, binomial_power_jet, rat
+from curlasym.geometry import build_metric_jet, euclid_norm_power_jet, norm_power_jet
+from curlasym.kernel import bessel_k1
+
+from conftest import random_poly
+
+
+def test_bessel_k1_against_scipy():
+    special = pytest.importorskip("scipy.special")
+    for t in np.geomspace(1e-4, 50, 200):
+        ref = float(special.k1(t))
+        assert abs(bessel_k1(float(t)) - ref) <= 1e-12 * ref, t
+
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.ring_series import (  # noqa: E402
+    rs_nth_root,
+    rs_pow,
+    rs_series_inversion,
+    rs_trunc,
+)
+
+R, T, *V = sympy.polys.rings.ring(("t",) + VAR_NAMES, sympy.QQ)
+
+
+def to_ring(p: TruncatedPoly):
+    """A real jet as a ring element, each variable scaled by t."""
+    out = R(0)
+    for exp, c in p.terms.items():
+        assert c.im == 0
+        term = R(sympy.QQ(c.re.numerator, c.re.denominator))
+        for v, e in zip(V, exp):
+            term *= (T * v) ** e
+        out += term
+    return out
+
+
+def rational_power(p, r, prec: int):
+    """sympy series of p^r for a rational r, p with constant term 1."""
+    r = rat(r)
+    root = rs_nth_root(p, r.denominator, T, prec)
+    power = rs_pow(root, abs(r.numerator), T, prec)
+    return power if r > 0 else rs_series_inversion(power, T, prec)
+
+
+def inverse_metric(mj):
+    """Series of g^{-1} = adj(g) / det(g), independent of the Neumann sum."""
+    g = [[to_ring(mj.g[a][b]) for b in range(3)] for a in range(3)]
+
+    def cofactor(a, b):
+        r0, r1 = (r for r in range(3) if r != a)
+        c0, c1 = (c for c in range(3) if c != b)
+        minor = g[r0][c0] * g[r1][c1] - g[r0][c1] * g[r1][c0]
+        return minor if (a + b) % 2 == 0 else -minor
+
+    det = sum(g[0][b] * cofactor(0, b) for b in range(3))
+    inv_det = rs_series_inversion(det, T, mj.order + 1)
+    return [
+        [rs_trunc(cofactor(b, a) * inv_det, T, mj.order + 1) for b in range(3)]
+        for a in range(3)
+    ]
+
+
+CONFIGS = [unit_config("c2"), unit_config("c14")] + [
+    random_config(random.Random(seed)) for seed in (1, 2)
+]
+
+
+@pytest.mark.parametrize("r", [rat(1, 2), rat(-1, 2), rat(3, 2), rat(-3, 2), rat(-2), rat(1, 3)])
+def test_binomial_power_jet_against_sympy(r):
+    rng = random.Random(31)
+    for order in (2, 3, 4):
+        u = random_poly(rng, order, density=0.4)
+        u = (u + u.conjugate()).scale(rat(1, 2))  # the real part
+        u = u - TruncatedPoly.constant(u.constant_term(), order)
+        expected = rational_power(1 + to_ring(u), r, order + 1)
+        assert to_ring(binomial_power_jet(u, r)) == expected
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+def test_neumann_inverse_metric_against_sympy(cfg):
+    for order in (3, 4):
+        mj = build_metric_jet(cfg, order=order)
+        expected = inverse_metric(mj)
+        for a in range(3):
+            for b in range(3):
+                assert to_ring(mj.g_inv[a][b]) == expected[a][b]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+def test_norm_power_jet_against_sympy(cfg):
+    mj = build_metric_jet(cfg, order=3)
+    g_inv = inverse_metric(mj)
+    xi = [T * V[3], T * V[4], 1 + T * V[5]]
+    quad = sum(g_inv[a][b] * xi[a] * xi[b] for a in range(3) for b in range(3))
+    euclid = sum(x * x for x in xi)
+    for r in (1, -1, 2, -2, 3, -3):
+        for order in (2, 3):
+            expected = rational_power(rs_trunc(quad, T, order + 1), rat(r, 2), order + 1)
+            assert to_ring(norm_power_jet(mj, r, order)) == expected
+            expected = rational_power(euclid, rat(r, 2), order + 1)
+            assert to_ring(euclid_norm_power_jet(r, order)) == expected

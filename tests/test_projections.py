@@ -20,6 +20,7 @@ from curlasym.geometry import (
     CurvatureConfig,
     MetricJet,
     build_metric_jet,
+    curl_symbol,
     norm_power_jet,
 )
 from curlasym.polymat import (
@@ -38,7 +39,6 @@ from curlasym.projections import (
     ProjectionFamily,
     aprin_closed_form,
     asymmetry_report,
-    curl_principal_matrix,
     initial_symbols,
     run_algorithm,
     subprincipal_check,
@@ -115,8 +115,8 @@ class TestInitialSymbols:
         rng = random.Random(102)
         mj = build_metric_jet(random_config(rng), order=3)
         prin = initial_symbols(mj, order=2)
-        curl = curl_principal_matrix(mj, 2)
-        norm = norm_power_jet(mj, 1, 2).jet
+        curl = curl_symbol(mj, 2).principal()
+        norm = norm_power_jet(mj, 1, 2)
         assert mat_is_zero(mat_mul(curl, prin["0"]))
         for sign, branch in ((rat(1), "+"), (rat(-1), "-")):
             lhs = mat_mul(curl, prin[branch])
