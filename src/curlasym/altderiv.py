@@ -18,20 +18,22 @@ import itertools
 from dataclasses import dataclass
 
 from .exactpoly import (
+    E1,
     ETA_VARS,
     GR_I,
     GaussianRational,
     TruncatedPoly,
-    poly_add,
+    X_VARS,
     poly_diff,
+    poly_from_monomials,
     poly_mul,
     rat,
 )
 from .geometry import (
+    EPSILON,
     CurvatureConfig,
     MetricJet,
     build_metric_jet,
-    epsilon,
     euclid_norm_power_jet,
     norm_power_jet,
     riemann_from_ricci,
@@ -45,6 +47,7 @@ from .polymat import (
     mat_map,
     mat_poly_scale,
     mat_scale,
+    tensor,
 )
 
 _WORK_ORDER = 4
@@ -83,38 +86,20 @@ def hodge_symbol(cfg: CurvatureConfig) -> tuple:
             + rat(1, 2) * dric[nu][al][be]
         )
 
-    x = [TruncatedPoly.variable(i, order) for i in range(3)]
-    xi = xi_polys(order)
+    def q1_entry(al, be):
+        # xi_ga x_mu x_nu with xi_ga = delta_{ga 3} + e_ga: two monomials.
+        terms = []
+        for ga, mu, nu in itertools.product(range(3), repeat=3):
+            coeff = a_tensor(al, be, ga, mu, nu)
+            terms.append((coeff, (E1 + ga, mu, nu)))
+            if ga == 2:
+                terms.append((coeff, (mu, nu)))
+        return poly_from_monomials(order, terms).scale(GR_I)
 
-    q1_rows = []
-    q0_rows = []
-    for al in range(3):
-        q1_row = []
-        q0_row = []
-        for be in range(3):
-            acc1 = TruncatedPoly.zero(order)
-            for ga in range(3):
-                for mu in range(3):
-                    for nu in range(3):
-                        coeff = a_tensor(al, be, ga, mu, nu)
-                        if coeff == 0:
-                            continue
-                        acc1 = poly_add(
-                            acc1,
-                            poly_mul(poly_mul(xi[ga], x[mu]), x[nu]).scale(
-                                coeff
-                            ),
-                        )
-            q1_row.append(acc1.scale(GR_I))
-            acc0 = TruncatedPoly.zero(order)
-            for nu in range(3):
-                coeff = b_tensor(al, be, nu)
-                if coeff != 0:
-                    acc0 = poly_add(acc0, x[nu].scale(coeff))
-            q0_row.append(acc0)
-        q1_rows.append(tuple(q1_row))
-        q0_rows.append(tuple(q0_row))
-    return tuple(q1_rows), tuple(q0_rows)
+    def q0_entry(al, be):
+        return poly_from_monomials(order, [(b_tensor(al, be, nu), (nu,)) for nu in X_VARS])
+
+    return tensor(q1_entry, 2), tensor(q0_entry, 2)
 
 
 @dataclass(frozen=True)
@@ -160,14 +145,14 @@ def sqrt_hierarchy(q1: Matrix, q0: Matrix, mj: MetricJet) -> HodgeHierarchy:
             p = poly_diff(p, ETA_VARS[v])
         return p
 
+    # xi^mu / |xi|^2, the weights of the transport term.
+    eum2_xi = [poly_mul(eum2, x) for x in xi]
+
     def transport_term(m: Matrix) -> Matrix:
         """(1/(i |xi|^2)) xi^mu d_x^mu applied to a matrix symbol."""
         out = None
-        for mu in range(3):
-            term = mat_map(
-                lambda p: poly_mul(poly_mul(eum2, xi[mu]), poly_diff(p, mu)),
-                m,
-            )
+        for mu, weight in enumerate(eum2_xi):
+            term = mat_map(lambda p: poly_mul(weight, poly_diff(p, mu)), m)
             out = term if out is None else mat_add(out, term)
         return mat_scale(out, inv_i)
 
@@ -229,18 +214,7 @@ def sqrt_hierarchy(q1: Matrix, q0: Matrix, mj: MetricJet) -> HodgeHierarchy:
         mat_scale(derivative_term(rnm1_mat, eum1.scale(rat(1, 6)), 3), inv_i),
     )
 
-    return HodgeHierarchy(
-        mj.config,
-        mj,
-        q1,
-        q0,
-        r0,
-        r_m1,
-        r_m2,
-        s_m2,
-        s_m3,
-        s_m4,
-    )
+    return HodgeHierarchy(mj.config, mj, q1, q0, r0, r_m1, r_m2, s_m2, s_m3, s_m4)
 
 
 def build_hierarchy(cfg: CurvatureConfig) -> HodgeHierarchy:
@@ -257,14 +231,9 @@ def aprin_alternative(h: HodgeHierarchy) -> GaussianRational:
     component, evaluated at the anchor point.
     """
     total = GaussianRational(0)
-    for be in range(3):
-        for al in range(3):
-            for ga in range(3):
-                sign = epsilon(be, al, ga)
-                if sign == 0:
-                    continue
-                val = poly_diff(h.s_m3[al][be], ga).constant_term()
-                if ga == 2:
-                    val = val + h.s_m4[al][be].constant_term() * GR_I
-                total = total + val * rat(sign)
+    for (be, al, ga), sign in EPSILON.items():
+        val = poly_diff(h.s_m3[al][be], ga).constant_term()
+        if ga == 2:
+            val = val + h.s_m4[al][be].constant_term() * GR_I
+        total = total + val * sign
     return -total

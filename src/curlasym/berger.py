@@ -266,28 +266,43 @@ def _check_s(s: float, lower: int, what: str) -> None:
         raise ValueError(f"s must be finite and > {lower} for {what}, got {s}")
 
 
-def _eta_terms(t: SpectrumTable, s: float) -> Iterator[list[float]]:
-    """sign(v) * multiplicity * |v|^-s, one list per block."""
+def _eta_terms(t: SpectrumTable, s: float) -> Iterator[np.ndarray]:
+    """sign(v) * multiplicity * |v|^-s, one array per block."""
     for _, values, mults in t.blocks():
-        yield (np.copysign(mults, values) * np.abs(values) ** -s).tolist()
+        yield np.copysign(mults, values) * np.abs(values) ** -s
 
 
-def _finite_fsum(blocks: Iterator[list[float]], what: str) -> float:
-    """math.fsum over the blocks; ValueError unless it is a finite float."""
+def _finite_fsum(blocks: Iterator[np.ndarray], what: str) -> tuple[float, float]:
+    """math.fsum over the blocks, and the sum of the absolute values.
+
+    ValueError unless the fsum is a finite float.
+    """
+    magnitude = 0.0
+
+    def lists() -> Iterator[list[float]]:
+        nonlocal magnitude
+        for block in blocks:
+            magnitude += float(np.abs(block).sum())
+            yield block.tolist()
+
     with np.errstate(all="ignore"):
         try:
-            total = math.fsum(itertools.chain.from_iterable(blocks))
+            total = math.fsum(itertools.chain.from_iterable(lists()))
         except (OverflowError, ValueError):
             total = math.nan
     if not math.isfinite(total):
         raise ValueError(f"{what} is not a finite float")
-    return total
+    return total, magnitude
+
+
+def _eta_sum(t: SpectrumTable, s: float) -> tuple[float, float]:
+    _check_s(s, 3, "eta partial sums")
+    return _finite_fsum(_eta_terms(t, s), f"the eta partial sum at a={t.a}, s={s}")
 
 
 def eta_partial(t: SpectrumTable, s: float) -> float:
     """Partial eta sum over the table, correctly rounded."""
-    _check_s(s, 3, "eta partial sums")
-    return _finite_fsum(_eta_terms(t, s), f"the eta partial sum at a={t.a}, s={s}")
+    return _eta_sum(t, s)[0]
 
 
 def zeta(s: float, terms: int = 200) -> float:
@@ -316,21 +331,37 @@ def _positive_laplacian(
         yield values[keep], mults[keep]
 
 
-def _theta_terms(
-    p: BergerParams, s: float, n_max: int
-) -> Iterator[list[float]]:
-    """Theta brackets weighted by multiplicity, one list per block."""
+def _theta_terms(p: BergerParams, s: float, n_max: int) -> Iterator[np.ndarray]:
+    """Theta brackets weighted by multiplicity, one array per block."""
     a = p.a_float
     for mu, mults in _positive_laplacian(p, n_max):
         w = np.sqrt(a**2 + mu)
-        yield (mults * ((w + a) ** -s - (w - a) ** -s)).tolist()
+        yield mults * ((w + a) ** -s - (w - a) ** -s)
+
+
+def _theta_sum(p: BergerParams, s: float, n_max: int) -> tuple[float, float]:
+    return _finite_fsum(
+        _theta_terms(p, s, n_max), f"the theta sum at a={p.a_float}, s={s}"
+    )
 
 
 def theta_partial(p: BergerParams, s: float, n_max: int) -> float:
     """The Laplacian-indexed series of the eta decomposition."""
-    return _finite_fsum(
-        _theta_terms(p, s, n_max), f"the theta sum at a={p.a_float}, s={s}"
-    )
+    return _theta_sum(p, s, n_max)[0]
+
+
+def _rhs_sum(p: BergerParams, s: float, n_max: int) -> tuple[float, float]:
+    _check_s(s, 2, "the decomposition")
+    a = p.a_float
+    theta, magnitude = _theta_sum(p, s, n_max)
+    try:
+        head, tail = (2 * a) ** -s, 4 * a**s * zeta(s - 1)
+        rhs = theta + head + tail
+    except OverflowError:
+        rhs = math.inf
+    if not math.isfinite(rhs):
+        raise ValueError(f"the eta decomposition at a={a}, s={s} is not a finite float")
+    return rhs, magnitude + head + tail
 
 
 def eta_decomposition_rhs(p: BergerParams, s: float, n_max: int) -> float:
@@ -339,16 +370,20 @@ def eta_decomposition_rhs(p: BergerParams, s: float, n_max: int) -> float:
     theta(s) + (2a)^{-s} + 4 a^s zeta(s-1), with theta summed over the
     positive Laplacian eigenvalues of the same truncation.
     """
-    _check_s(s, 2, "the decomposition")
-    a = p.a_float
-    theta = theta_partial(p, s, n_max)
-    try:
-        rhs = theta + (2 * a) ** -s + 4 * a**s * zeta(s - 1)
-    except OverflowError:
-        rhs = math.inf
-    if not math.isfinite(rhs):
-        raise ValueError(f"the eta decomposition at a={a}, s={s} is not a finite float")
-    return rhs
+    return _rhs_sum(p, s, n_max)[0]
+
+
+def eta_identity(p: BergerParams, s: float, n_max: int) -> tuple[float, float, float]:
+    """Both sides of the eta decomposition identity and their rounding bound.
+
+    Returns (eta partial sum, right-hand side, bound).  The bound is 2^-52
+    times the larger of the two sums of the absolute values of the terms
+    summed into one side: at large s the terms reach ~a^s and cancel, and a
+    residual below the bound says nothing about the identity.
+    """
+    lhs, lhs_size = _eta_sum(curl_spectrum(p, n_max), s)
+    rhs, rhs_size = _rhs_sum(p, s, n_max)
+    return lhs, rhs, 2.0**-52 * max(lhs_size, rhs_size)
 
 
 def eta_closed_forms(p: BergerParams) -> dict:

@@ -16,7 +16,11 @@ matrix trace, and the two parallel-transport trace corrections.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
+from operator import getitem
 from typing import Mapping, Sequence
 
 from .exactpoly import (
@@ -25,7 +29,6 @@ from .exactpoly import (
     GR_ONE,
     X_VARS,
     GaussianRational,
-    TruncatedPoly,
     poly_diff,
     poly_from_dict,
     rat,
@@ -48,6 +51,7 @@ from .polymat import (
     mat_trace,
     mat_transpose,
     mat_truncate,
+    tensor,
     zero_mat,
 )
 
@@ -233,11 +237,7 @@ def compose(b: SymbolJet, a: SymbolJet) -> SymbolJet:
                     am = deriv(1, ja, m)
                     if mat_is_zero(am):
                         continue
-                    fact = 1
-                    for mi in m:
-                        for v in range(2, mi + 1):
-                            fact *= v
-                    coeff = minus_i_pow[k] * rat(1, fact)
+                    coeff = minus_i_pow[k] * rat(1, math.prod(map(math.factorial, m)))
                     term = mat_scale(mat_mul(bm, am), coeff)
                     out[level] = (
                         term if out[level] is None else mat_add(out[level], term)
@@ -263,10 +263,7 @@ def _christoffel_t(mj, order: int) -> list:
     """The matrices A_g^T, where A_g[r][c] = Gamma^r_{g c}, at the given order."""
     gamma = mj.gamma
     return [
-        mat_truncate(
-            tuple(tuple(gamma[c][g][r] for c in range(3)) for r in range(3)), order
-        )
-        for g in range(3)
+        mat_truncate(tensor(lambda r, c: gamma[c][g][r], 2), order) for g in range(3)
     ]
 
 
@@ -373,36 +370,20 @@ def transport_correction(q0: Matrix, mj, level: int, qm1: Matrix | None = None) 
             "degree -1 component does not vanish at the anchor point"
         )
 
-    def eta_deriv_at_zero(p: TruncatedPoly, vs: tuple) -> GaussianRational:
-        for v in vs:
-            p = poly_diff(p, ETA_VARS[v])
-        return p.constant_term()
-
-    total = GaussianRational(0)
     if level == 2:
-        riem = mj.riem0
-        for a_i in range(3):
-            for m_i in range(3):
-                for k_i in range(3):
-                    for n_i in range(3):
-                        coeff = riem[a_i][m_i][k_i][n_i]
-                        if coeff == 0:
-                            continue
-                        total = total + eta_deriv_at_zero(
-                            q0[a_i][k_i], (m_i, n_i)
-                        ) * coeff
-        return total * rat(1, 6)
-
-    d2g = mj.d2gamma0()
-    for a_i in range(3):
-        for s_i in range(3):
-            for k_i in range(3):
-                for m_i in range(3):
-                    for n_i in range(3):
-                        coeff = d2g[a_i][s_i][k_i][m_i][n_i]
-                        if coeff == 0:
-                            continue
-                        total = total + eta_deriv_at_zero(
-                            q0[a_i][k_i], (s_i, m_i, n_i)
-                        ) * coeff
-    return total * (-GR_I) * rat(1, 6)
+        table, weight = mj.riem0, rat(1, 6)
+    else:
+        table, weight = mj.d2gamma0(), -GR_I * rat(1, 6)
+    # Index tuples (a, v1, k, v2, ...): the entry q0[a][k] is differentiated
+    # in eta_{v1}, eta_{v2}, ...
+    total = GaussianRational(0)
+    for idx in product(range(3), repeat=level + 2):
+        coeff = reduce(getitem, idx, table)
+        if coeff == 0:
+            continue
+        a, v1, k, *rest = idx
+        p = q0[a][k]
+        for v in (v1, *rest):
+            p = poly_diff(p, ETA_VARS[v])
+        total = total + p.constant_term() * coeff
+    return total * weight

@@ -84,13 +84,8 @@ def _unpack(key: int) -> Exponent:
     return tuple(key >> s & 7 for s in _SHIFTS)
 
 
-def rat_str(q: object) -> str:
-    """Render a rational as "p/q" (or "p" when the denominator is 1)."""
-    return str(q)
-
-
 def _qstr(num: int, den: int) -> str:
-    """rat_str(rat(num, den)), computed on the integers."""
+    """str(rat(num, den)), computed on the integers."""
     g = gcd(num, den)
     return str(num // g) if den == g else f"{num // g}/{den // g}"
 
@@ -174,6 +169,12 @@ class GaussianRational:
         if self.im == 0:
             return f"GR({self.re})"
         return f"GR({self.re}, {self.im}i)"
+
+    def __str__(self) -> str:
+        """"p/q" when real, else "p/q+p/qi" or "p/q-p/qi"."""
+        if self.im == 0:
+            return str(self.re)
+        return f"{self.re}{'+' if self.im > 0 else ''}{self.im}i"
 
 
 def _coerce(value: object) -> GaussianRational:
@@ -348,7 +349,7 @@ class TruncatedPoly:
                 for name, e in zip(VAR_NAMES, exp)
                 if e
             )
-            parts.append(f"({coeff}){'*' + mono if mono else ''}")
+            parts.append(f"({coeff!r}){'*' + mono if mono else ''}")
         return f"TruncatedPoly({' + '.join(parts) or 0}; order {self.order})"
 
 
@@ -376,6 +377,23 @@ def _poly(order, den, num, out=None, reduce=True) -> TruncatedPoly:
     _set(p, "den", den)
     _set(p, "_num", num)
     return p
+
+
+def poly_from_monomials(order: int, terms: Iterable[tuple]) -> TruncatedPoly:
+    """Sum of coeff * x_{v1} ... x_{vk} over (coeff, (v1, ..., vk)) pairs.
+
+    Variable indices may repeat (a square is (v, v)); monomials above the
+    order are dropped.
+    """
+    coeffs: dict = {}
+    for coeff, variables in terms:
+        if coeff:
+            exp = [0] * NUM_VARS
+            for v in variables:
+                exp[v] += 1
+            exp = tuple(exp)
+            coeffs[exp] = coeffs.get(exp, 0) + coeff
+    return TruncatedPoly(order, coeffs)
 
 
 def poly_add(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:

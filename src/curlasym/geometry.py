@@ -18,28 +18,35 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 from typing import Mapping, Sequence
 
+from .calculus import SymbolJet
 from .exactpoly import (
     E1,
+    E3,
+    ETA_VARS,
     GR_I,
     TruncatedPoly,
     binomial_power_jet,
     parse_rational,
     poly_add,
     poly_diff,
+    poly_from_monomials,
     poly_mul,
     rat,
-    rat_str,
 )
 from .polymat import (
     Matrix,
     identity_mat,
-    mat,
     mat_add,
     mat_mul,
+    mat_is_zero,
+    mat_scale,
     mat_sub,
     mat_truncate,
+    tensor,
 )
 
 #: Totally antisymmetric symbol epsilon_{abc} on index triples (0-based).
@@ -86,15 +93,10 @@ class CurvatureConfig:
             len(m) != 3 or any(len(r) != 3 for r in m) for m in dric
         ):
             raise ValueError("dric0 must be 3x3x3")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if ric[i][j] != ric[j][i]:
-                    raise ValueError("ric0 must be symmetric")
-                for s in range(3):
-                    if dric[s][i][j] != dric[s][j][i]:
-                        raise ValueError(
-                            "each dric0 slice must be symmetric"
-                        )
+        if ric != tuple(zip(*ric)):
+            raise ValueError("ric0 must be symmetric")
+        if any(m != tuple(zip(*m)) for m in dric):
+            raise ValueError("each dric0 slice must be symmetric")
         object.__setattr__(self, "ric0", ric)
         object.__setattr__(self, "dric0", dric)
 
@@ -116,10 +118,8 @@ class CurvatureConfig:
 
     def to_dict(self) -> dict:
         return {
-            "ric": [[rat_str(v) for v in row] for row in self.ric0],
-            "dric": [
-                [[rat_str(v) for v in row] for row in m] for m in self.dric0
-            ],
+            "ric": [[str(v) for v in row] for row in self.ric0],
+            "dric": [[[str(v) for v in row] for row in m] for m in self.dric0],
         }
 
     @staticmethod
@@ -169,44 +169,23 @@ def riemann_from_ricci(cfg: CurvatureConfig):
     the scalar curvature; at the origin of normal coordinates the metric is
     the Kronecker delta and coordinate derivatives agree with covariant ones.
     """
-    ric = cfg.ric0
-    sc = cfg.scalar0()
 
-    def riem_entry(ricm, scal, a, b, c, d):
-        return (
-            ricm[a][c] * _delta(b, d)
-            - ricm[a][d] * _delta(b, c)
-            + ricm[b][d] * _delta(a, c)
-            - ricm[b][c] * _delta(a, d)
-            + rat(scal, 2) * (_delta(a, d) * _delta(b, c) - _delta(a, c) * _delta(b, d))
-        )
+    def riemann(ric, scal):
+        half_scal = rat(scal, 2)
 
-    riem0 = tuple(
-        tuple(
-            tuple(
-                tuple(riem_entry(ric, sc, a, b, c, d) for d in range(3))
-                for c in range(3)
+        def entry(a, b, c, d):
+            return (
+                ric[a][c] * _delta(b, d)
+                - ric[a][d] * _delta(b, c)
+                + ric[b][d] * _delta(a, c)
+                - ric[b][c] * _delta(a, d)
+                + half_scal * (_delta(a, d) * _delta(b, c) - _delta(a, c) * _delta(b, d))
             )
-            for b in range(3)
-        )
-        for a in range(3)
-    )
-    driem0 = tuple(
-        tuple(
-            tuple(
-                tuple(
-                    tuple(
-                        riem_entry(cfg.dric0[s], cfg.dscalar0(s), a, b, c, d)
-                        for d in range(3)
-                    )
-                    for c in range(3)
-                )
-                for b in range(3)
-            )
-            for a in range(3)
-        )
-        for s in range(3)
-    )
+
+        return tensor(entry, 4)
+
+    riem0 = riemann(cfg.ric0, cfg.scalar0())
+    driem0 = tuple(riemann(m, cfg.dscalar0(s)) for s, m in enumerate(cfg.dric0))
     return riem0, driem0
 
 
@@ -226,47 +205,25 @@ class MetricJet:
 
     def e_mixed(self) -> tuple:
         """E_a{}^{bc} with the last two indices raised by the inverse metric."""
-        out = []
-        for a in range(3):
-            plane = []
-            for b in range(3):
-                row = []
-                for c in range(3):
-                    acc = TruncatedPoly.zero(self.order)
-                    for m in range(3):
-                        for n in range(3):
-                            sign = epsilon(a, m, n)
-                            if sign == 0:
-                                continue
-                            term = poly_mul(self.g_inv[m][b], self.g_inv[n][c])
-                            acc = poly_add(acc, poly_mul(self.rho, term).scale(sign))
-                    row.append(acc)
-                plane.append(tuple(row))
-            out.append(tuple(plane))
-        return tuple(out)
+        g_inv = self.g_inv
+
+        def entry(a, b, c):
+            terms = [
+                poly_mul(g_inv[m][b], g_inv[n][c]).scale(sign)
+                for (lead, m, n), sign in EPSILON.items()
+                if lead == a
+            ]
+            return poly_mul(self.rho, reduce(poly_add, terms))
+
+        return tensor(entry, 3)
 
     def d2gamma0(self):
         """Second coordinate derivatives of Christoffel symbols at the origin."""
-        out = []
-        for a in range(3):
-            pa = []
-            for b in range(3):
-                pb = []
-                for c in range(3):
-                    entry = self.gamma[a][b][c]
-                    pc = []
-                    for n in range(3):
-                        dn = poly_diff(entry, n)
-                        pc.append(
-                            tuple(
-                                poly_diff(dn, r).constant_term()
-                                for r in range(3)
-                            )
-                        )
-                    pb.append(tuple(pc))
-                pa.append(tuple(pb))
-            out.append(tuple(pa))
-        return tuple(out)
+        gamma = self.gamma
+        dgamma = tensor(lambda a, b, c, n: poly_diff(gamma[a][b][c], n), 4)
+        return tensor(
+            lambda a, b, c, n, r: poly_diff(dgamma[a][b][c][n], r).constant_term(), 5
+        )
 
 
 def build_metric_jet(cfg: CurvatureConfig, order: int = 3) -> MetricJet:
@@ -280,35 +237,15 @@ def build_metric_jet(cfg: CurvatureConfig, order: int = 3) -> MetricJet:
         raise ValueError("metric jet needs truncation order >= 3")
     riem0, driem0 = riemann_from_ricci(cfg)
 
-    x = [TruncatedPoly.variable(i, order) for i in range(3)]
-
-    g_rows = []
-    for a in range(3):
-        row = []
-        for b in range(3):
-            entry = TruncatedPoly.constant(_delta(a, b), order)
-            for m in range(3):
-                for n in range(3):
-                    coeff = riem0[a][m][b][n]
-                    if coeff != 0:
-                        entry = poly_add(
-                            entry,
-                            poly_mul(x[m], x[n]).scale(rat(-coeff, 3)),
-                        )
-            for s in range(3):
-                for m in range(3):
-                    for n in range(3):
-                        coeff = driem0[s][a][m][b][n]
-                        if coeff != 0:
-                            entry = poly_add(
-                                entry,
-                                poly_mul(poly_mul(x[s], x[m]), x[n]).scale(
-                                    rat(-coeff, 6)
-                                ),
-                            )
-            row.append(entry)
-        g_rows.append(tuple(row))
-    g = tuple(g_rows)
+    g = tensor(
+        lambda a, b: _quadratic_cubic(
+            order,
+            _delta(a, b),
+            lambda m, n: rat(-riem0[a][m][b][n], 3),
+            lambda s, m, n: rat(-driem0[s][a][m][b][n], 6),
+        ),
+        2,
+    )
 
     # Inverse metric by Neumann series in h = g - I (h is O(|x|^2)).
     ident = identity_mat(order)
@@ -316,51 +253,51 @@ def build_metric_jet(cfg: CurvatureConfig, order: int = 3) -> MetricJet:
     g_inv = ident
     power = h
     sign = -1
-    while not all(p.is_zero() for row in power for p in row):
-        g_inv = mat_add(g_inv, tuple(tuple(p.scale(sign) for p in row) for row in power))
+    while not mat_is_zero(power):
+        g_inv = mat_add(g_inv, mat_scale(power, sign))
         power = mat_mul(power, h)
         sign = -sign
 
     # Riemannian density rho = sqrt(det g) and its inverse.
-    det = TruncatedPoly.zero(order)
-    for (i, j, k), sgn in EPSILON.items():
-        det = poly_add(
-            det,
-            poly_mul(poly_mul(g[0][i], g[1][j]), g[2][k]).scale(sgn),
-        )
+    det = reduce(
+        poly_add,
+        (
+            poly_mul(poly_mul(g[0][i], g[1][j]), g[2][k]).scale(sgn)
+            for (i, j, k), sgn in EPSILON.items()
+        ),
+    )
     u = det - TruncatedPoly.constant(1, order)
     rho = binomial_power_jet(u, rat(1, 2))
     rho_inv = binomial_power_jet(u, rat(-1, 2))
 
     # Christoffel symbols from the first-derivative formula; one order lower.
-    dg = [[[poly_diff(g[a][b], c) for c in range(3)] for b in range(3)] for a in range(3)]
+    dg = tensor(lambda a, b, c: poly_diff(g[a][b], c), 3)
+    lowered = tensor(
+        lambda d, b, c: (dg[d][c][b] + dg[d][b][c] - dg[b][c][d]).scale(rat(1, 2)), 3
+    )
     g_inv_low = mat_truncate(g_inv, order - 1)
-    gamma_rows = []
-    for a in range(3):
-        pa = []
-        for b in range(3):
-            pb = []
-            for c in range(3):
-                acc = TruncatedPoly.zero(order - 1)
-                for d in range(3):
-                    inner = poly_add(poly_add(dg[d][c][b], dg[d][b][c]), -dg[b][c][d])
-                    acc = poly_add(acc, poly_mul(g_inv_low[a][d], inner))
-                pb.append(acc.scale(rat(1, 2)))
-            pa.append(tuple(pb))
-        gamma_rows.append(tuple(pa))
-    gamma = tuple(gamma_rows)
+    gamma = tensor(
+        lambda a, b, c: reduce(
+            poly_add, (poly_mul(g_inv_low[a][d], lowered[d][b][c]) for d in range(3))
+        ),
+        3,
+    )
 
     return MetricJet(cfg, order, g, g_inv, rho, rho_inv, gamma, riem0, driem0)
 
 
+def _quadratic_cubic(order: int, constant, quadratic, cubic) -> TruncatedPoly:
+    """constant + quadratic(m, n) x_m x_n + cubic(s, m, n) x_s x_m x_n, summed."""
+    terms = [(constant, ())]
+    terms += [(quadratic(*idx), idx) for idx in product(range(3), repeat=2)]
+    terms += [(cubic(*idx), idx) for idx in product(range(3), repeat=3)]
+    return poly_from_monomials(order, terms)
+
+
 def xi_polys(order: int) -> tuple:
     """The covector components (xi0 + eta)_a as order-`order` polynomials."""
-    return tuple(
-        poly_add(
-            TruncatedPoly.constant(_delta(a, 2), order),
-            TruncatedPoly.variable(E1 + a, order),
-        )
-        for a in range(3)
+    return tensor(
+        lambda a: poly_from_monomials(order, [(_delta(a, 2), ()), (1, (E1 + a,))]), 1
     )
 
 
@@ -383,96 +320,73 @@ def norm_power_jet(mj: MetricJet, r: object, order: int | None = None) -> Trunca
     if order > mj.order:
         raise ValueError("requested order exceeds the metric jet order")
     xi = xi_polys(order)
-    q = TruncatedPoly.zero(order)
-    for a in range(3):
-        for b in range(3):
-            q = poly_add(
-                q, poly_mul(mj.g_inv[a][b].truncate(order), poly_mul(xi[a], xi[b]))
-            )
+    g_inv = mat_truncate(mj.g_inv, order)
+    q = reduce(
+        poly_add,
+        (
+            poly_mul(g_inv[a][b], poly_mul(xi[a], xi[b]))
+            for a, b in product(range(3), repeat=2)
+        ),
+    )
     return _norm_power(q, r)
 
 
 def euclid_norm_power_jet(r: object, order: int) -> TruncatedPoly:
     """Jet of the Euclidean norm power |xi|^r at (0, xi0)."""
-    xi = xi_polys(order)
-    q = TruncatedPoly.zero(order)
-    for a in range(3):
-        q = poly_add(q, poly_mul(xi[a], xi[a]))
-    return _norm_power(q, r)
+    # |xi0 + eta|^2 = 1 + 2 eta_3 + eta_1^2 + eta_2^2 + eta_3^2.
+    squares = [(1, (v, v)) for v in ETA_VARS]
+    return _norm_power(poly_from_monomials(order, [(1, ()), (2, (E3,))] + squares), r)
 
 
-def curl_symbol(mj: MetricJet, accuracy: int = 3):
+def curl_symbol(mj: MetricJet, accuracy: int = 3) -> SymbolJet:
     """Full symbol of curl as a single homogeneity-1 component.
 
     The symbol -i E_a{}^{bc}(x) xi_c is exactly homogeneous of degree 1, so
     the jet has no lower-order components.
     """
-    from .calculus import SymbolJet
-
     if accuracy > mj.order:
         raise ValueError("accuracy exceeds the metric jet order")
     e_mix = mj.e_mixed()
     xi = xi_polys(accuracy)
-    rows = []
-    for a in range(3):
-        row = []
-        for b in range(3):
-            acc = TruncatedPoly.zero(accuracy)
-            for c in range(3):
-                entry = e_mix[a][b][c]
-                if entry.is_zero():
-                    continue
-                acc = poly_add(acc, poly_mul(entry.truncate(accuracy), xi[c]))
-            row.append(acc.scale(-GR_I))
-        rows.append(tuple(row))
-    return SymbolJet(1, accuracy, (3, 3), [mat(rows)])
+
+    def entry(a, b):
+        terms = (
+            poly_mul(e.truncate(accuracy), x)
+            for e, x in zip(e_mix[a][b], xi)
+            if not e.is_zero()
+        )
+        return reduce(poly_add, terms, TruncatedPoly.zero(accuracy)).scale(-GR_I)
+
+    return SymbolJet(1, accuracy, (3, 3), [tensor(entry, 2)])
 
 
-def d_delta_symbols(mj: MetricJet, accuracy: int = 3):
+def d_delta_symbols(mj: MetricJet, accuracy: int = 3) -> tuple:
     """Full symbols of d on functions (3x1) and delta on 1-forms (1x3).
 
     The codifferential acts as delta u = -g^{ab}(d_b u_a - Gamma^c_{ba} u_c),
     so its symbol has a degree-1 part -i g^{ab} xi_b and an exact degree-0
     part g^{ab} Gamma^c_{ba} which vanishes at the origin.
     """
-    from .calculus import SymbolJet
-
     if accuracy > mj.order:
         raise ValueError("accuracy exceeds the metric jet order")
     xi = xi_polys(accuracy)
+    d_sym = SymbolJet(1, accuracy, (3, 1), [tuple((x.scale(GR_I),) for x in xi)])
 
-    d_top = mat([[xi[a].scale(GR_I)] for a in range(3)])
-    d_levels = [d_top]
-    for k in range(1, accuracy + 1):
-        d_levels.append(mat([[TruncatedPoly.zero(accuracy - k)] for _ in range(3)]))
-    d_sym = SymbolJet(1, accuracy, (3, 1), d_levels)
-
-    delta_top_row = []
-    for a in range(3):
-        acc = TruncatedPoly.zero(accuracy)
-        for b in range(3):
-            acc = poly_add(acc, poly_mul(mj.g_inv[a][b].truncate(accuracy), xi[b]))
-        delta_top_row.append(acc.scale(-GR_I))
-    levels = [mat([delta_top_row])]
+    g_inv = mat_truncate(mj.g_inv, accuracy)
+    top = tuple(reduce(poly_add, map(poly_mul, row, xi)).scale(-GR_I) for row in g_inv)
+    levels = [(top,)]
     if accuracy >= 1:
-        zero_row = []
-        for c in range(3):
-            acc = TruncatedPoly.zero(accuracy - 1)
-            for a in range(3):
-                for b in range(3):
-                    acc = poly_add(
-                        acc,
-                        poly_mul(
-                            mj.g_inv[a][b].truncate(accuracy - 1),
-                            mj.gamma[c][b][a].truncate(accuracy - 1),
-                        ),
-                    )
-            zero_row.append(acc)
-        levels.append(mat([zero_row]))
-        for k in range(2, accuracy + 1):
-            levels.append(mat([[TruncatedPoly.zero(accuracy - k)] * 3]))
-    delta_sym = SymbolJet(1, accuracy, (1, 3), levels)
-    return d_sym, delta_sym
+        low = accuracy - 1
+
+        def degree0(c):
+            terms = (
+                poly_mul(g_inv[a][b].truncate(low), mj.gamma[c][b][a].truncate(low))
+                for a, b in product(range(3), repeat=2)
+            )
+            return reduce(poly_add, terms)
+
+        levels.append((tensor(degree0, 1),))
+    return d_sym, SymbolJet(1, accuracy, (1, 3), levels)
 
 
 @dataclass(frozen=True, slots=True)
@@ -516,36 +430,17 @@ def transport_jet(mj: MetricJet, endpoints, order: int = 3) -> TransportJet:
     else:
         raise ValueError(f"unsupported endpoints tag: {endpoints!r}")
 
-    y = [TruncatedPoly.variable(i, order) for i in range(3)]
     d2g = mj.d2gamma0()
 
     def build(sign: int) -> Matrix:
-        rows = []
-        for a in range(3):
-            row = []
-            for b in range(3):
-                entry = TruncatedPoly.constant(_delta(a, b), order)
-                for m in range(3):
-                    for n in range(3):
-                        coeff = mj.riem0[b][m][a][n]
-                        if coeff != 0:
-                            entry = poly_add(
-                                entry,
-                                poly_mul(y[m], y[n]).scale(sign * c2 * coeff),
-                            )
-                for m in range(3):
-                    for n in range(3):
-                        for r_i in range(3):
-                            coeff = d2g[b][m][a][n][r_i]
-                            if coeff != 0:
-                                entry = poly_add(
-                                    entry,
-                                    poly_mul(poly_mul(y[m], y[n]), y[r_i]).scale(
-                                        sign * c3 * coeff
-                                    ),
-                                )
-                row.append(entry)
-            rows.append(tuple(row))
-        return tuple(rows)
+        return tensor(
+            lambda a, b: _quadratic_cubic(
+                order,
+                _delta(a, b),
+                lambda m, n: sign * c2 * mj.riem0[b][m][a][n],
+                lambda m, n, r: sign * c3 * d2g[b][m][a][n][r],
+            ),
+            2,
+        )
 
     return TransportJet(endpoints, build(1), build(-1))

@@ -15,8 +15,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .exactpoly import rat, rat_str
-from .geometry import CurvatureConfig, epsilon
+from .exactpoly import rat
+from .geometry import EPSILON, CurvatureConfig
+from .polymat import tensor
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -31,13 +32,6 @@ def _gauss_laguerre() -> tuple:
     from scipy.special import roots_genlaguerre
 
     return roots_genlaguerre(70, 0.5)
-
-
-def __getattr__(name: str):
-    """The node and weight tables as ``_GL_NODES`` and ``_GL_WEIGHTS``."""
-    if name in ("_GL_NODES", "_GL_WEIGHTS"):
-        return _gauss_laguerre()[name == "_GL_WEIGHTS"]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def bessel_k1(t: float) -> float:
@@ -170,7 +164,7 @@ class SingularCoefficient:
 
     def to_dict(self) -> dict:
         return {
-            "c": [[rat_str(v) for v in row] for row in self.c_rational],
+            "c": [[str(v) for v in row] for row in self.c_rational],
             "unit": self.unit,
         }
 
@@ -181,19 +175,14 @@ def singular_coefficient(cfg: CurvatureConfig) -> SingularCoefficient:
     Index raising at the origin is trivial; the result is trace-free by the
     symmetry of the Ricci derivative in its last two indices.
     """
-    rows = []
-    for g in range(3):
-        row = []
-        for r in range(3):
-            total = rat(0)
-            for a in range(3):
-                for b in range(3):
-                    sign = epsilon(a, b, g)
-                    if sign:
-                        total += sign * cfg.dric0[a][b][r]
-            row.append(total * rat(1, 12))
-        rows.append(tuple(row))
-    return SingularCoefficient(tuple(rows))
+
+    def entry(g, r):
+        total = sum(
+            sign * cfg.dric0[a][b][r] for (a, b, c), sign in EPSILON.items() if c == g
+        )
+        return total * rat(1, 12)
+
+    return SingularCoefficient(tensor(entry, 2))
 
 
 def sphere_quadrature(r: float = 1.0) -> tuple:

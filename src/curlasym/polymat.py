@@ -7,6 +7,7 @@ column and row symbols of the exterior derivative and codifferential.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Sequence
 
 from .exactpoly import TruncatedPoly, poly_add, poly_diff, poly_mul, poly_to_dict
@@ -33,6 +34,17 @@ def identity_mat(order: int, dim: int = 3) -> Matrix:
     return tuple(
         tuple(one if i == j else z for j in range(dim)) for i in range(dim)
     )
+
+
+def tensor(f: Callable, rank: int):
+    """Nested 3-tuples of f(i1, ..., i_rank) over the index tuples {0, 1, 2}^rank.
+
+    A rank-0 result is f() itself and a rank-2 result is a Matrix.
+    """
+    out = [f(*idx) for idx in product(range(3), repeat=rank)]
+    for _ in range(rank):
+        out = list(zip(*[iter(out)] * 3))
+    return out[0]
 
 
 def mat_map(f: Callable[[TruncatedPoly], TruncatedPoly], m: Matrix) -> Matrix:

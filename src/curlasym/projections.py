@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 from .calculus import (
@@ -26,11 +27,9 @@ from .calculus import (
 from .exactpoly import (
     X_VARS,
     GaussianRational,
-    TruncatedPoly,
     poly_add,
     poly_mul,
     rat,
-    rat_str,
 )
 from .geometry import (
     EPSILON,
@@ -55,6 +54,7 @@ from .polymat import (
     mat_sub,
     mat_to_dict,
     mat_truncate,
+    tensor,
 )
 
 LABELS = ("+", "0", "-")
@@ -70,18 +70,6 @@ _DENOM_FACTOR = {
 }
 
 
-def gr_str(z) -> str:
-    """Render a (Gaussian) rational as "p/q" or "p/q+p/q i"."""
-    if not isinstance(z, GaussianRational):
-        return rat_str(z)
-    re = rat_str(z.re)
-    if z.im == 0:
-        return re
-    im = rat_str(z.im)
-    sign = "+" if not im.startswith("-") else ""
-    return f"{re}{sign}{im}i"
-
-
 def initial_symbols(mj: MetricJet, order: int | None = None) -> dict:
     """Pointwise eigenprojection matrices of the curl principal symbol.
 
@@ -95,16 +83,9 @@ def initial_symbols(mj: MetricJet, order: int | None = None) -> dict:
     xi = xi_polys(order)
     g_inv = mat_truncate(mj.g_inv, order)
 
-    p0_rows = []
-    for a in range(3):
-        row = []
-        for b in range(3):
-            acc = TruncatedPoly.zero(order)
-            for c in range(3):
-                acc = poly_add(acc, poly_mul(g_inv[b][c], xi[c]))
-            row.append(poly_mul(inv2, poly_mul(xi[a], acc)))
-        p0_rows.append(tuple(row))
-    p0 = tuple(p0_rows)
+    # P0[a][b] = xi_a g^{bc} xi_c / ||xi||^2.
+    raised = [reduce(poly_add, map(poly_mul, row, xi)) for row in g_inv]
+    p0 = tensor(lambda a, b: poly_mul(inv2, poly_mul(xi[a], raised[b])), 2)
 
     curl_prin = curl_symbol(mj, order).principal()
     half = rat(1, 2)
@@ -283,10 +264,10 @@ class AsymmetryReport:
     def to_dict(self) -> dict:
         return {
             "config": self.config.to_dict(),
-            "diag_traces": [gr_str(z) for z in self.diag_traces],
-            "pt_corrections": [gr_str(z) for z in self.pt_corrections],
-            "a_prin": gr_str(self.a_prin_value),
-            "closed_form": gr_str(self.closed_form_value),
+            "diag_traces": [str(z) for z in self.diag_traces],
+            "pt_corrections": [str(z) for z in self.pt_corrections],
+            "a_prin": str(self.a_prin_value),
+            "closed_form": str(self.closed_form_value),
             "pass": self.passed,
         }
 
@@ -342,8 +323,9 @@ def aprin_closed_form(cfg: CurvatureConfig, xi: Sequence) -> object:
     if n2 == 0:
         raise ValueError("zero covector")
     norm = _rational_sqrt(n2)
-    total = rat(0)
-    for (a, b, g), sign in EPSILON.items():
-        for r in range(3):
-            total += sign * cfg.dric0[a][b][r] * xs[g] * xs[r]
+    total = sum(
+        sign * cfg.dric0[a][b][r] * xs[g] * xs[r]
+        for (a, b, g), sign in EPSILON.items()
+        for r in range(3)
+    )
     return total * rat(-1, 2) / (norm**5)

@@ -24,7 +24,9 @@ from curlasym.geometry import (
     build_metric_jet,
     curl_symbol,
     d_delta_symbols,
+    euclid_norm_power_jet,
     norm_power_jet,
+    xi_polys,
 )
 from curlasym.polymat import (
     identity_mat,
@@ -188,3 +190,22 @@ class TestAlternativeValue:
             cfg = random_bianchi_config(rng)
             alt = aprin_alternative(build_hierarchy(cfg))
             assert alt == aprin_closed_form(cfg, xi0)
+
+
+def test_transport_weights_formed_once_per_mu(monkeypatch):
+    """sqrt_hierarchy forms |xi|^-2 xi_mu once per mu, not per matrix entry."""
+    from curlasym import altderiv
+
+    eum2 = euclid_norm_power_jet(-2, 4)
+    xi = xi_polys(4)
+    weights = []
+    real = altderiv.poly_mul
+
+    def counting(a, b):
+        if a == eum2 and b in xi:
+            weights.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(altderiv, "poly_mul", counting)
+    altderiv.build_hierarchy(unit_config("c11"))
+    assert len(weights) == 3

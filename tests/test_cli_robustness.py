@@ -185,3 +185,30 @@ def test_fuzz_exit_codes(capsys, tmp_path, argv):
         code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+class TestEtaRounding:
+    @pytest.mark.parametrize("s", ["300", "40"])
+    def test_cancelling_identity_is_usage_error(self, capsys, s):
+        # At a = 2 both sides sum terms up to 4 a^s zeta(s - 1) that cancel to
+        # about 2: float rounding (1e75 at s = 300, 2e-3 at s = 40) is far
+        # above the 1e-6 tolerance, so no residual can check the identity.
+        code = entry(["berger", "eta", "--s", s, "--nmax", "50"])
+        err = capsys.readouterr().err
+        assert_one_line_usage_error(code, err, "rounding")
+
+    def test_resolvable_s_is_still_checked(self, capsys):
+        assert entry(["berger", "eta", "--s", "20", "--nmax", "50"]) == 0
+
+
+def test_closed_stdout_is_exit_2_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "curlasym.cli", "berger", "spectrum", "--nmax", "400"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.read(10) == "series,n,l"
+    proc.stdout.close()  # the reader quits, as `| head -c 10` does
+    _, err = proc.communicate(timeout=60)
+    assert_one_line_usage_error(proc.returncode, err, "standard output")

@@ -19,6 +19,7 @@ from curlasym.exactpoly import (
     poly_add,
     poly_diff,
     poly_dumps,
+    poly_from_monomials,
     poly_loads,
     poly_mul,
     rat,
@@ -75,6 +76,16 @@ class TestGaussianRational:
 
     def test_i_squared(self):
         assert GR_I * GR_I == GaussianRational(-1)
+
+    def test_str_renders_p_over_q(self):
+        assert str(GaussianRational(rat(-1, 2))) == "-1/2"
+        assert str(GaussianRational(rat(1, 2), rat(-1, 3))) == "1/2-1/3i"
+        assert str(GaussianRational(0, 2)) == "0+2i"
+        assert repr(GaussianRational(rat(1, 2), rat(-1, 3))) == "GR(1/2, -1/3i)"
+
+    def test_poly_repr_keeps_gr_coefficients(self):
+        p = TruncatedPoly.variable(3, 1, GR_I)
+        assert repr(p) == "TruncatedPoly((GR(0, 1i))*e1; order 1)"
 
 
 class TestTruncatedPoly:
@@ -351,3 +362,30 @@ class TestStorageLimits:
         with pytest.raises(AttributeError):
             p.terms = {}
         assert p.terms == {exp: GaussianRational(rat(1, 2))}
+
+
+@st.composite
+def monomial_terms(draw):
+    """(coeff, variables) pairs; variables may repeat and exceed the order."""
+    coeffs = st.one_of(st.integers(-3, 3), small_rationals(), gaussian_rationals())
+    variables = st.lists(st.integers(0, 5), max_size=4).map(tuple)
+    return draw(st.lists(st.tuples(coeffs, variables), max_size=6))
+
+
+class TestPolyFromMonomials:
+    @given(st.integers(0, 4), monomial_terms())
+    @settings(max_examples=150)
+    def test_matches_products_of_variables(self, order, terms):
+        expected = TruncatedPoly.zero(order)
+        for coeff, variables in terms:
+            mono = TruncatedPoly.constant(1, order)
+            for v in variables:
+                mono = poly_mul(mono, TruncatedPoly.variable(v, order))
+            expected = poly_add(expected, mono.scale(coeff))
+        assert poly_from_monomials(order, terms) == expected
+
+    def test_repeated_monomials_add_up(self):
+        x = TruncatedPoly.variable(0, 2)
+        p = poly_from_monomials(2, [(1, (0,)), (rat(1, 2), (0,)), (-1, (3, 3))])
+        e1 = TruncatedPoly.variable(3, 2)
+        assert p == poly_add(x.scale(rat(3, 2)), -poly_mul(e1, e1))
