@@ -27,9 +27,9 @@ import numpy as np
 #: Reference constants used to validate the zeta evaluator at runtime.
 ZETA3 = 1.2020569031595942854
 ZETA5 = 1.0369277551433699263
-#: Largest spectrum weyl_check builds on its own; the work grows as n_max^2
-#: (about 1.5 s at this bound on a 2-core machine).
-WEYL_MAX_NMAX = 10_000
+#: Largest truncation of any spectrum; the work grows as n_max^2 (about
+#: 1.5 s for weyl_check at this bound on a 2-core machine).
+MAX_NMAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -172,10 +172,14 @@ class SpectrumTable:
         return buf.getvalue()
 
 
+def _check_nmax(n_max: int, low: int) -> None:
+    if not low <= n_max <= MAX_NMAX:
+        raise ValueError(f"n_max must be in {low}..{MAX_NMAX}, got {n_max}")
+
+
 def laplacian_spectrum(p: BergerParams, n_max: int) -> SpectrumTable:
     """Laplace-Beltrami eigenvalues on 0-forms up to quantum number n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_nmax(n_max, 0)
     return SpectrumTable("laplacian", p.a_float, n_max)
 
 
@@ -185,8 +189,7 @@ def curl_spectrum(p: BergerParams, n_max: int) -> SpectrumTable:
     Four series: I and II positive, III positive, IV negative; zero never
     occurs for any a > 0.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+    _check_nmax(n_max, 2)
     return SpectrumTable("curl", p.a_float, n_max)
 
 
@@ -222,12 +225,13 @@ def counting_function(t: SpectrumTable, lam: float, sign: int) -> int:
     return total
 
 
-def weyl_check(p: BergerParams, lam: float, n_max: int | None = None) -> dict:
+def weyl_check(p: BergerParams, lam: float) -> dict:
     """Counting function against the leading Weyl asymptotics.
 
     The expected count is Vol * lam^3 / (6 pi^2) with Vol = 2 pi^2 a, so the
     reported ratio is N(lam) * 3 / (a lam^3); the deviation from 1 is
-    expected to decay like 1/lam.
+    expected to decay like 1/lam.  The spectrum is truncated at
+    n_max = ceil(a lam) + ceil(2 lam) + 10, which must not exceed MAX_NMAX.
     """
     a = p.a_float
     try:
@@ -238,12 +242,7 @@ def weyl_check(p: BergerParams, lam: float, n_max: int | None = None) -> dict:
         raise ValueError(
             f"lambda must be > 0 with a * lambda**3 a finite non-zero float, got {lam}"
         )
-    if n_max is None:
-        n_max = int(math.ceil(a * lam)) + int(math.ceil(2 * lam)) + 10
-        if n_max > WEYL_MAX_NMAX:
-            raise ValueError(
-                f"lambda {lam} at a={a} needs n_max {n_max:.4g} > {WEYL_MAX_NMAX}"
-            )
+    n_max = int(math.ceil(a * lam)) + int(math.ceil(2 * lam)) + 10
     t = curl_spectrum(p, n_max)
     n_plus = counting_function(t, lam, 1)
     n_minus = counting_function(t, lam, -1)
@@ -305,7 +304,7 @@ def eta_partial(t: SpectrumTable, s: float) -> float:
     return _eta_sum(t, s)[0]
 
 
-def zeta(s: float, terms: int = 200) -> float:
+def zeta(s: float) -> float:
     """Riemann zeta for real s > 1 by direct sum plus Euler-Maclaurin tail.
 
     With 200 direct terms the first omitted Euler-Maclaurin correction is
@@ -313,7 +312,7 @@ def zeta(s: float, terms: int = 200) -> float:
     """
     if s <= 1:
         raise ValueError("direct evaluation requires s > 1")
-    m = terms
+    m = 200
     direct = math.fsum(k**-s for k in range(1, m + 1))
     tail = m ** (1 - s) / (s - 1) - 0.5 * m**-s
     tail += s * m ** (-s - 1) / 12

@@ -96,9 +96,6 @@ class SymbolJet:
 
     # -- queries ----------------------------------------------------------
 
-    def component_by_degree(self, degree: int) -> Matrix:
-        return self.components[self.top_degree - degree]
-
     def principal(self) -> Matrix:
         return self.components[0]
 
@@ -181,12 +178,12 @@ def _mat_order(m: Matrix) -> int:
     return m[0][0].order
 
 
-def identity_jet(accuracy: int, dim: int = 3) -> SymbolJet:
-    return SymbolJet(0, accuracy, (dim, dim), [identity_mat(accuracy, dim)])
+def identity_jet(accuracy: int) -> SymbolJet:
+    return SymbolJet(0, accuracy, (3, 3), [identity_mat(accuracy)])
 
 
-def constant_jet(m: Matrix, accuracy: int, top_degree: int = 0) -> SymbolJet:
-    return SymbolJet(top_degree, accuracy, mat_shape(m), [m])
+def constant_jet(m: Matrix, accuracy: int) -> SymbolJet:
+    return SymbolJet(0, accuracy, mat_shape(m), [m])
 
 
 def compose(b: SymbolJet, a: SymbolJet) -> SymbolJet:

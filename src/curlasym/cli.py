@@ -36,6 +36,7 @@ from .kernel import (
     sphere_average_check,
 )
 from .projections import (
+    LABELS,
     asymmetry_report,
     run_algorithm,
     verify_projection,
@@ -45,7 +46,6 @@ from .projections import (
 DEFAULTS = {
     "eta_identity_tol": 1e-6,
     "basset_tol": 1e-8,
-    "small_arg_envelope_factor": 1.0,
     "log_coeff_rel_tol": 1e-2,
     "sphere_average_tol": 1e-10,
     "second_moment_rel_tol": 1e-10,
@@ -58,7 +58,7 @@ def _load_config(name: str) -> CurvatureConfig:
         return unit_config(name)
     try:
         with open(name, "r", encoding="utf-8") as fh:
-            return CurvatureConfig.from_dict(json.load(fh, parse_float=parse_rational))
+            return CurvatureConfig.loads(fh.read())
     except (OSError, ValueError, ZeroDivisionError) as exc:
         raise SystemExit(f"cannot load config {name!r}: {exc}")
 
@@ -80,14 +80,14 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
     alephs = args.aleph.split(",")
+    for aleph in alephs:
+        if aleph not in LABELS:
+            raise ValueError(f"unknown branch label {aleph!r}")
+    cfg = _load_config(args.config)
     payload = {"config": cfg.to_dict(), "accuracy": args.accuracy, "runs": []}
     all_pass = True
     for aleph in alephs:
-        if aleph not in ("+", "0", "-"):
-            print(f"unknown branch label {aleph!r}", file=sys.stderr)
-            return 2
         fam = run_algorithm(cfg, aleph, args.accuracy)
         report = verify_projection(fam)
         all_pass = all_pass and report["pass"]
@@ -120,7 +120,7 @@ def cmd_asym(args: argparse.Namespace) -> int:
             args.output,
         )
         return 0 if all_pass else 1
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config or "flat")
     rep = asymmetry_report(cfg)
     _emit(rep.dumps(), args.output)
     return 0 if rep.passed else 1
@@ -185,6 +185,8 @@ def cmd_berger(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
+    if args.config is not None and not args.sphere:
+        raise ValueError("argument --config: only allowed with argument --sphere")
     checks = []
 
     def record(name, inputs, value, reference, tolerance):
@@ -205,12 +207,12 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         q, ref, _ = basset_check(args.y)
         record("basset", {"y": args.y}, q, ref, DEFAULTS["basset_tol"])
     elif args.sphere:
-        cfg = _load_config(args.config)
-        sc = singular_coefficient(cfg)
+        name = args.config or "flat"
+        sc = singular_coefficient(_load_config(name))
         avg = sphere_average_check(sc)
         record(
             "sphere_average",
-            {"config": args.config},
+            {"config": name},
             avg,
             0.0,
             DEFAULTS["sphere_average_tol"],
@@ -220,15 +222,12 @@ def cmd_kernel(args: argparse.Namespace) -> int:
             q, ref, _ = basset_check(y)
             record("basset", {"y": y}, q, ref, DEFAULTS["basset_tol"])
         t = 0.01
-        envelope = DEFAULTS["small_arg_envelope_factor"] * abs(
-            t**3 * math.log(t)
-        )
         record(
             "small_argument",
             {"t": t},
             bessel_k1(t),
             k1_small_argument(t),
-            envelope,
+            abs(t**3 * math.log(t)),
         )
         est = log_coefficient_check(1e-3)
         record(
@@ -265,8 +264,15 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line, as the subcommands do."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curlasym",
         description="Verification suites for the curl spectral asymmetry pipeline",
     )
@@ -280,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_proj.set_defaults(func=cmd_project)
 
     p_asym = sub.add_parser("asym", help="asymmetry operator report")
-    p_asym.add_argument("--config", default="flat")
-    p_asym.add_argument("--sweep", action="store_true")
+    source = p_asym.add_mutually_exclusive_group()
+    source.add_argument("--config", help="config name or JSON file (default: flat)")
+    source.add_argument("--sweep", action="store_true")
     p_asym.add_argument("--output")
     p_asym.set_defaults(func=cmd_asym)
 
@@ -305,9 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     b_weyl.set_defaults(func=cmd_berger)
 
     p_kernel = sub.add_parser("kernel", help="Bessel-kernel numeric checks")
-    p_kernel.add_argument("--y", type=float)
-    p_kernel.add_argument("--config", default="flat")
-    p_kernel.add_argument("--sphere", action="store_true")
+    check = p_kernel.add_mutually_exclusive_group()
+    check.add_argument("--y", type=float)
+    check.add_argument("--sphere", action="store_true")
+    p_kernel.add_argument("--config", help="with --sphere (default: flat)")
     p_kernel.add_argument("--output")
     p_kernel.set_defaults(func=cmd_kernel)
 

@@ -40,12 +40,12 @@ def unit_config(name: str) -> CurvatureConfig:
     return CurvatureConfig(ric, dric)
 
 
-def random_config(rng: random.Random, max_den: int = 6) -> CurvatureConfig:
-    """Random symmetric configuration with small rational entries."""
+def random_config(rng: random.Random) -> CurvatureConfig:
+    """Random symmetric configuration with entries p/q, |p| <= 3, 1 <= q <= 6."""
 
     def draw():
         num = rng.randint(-3, 3)
-        den = rng.randint(1, max_den)
+        den = rng.randint(1, 6)
         return rat(num, den)
 
     ric = [[rat(0)] * 3 for _ in range(3)]
@@ -64,7 +64,7 @@ def random_config(rng: random.Random, max_den: int = 6) -> CurvatureConfig:
     return CurvatureConfig(ric, dric)
 
 
-def random_bianchi_config(rng: random.Random, max_den: int = 6) -> CurvatureConfig:
+def random_bianchi_config(rng: random.Random) -> CurvatureConfig:
     """Random Ricci-flat-at-origin config obeying the contracted Bianchi rule.
 
     Enforces div Ric = (1/2) grad Sc on the derivative data, the constraint
@@ -72,7 +72,7 @@ def random_bianchi_config(rng: random.Random, max_den: int = 6) -> CurvatureConf
     the Laplacian symbol parts agrees with the operator-composition oracle
     exactly on this class (and only on it).
     """
-    base = random_config(rng, max_den)
+    base = random_config(rng)
     z = ((rat(0),) * 3,) * 3
     dric = [[list(row) for row in sl] for sl in base.dric0]
     for nu in (0, 1):

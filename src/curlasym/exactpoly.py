@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -90,17 +91,22 @@ def _qstr(num: int, den: int) -> str:
     return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
+# The exact value types declare __slots__ themselves: dataclass(slots=True)
+# rebuilds the class, and on Python 3.11 the frozen __setattr__ of the rebuilt
+# class raises TypeError, not AttributeError, for a name that is not a field.
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
+    re: Fraction
+    im: Fraction
 
     def __init__(self, re: object = 0, im: object = 0) -> None:
         object.__setattr__(self, "re", rat(re))
         object.__setattr__(self, "im", rat(im))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GaussianRational is immutable")
 
     # -- predicates -------------------------------------------------------
 
@@ -215,6 +221,7 @@ class _Terms(Mapping):
         return GaussianRational(Fraction(re, self._p.den), Fraction(im, self._p.den))
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class TruncatedPoly:
     """A polynomial in six variables truncated by joint total degree.
 
@@ -225,6 +232,9 @@ class TruncatedPoly:
     """
 
     __slots__ = ("order", "den", "_num")
+    order: int
+    den: int
+    _num: dict
 
     def __init__(self, order: int, terms: Mapping | None = None) -> None:
         if not 0 <= order <= MAX_ORDER:
@@ -241,9 +251,6 @@ class TruncatedPoly:
         den = lcm(*(d for _, _, d in coeffs.values()))
         num = {k: (re * den // d, im * den // d) for k, (re, im, d) in coeffs.items()}
         _poly(order, den, num, self)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TruncatedPoly is immutable")
 
     @property
     def terms(self) -> Mapping:
@@ -276,20 +283,6 @@ class TruncatedPoly:
 
     def coefficient(self, exp: Iterable[int]) -> GaussianRational:
         return self.terms.get(tuple(exp), GR_ZERO)
-
-    def evaluate(self, point: Iterable[object]) -> GaussianRational:
-        """Exact evaluation at a 6-tuple of rationals."""
-        vals = [rat(v) for v in point]
-        if len(vals) != NUM_VARS:
-            raise ValueError("evaluation point must have 6 components")
-        re = im = Fraction(0)
-        for key, (cr, ci) in self._num.items():
-            factor = Fraction(1, self.den)
-            for e, v in zip(_unpack(key), vals):
-                if e:
-                    factor *= v**e
-            re, im = re + cr * factor, im + ci * factor
-        return GaussianRational(re, im)
 
     def restrict(self, zero_vars: Iterable[int]) -> "TruncatedPoly":
         """Set the given variables to zero, keeping the truncation order."""

@@ -313,21 +313,19 @@ def _norm_power(quad: TruncatedPoly, r: object) -> TruncatedPoly:
     return binomial_power_jet(quad - TruncatedPoly.constant(1, quad.order), r / 2)
 
 
-def norm_power_jet(mj: MetricJet, r: object, order: int | None = None) -> TruncatedPoly:
-    """Jet of the Riemannian norm power ||xi||^r at (0, xi0)."""
-    if order is None:
-        order = mj.order
+def raised_covector(mj: MetricJet, order: int) -> tuple:
+    """The raised covector g^{ab}(x) (xi0 + eta)_b as order-`order` polynomials."""
     if order > mj.order:
         raise ValueError("requested order exceeds the metric jet order")
-    xi = xi_polys(order)
     g_inv = mat_truncate(mj.g_inv, order)
-    q = reduce(
-        poly_add,
-        (
-            poly_mul(g_inv[a][b], poly_mul(xi[a], xi[b]))
-            for a, b in product(range(3), repeat=2)
-        ),
-    )
+    xi = xi_polys(order)
+    return tuple(reduce(poly_add, map(poly_mul, row, xi)) for row in g_inv)
+
+
+def norm_power_jet(mj: MetricJet, r: object, order: int) -> TruncatedPoly:
+    """Jet of the Riemannian norm power ||xi||^r at (0, xi0)."""
+    raised = raised_covector(mj, order)
+    q = reduce(poly_add, map(poly_mul, xi_polys(order), raised))
     return _norm_power(q, r)
 
 
@@ -373,7 +371,7 @@ def d_delta_symbols(mj: MetricJet, accuracy: int = 3) -> tuple:
     d_sym = SymbolJet(1, accuracy, (3, 1), [tuple((x.scale(GR_I),) for x in xi)])
 
     g_inv = mat_truncate(mj.g_inv, accuracy)
-    top = tuple(reduce(poly_add, map(poly_mul, row, xi)).scale(-GR_I) for row in g_inv)
+    top = tuple(p.scale(-GR_I) for p in raised_covector(mj, accuracy))
     levels = [(top,)]
     if accuracy >= 1:
         low = accuracy - 1
@@ -408,7 +406,7 @@ def poly_scale_x(p: TruncatedPoly, factor: object) -> TruncatedPoly:
     return TruncatedPoly(p.order, terms)
 
 
-def transport_jet(mj: MetricJet, endpoints, order: int = 3) -> TransportJet:
+def transport_jet(mj: MetricJet, endpoints) -> TransportJet:
     """Parallel transport maps for vectors and covectors along radial lines.
 
     Supported endpoint tags: "origin_to_y", "y_to_origin", and
@@ -435,7 +433,7 @@ def transport_jet(mj: MetricJet, endpoints, order: int = 3) -> TransportJet:
     def build(sign: int) -> Matrix:
         return tensor(
             lambda a, b: _quadratic_cubic(
-                order,
+                3,
                 _delta(a, b),
                 lambda m, n: sign * c2 * mj.riem0[b][m][a][n],
                 lambda m, n, r: sign * c3 * d2g[b][m][a][n][r],

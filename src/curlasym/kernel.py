@@ -14,12 +14,16 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .exactpoly import rat
 from .geometry import EPSILON, CurvatureConfig
 from .polymat import tensor
 
 _EULER_GAMMA = 0.5772156649015328606
+#: Upper limit of Basset's integral; the tail beyond it is below
+#: 1/(2 cutoff^2) <= 1e-9.
+_BASSET_CUTOFF = 2.5e4
 
 # scipy is imported on first use, not with the package: it costs about 50 MB
 # of memory and half a second of start-up, and the exact commands (project,
@@ -95,12 +99,12 @@ def k1_small_argument(t: float) -> float:
     return 1 / t + (t / 4) * (2 * math.log(t) + 2 * _EULER_GAMMA - 1 - math.log(4))
 
 
-def basset_check(y: float, cutoff: float = 2.5e4) -> tuple:
+def basset_check(y: float) -> tuple:
     """Basset's integral against its closed form 2 y K_1(y).
 
     Integrates cos(y t) (1 + t^2)^{-3/2} over the real line by adaptive
-    quadrature on [0, cutoff] (tail below 1/(2 cutoff^2) <= 1e-9) and
-    compares with the Bessel closed form (value 2 at y = 0).
+    quadrature on [0, _BASSET_CUTOFF] and compares with the Bessel closed
+    form (value 2 at y = 0).
     """
     from scipy.integrate import IntegrationWarning, quad
 
@@ -115,9 +119,9 @@ def basset_check(y: float, cutoff: float = 2.5e4) -> tuple:
         warnings.simplefilter("error", IntegrationWarning)
         try:
             if y == 0:
-                val, _ = quad(f, 0, cutoff, limit=400)
+                val, _ = quad(f, 0, _BASSET_CUTOFF, limit=400)
             else:
-                val, _ = quad(f, 0, cutoff, weight="cos", wvar=y, limit=400)
+                val, _ = quad(f, 0, _BASSET_CUTOFF, weight="cos", wvar=y, limit=400)
         except IntegrationWarning:
             val = math.nan
     quadrature = 2 * val
@@ -153,7 +157,7 @@ class SingularCoefficient:
     """
 
     c_rational: tuple
-    unit: str = "pi**-2"
+    unit: ClassVar[str] = "pi**-2"
 
     def trace(self):
         return sum(self.c_rational[i][i] for i in range(3))
@@ -206,24 +210,18 @@ def sphere_quadrature(r: float = 1.0) -> tuple:
     return tuple(pts)
 
 
-def second_moment(r: float = 1.0, quad_points: tuple | None = None) -> list:
+def second_moment(r: float = 1.0) -> list:
     """Quadrature value of the raw second moment over the radius-r sphere."""
-    if quad_points is None:
-        quad_points = sphere_quadrature(r)
     area = 4 * math.pi * r * r
     out = [[0.0] * 3 for _ in range(3)]
-    for p, w in quad_points:
+    for p, w in sphere_quadrature(r):
         for g in range(3):
             for rho in range(3):
                 out[g][rho] += area * w * p[g] * p[rho]
     return out
 
 
-def sphere_average_check(
-    sc: SingularCoefficient,
-    r: float = 1.0,
-    quad_points: tuple | None = None,
-) -> float:
+def sphere_average_check(sc: SingularCoefficient, r: float = 1.0) -> float:
     """Sphere average of the singular kernel part; contract: vanishes.
 
     Averages c_{g r} y^g y^r / r^2 over the radius-r sphere.  Because the
@@ -233,11 +231,9 @@ def sphere_average_check(
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    if quad_points is None:
-        quad_points = sphere_quadrature(r)
     c = sc.as_float()
     total = 0.0
-    for p, w in quad_points:
+    for p, w in sphere_quadrature(r):
         val = 0.0
         for g in range(3):
             for rho in range(3):

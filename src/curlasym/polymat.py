@@ -8,15 +8,11 @@ column and row symbols of the exterior derivative and codifferential.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable
 
 from .exactpoly import TruncatedPoly, poly_add, poly_diff, poly_mul, poly_to_dict
 
 Matrix = tuple
-
-
-def mat(rows: Sequence[Sequence[TruncatedPoly]]) -> Matrix:
-    return tuple(tuple(row) for row in rows)
 
 
 def mat_shape(m: Matrix) -> tuple:
@@ -28,12 +24,10 @@ def zero_mat(shape: tuple, order: int) -> Matrix:
     return tuple(tuple(z for _ in range(shape[1])) for _ in range(shape[0]))
 
 
-def identity_mat(order: int, dim: int = 3) -> Matrix:
+def identity_mat(order: int) -> Matrix:
     one = TruncatedPoly.constant(1, order)
     z = TruncatedPoly.zero(order)
-    return tuple(
-        tuple(one if i == j else z for j in range(dim)) for i in range(dim)
-    )
+    return tensor(lambda i, j: one if i == j else z, 2)
 
 
 def tensor(f: Callable, rank: int):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 from .calculus import (
@@ -24,13 +23,7 @@ from .calculus import (
     trace_diag,
     transport_correction,
 )
-from .exactpoly import (
-    X_VARS,
-    GaussianRational,
-    poly_add,
-    poly_mul,
-    rat,
-)
+from .exactpoly import X_VARS, GaussianRational, poly_mul, rat
 from .geometry import (
     EPSILON,
     CurvatureConfig,
@@ -38,6 +31,7 @@ from .geometry import (
     build_metric_jet,
     curl_symbol,
     norm_power_jet,
+    raised_covector,
     xi_polys,
 )
 from .polymat import (
@@ -70,21 +64,18 @@ _DENOM_FACTOR = {
 }
 
 
-def initial_symbols(mj: MetricJet, order: int | None = None) -> dict:
+def initial_symbols(mj: MetricJet, order: int) -> dict:
     """Pointwise eigenprojection matrices of the curl principal symbol.
 
     Returns {"0": P0, "+": P+, "-": P-} with P0 the projection onto the
     gradient direction and P+- = (1/2)(Id - P0 -+ inverse-norm * curl_prin).
     """
-    if order is None:
-        order = mj.order
     inv2 = norm_power_jet(mj, -2, order)
     inv1 = norm_power_jet(mj, -1, order)
     xi = xi_polys(order)
-    g_inv = mat_truncate(mj.g_inv, order)
 
     # P0[a][b] = xi_a g^{bc} xi_c / ||xi||^2.
-    raised = [reduce(poly_add, map(poly_mul, row, xi)) for row in g_inv]
+    raised = raised_covector(mj, order)
     p0 = tensor(lambda a, b: poly_mul(inv2, poly_mul(xi[a], raised[b])), 2)
 
     curl_prin = curl_symbol(mj, order).principal()

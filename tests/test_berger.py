@@ -11,6 +11,7 @@ import pytest
 
 from curlasym import berger
 from curlasym.berger import (
+    MAX_NMAX,
     ZETA3,
     ZETA5,
     BergerParams,
@@ -110,6 +111,11 @@ class TestCurlSpectrum:
     def test_nmax_validation(self):
         with pytest.raises(ValueError):
             curl_spectrum(BergerParams(1), 1)
+
+    @pytest.mark.parametrize("spectrum", [curl_spectrum, laplacian_spectrum])
+    def test_nmax_cap(self, spectrum):
+        with pytest.raises(ValueError, match="n_max"):
+            spectrum(BergerParams(1), MAX_NMAX + 1)
 
 
     def test_entries_length_matches_rows(self):

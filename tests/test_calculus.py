@@ -63,12 +63,6 @@ class TestSymbolJet:
             jet.accuracy = 3
         assert hash(jet) == hash(identity_jet(2))
 
-    def test_component_by_degree(self):
-        rng = random.Random(30)
-        jet = random_jet(rng, 2)
-        assert jet.component_by_degree(jet.top_degree) == jet.principal()
-        assert jet.component_by_degree(jet.top_degree - 2) == jet.components[2]
-
     def test_linear_structure(self):
         rng = random.Random(31)
         a = random_jet(rng, 2)

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from curlasym import berger, cli
 from curlasym.cli import entry
 
 
@@ -118,6 +119,18 @@ class TestBerger:
     def test_bad_parameter(self):
         assert run(["berger", "eta", "--a", "-1", "--nmax", "100"]) == 2
 
+    @pytest.mark.parametrize("command", ["spectrum", "eta"])
+    def test_nmax_above_cap_is_usage_error(self, capsys, monkeypatch, command):
+        def no_block(*_args):
+            raise AssertionError("a spectrum block was built")
+
+        monkeypatch.setattr(berger, "_curl_block", no_block)
+        monkeypatch.setattr(berger, "_laplacian_block", no_block)
+        assert run(["berger", command, "--nmax", str(berger.MAX_NMAX + 1)]) == 2
+        err = capsys.readouterr().err
+        assert "n_max" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_spectrum_csv_golden(self, tmp_path):
         out = tmp_path / "spec.csv"
         args = ["berger", "spectrum", "--a", "3/2", "--nmax", "40"]
@@ -207,6 +220,37 @@ class TestKernel:
         out = tmp_path / "k.json"
         assert run(["kernel", "--config", "c11", "--sphere"], out) == 0
         assert json.loads(out.read_text())["pass"] is True
+
+
+class TestUsageErrorBeforeWork:
+    """Options that cannot go together are refused before any computation."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("work started before the usage check")
+
+        for name in ("asymmetry_report", "run_algorithm", "basset_check"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv, word",
+        [
+            (["asym", "--sweep", "--config", "c1"], "--config"),
+            (["kernel", "--y", "1", "--sphere", "--config", "c11"], "--y"),
+            (["kernel", "--config", "c11"], "--sphere"),
+            (["project", "--aleph", "+,x"], "'x'"),
+        ],
+    )
+    def test_rejected(self, capsys, argv, word):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert word in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestDeterminism:

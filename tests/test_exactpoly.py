@@ -142,13 +142,6 @@ class TestTruncatedPoly:
         assert p.restrict((3,)) == x
         assert p.restrict((0,)) == e
 
-    def test_evaluate(self):
-        x = TruncatedPoly.variable(0, 2)
-        e = TruncatedPoly.variable(3, 2)
-        p = poly_add(poly_mul(x, e).scale(3), TruncatedPoly.constant(1, 2))
-        val = p.evaluate((rat(1, 2), 0, 0, rat(1, 3), 0, 0))
-        assert val == GaussianRational(rat(3, 2))
-
     def test_no_zero_coefficients_stored(self):
         p = poly_add(TruncatedPoly.variable(0, 2), TruncatedPoly.variable(0, 2, -1))
         assert p.terms == {}

@@ -1,7 +1,10 @@
-"""SHA-256 digests of the geometry layer and the Hodge symbol, pinned.
+"""SHA-256 digests of the geometry layer, the Hodge symbol, the norm-power
+jets and the pointwise eigenprojections, pinned.
 
-The digests were taken from the hand-looped construction that the
-``tensor``/``poly_from_monomials`` helpers replaced; any change in a value,
+The geometry digests were taken from the hand-looped construction that the
+``tensor``/``poly_from_monomials`` helpers replaced, and the norm-power and
+eigenprojection digests from the three hand-written copies of the index
+raising that ``raised_covector`` replaced; any change in a value,
 a truncation order or a term set changes a digest.  Values are serialised
 with ``poly_to_dict`` for polynomials and ``str`` of the rational parts for
 scalars, so the digests do not depend on how a scalar renders itself.
@@ -23,8 +26,10 @@ from curlasym.geometry import (
     build_metric_jet,
     curl_symbol,
     d_delta_symbols,
+    norm_power_jet,
     transport_jet,
 )
+from curlasym.projections import initial_symbols
 
 CONFIGS = ("c1", "c11", "c17", "seed1", "seed2")
 TRANSPORT_TAGS = ("origin_to_y", "y_to_origin", ("y_to_tau_y", Fraction(1, 2)))
@@ -82,6 +87,21 @@ def layer_digests(name: str) -> dict:
     out["curl"] = _digest(curl_symbol(mj, 3))
     if name != "c1":
         out["hodge"] = _digest(hodge_symbol(_hodge_config(name)))
+    return out
+
+
+def covector_digests(name: str) -> dict:
+    """Digests of the norm-power jets and the pointwise eigenprojections."""
+    cfg = _config(name)
+    mj4 = build_metric_jet(cfg, 4)
+    out = {}
+    for r in (-2, -1, 1, 2):
+        for order in (2, 3, 4):
+            out[f"norm_power.{r}.{order}"] = _digest(norm_power_jet(mj4, r, order))
+    mj3 = build_metric_jet(cfg, 3)
+    for order in (2, 3):
+        prin = initial_symbols(mj3, order)
+        out[f"initial.{order}"] = _digest([prin[label] for label in ("+", "0", "-")])
     return out
 
 
@@ -221,3 +241,92 @@ PINNED = {
 @pytest.mark.parametrize("name", CONFIGS)
 def test_geometry_layer_digests(name):
     assert layer_digests(name) == PINNED[name]
+
+
+COVECTOR_PINNED = {
+    "c1": {
+        "initial.2": "f6e1f1a992c185fc5124024c162a7c3ccb56dad17c88ea29170e1e1191292e04",
+        "initial.3": "501981ef150d6ebcf74e276159e6edfb340f05a1db5d1fa92bb84ec07ea91c86",
+        "norm_power.-1.2": "903633faac67ffd8659bb84a5db779074089ecdfb5c3b2db34543c5c9166fb4a",
+        "norm_power.-1.3": "47310c5585260d5dc5b1b04a1197f7fdf6f040d0ff3988147d0684e71079a7eb",
+        "norm_power.-1.4": "7b4497733f7d50f2c65df7ff6538e77f3818aa6d3829a2079b94d13baa7141ee",
+        "norm_power.-2.2": "c8a472dbc7649a1b6d8bfb03d0b9b8d50b083f7638d30ea72bbbd7f3006239b0",
+        "norm_power.-2.3": "39e8109f42a38a50dc2e30c9a68da7f7b76ae3d39f6497c3ec84b2f85d25299a",
+        "norm_power.-2.4": "b2ec780b857d0849d0f72e2ffb81a95a85523d0c31a3f0161458bf463c69885e",
+        "norm_power.1.2": "556d54ed723aea03b7f510f065379f9e9778d0cf02b5ea6ad7ef68eb7e987102",
+        "norm_power.1.3": "46227b3e3f0f602989a6d34943f00dd693c812b4b19dc9ccd5b85c66204329c3",
+        "norm_power.1.4": "a087b2f863ac83e25e086ad7cb674d3f9d61359a5b930a4e6ed08e47eeaa308e",
+        "norm_power.2.2": "d47ccaefc17ab9217ccd8a31623ce5f6ecaea7694f8280fb91697b339ff1d96c",
+        "norm_power.2.3": "a60ddac121167a6d02d8e74251fa32ba0f14f9cc18c24a63df33db471079014d",
+        "norm_power.2.4": "a7b2f62a9728696a7fa093193b9b803b88b2dce1f77541bad577851a64647919",
+    },
+    "c11": {
+        "initial.2": "2460114b963bacf43ef0ca2aa83cf3e4e89f5bf37cf363211dcdee10bc1bfb2b",
+        "initial.3": "d02f2e2e5a423efb782c5100f6a38804ad85e9f175b90c2e74c4b880f8972f5f",
+        "norm_power.-1.2": "5dae8ddbf1c868988a008db618be4d07b8317691039b958f699b521b6f828dd4",
+        "norm_power.-1.3": "375445f0e2a2ec35484af726c41edcbbaa2a5140596c09c15c0af12b98ba8890",
+        "norm_power.-1.4": "e7f0eb2f726978de93cbc8deb395a5702099ad004095feb704cf6aed140334d7",
+        "norm_power.-2.2": "d7a1979f3779e83d624e880369ed86d0219a5dd33b760b0e2f8d814c69fc9fb6",
+        "norm_power.-2.3": "c8c3b2980623f0fd98f36c89d0618743a6b4ca9565af7bd3eaa70c590355548b",
+        "norm_power.-2.4": "8ac1b9b29459dae375c4a4e649f03283e18985fead31c07dc83e82b25d9b2f40",
+        "norm_power.1.2": "66f54114f9cd3642caf965303f74659bfacee8bd72ebdafd2ae83d4c6abe6879",
+        "norm_power.1.3": "8b2164a81513fe8f97d0139fcdfbfc40129cd6f0bdf08ab6888bcde64d0cbc46",
+        "norm_power.1.4": "33e073d8627a07aafc0fe113702b5770cd453c4e432f48bd4a2853939714f116",
+        "norm_power.2.2": "cb1d28e49b95071128ef3042575ab7311cb473fae0cde182c2da75485ea7a4d3",
+        "norm_power.2.3": "ccaed238e0611f6abfffd54c1b809b4b1be68c8da13ca08e4afb11f7bea5212f",
+        "norm_power.2.4": "2162507aa75119296b89a9534fcf135a2408e447107a97a2dda17e5c2fada622",
+    },
+    "c17": {
+        "initial.2": "2460114b963bacf43ef0ca2aa83cf3e4e89f5bf37cf363211dcdee10bc1bfb2b",
+        "initial.3": "c6dde70721251987f278bf3830123c1e42ea0ec2a6e5ecc36a68bce47a93c7d2",
+        "norm_power.-1.2": "5dae8ddbf1c868988a008db618be4d07b8317691039b958f699b521b6f828dd4",
+        "norm_power.-1.3": "375445f0e2a2ec35484af726c41edcbbaa2a5140596c09c15c0af12b98ba8890",
+        "norm_power.-1.4": "6adda8f7533a11b204cdab8cc26ad51418df0fc0e8068385f85ab9a90624656f",
+        "norm_power.-2.2": "d7a1979f3779e83d624e880369ed86d0219a5dd33b760b0e2f8d814c69fc9fb6",
+        "norm_power.-2.3": "c8c3b2980623f0fd98f36c89d0618743a6b4ca9565af7bd3eaa70c590355548b",
+        "norm_power.-2.4": "b75313e2c6c94116146c1f00db476008484f0e961bc26ad87068a31321d6f028",
+        "norm_power.1.2": "66f54114f9cd3642caf965303f74659bfacee8bd72ebdafd2ae83d4c6abe6879",
+        "norm_power.1.3": "8b2164a81513fe8f97d0139fcdfbfc40129cd6f0bdf08ab6888bcde64d0cbc46",
+        "norm_power.1.4": "0e982c170238ecb00320006f4367dc936e111c6241c89ca33a9c084f3dd2d0f5",
+        "norm_power.2.2": "cb1d28e49b95071128ef3042575ab7311cb473fae0cde182c2da75485ea7a4d3",
+        "norm_power.2.3": "ccaed238e0611f6abfffd54c1b809b4b1be68c8da13ca08e4afb11f7bea5212f",
+        "norm_power.2.4": "a6695578e42b4671098a37a02ff011f8ad350e2d3d4faa5b4753b037ecc0e7a2",
+    },
+    "seed1": {
+        "initial.2": "e0a31492f806fad136a6656256c6c7564f69d287ea4819f8fe3969d67ad5ae50",
+        "initial.3": "6af5a5f974fcc8ac30eeff3d05d1bf89cd1c5bf2fe520334d53b7d869728e636",
+        "norm_power.-1.2": "e09c4df139a7c3d9aac38071ca49c4ec548bb6035a42b38790756eed34e3e083",
+        "norm_power.-1.3": "4cb8e3cee65739ead5de95f4e7bb5c457be66f59986e9b368b53533c8d4058cd",
+        "norm_power.-1.4": "7f1ff05efd10ea2985cbc357a94f2f291c677f47ad5725f1b5d465c0ff03e63e",
+        "norm_power.-2.2": "3e08ef336b2e48894a9c55ce44ef21354e70e61166fe2443237be6f848178002",
+        "norm_power.-2.3": "4aeaf6ddb433f4a21e2662c3d44d436f4d08b40454a68b644e0338b1ba46a9c1",
+        "norm_power.-2.4": "4008bde8689bed3dfb47e328ad9704bc366366a71bab7f10891b87bd5d97e105",
+        "norm_power.1.2": "c2832a6595036b9906823ba4ea531380cdae4ba81fab22a42166044acacdef37",
+        "norm_power.1.3": "650373fcd6961b826b9c9c33ce2490a38c422f6a3575ba015c386702b7c18461",
+        "norm_power.1.4": "4b2f70bc629e1fd4829dc293958af9b1772f55837018ac99e0ed3955bcd0f223",
+        "norm_power.2.2": "7e4773aca6081e9a4a83091b53a5698041aebf2d95f53a788e2ccff7d406ab2f",
+        "norm_power.2.3": "7ed668ed4bcddf8ff29bedf3aef317f6702c403973f0187eebe3467269d6681c",
+        "norm_power.2.4": "37ef413df6ea30c236b4b079596cd82785de2d35aca843fee70e5515c76b730b",
+    },
+    "seed2": {
+        "initial.2": "5577ef455fff86e373cff73858cdbed59b54d82199b88027f89f053b4ff71936",
+        "initial.3": "d557f84eb4b9d1529e09f51a5e841cc800ecb15423390bcb49e308d1813bb5b2",
+        "norm_power.-1.2": "2785d69b82fca28b733014fb472ee579af9d6de46915591105d12ad32bd0d4b5",
+        "norm_power.-1.3": "9fc4f5d0bf88504657d14854dd41914a4e7308a2f3d510b1e7354a652add10ad",
+        "norm_power.-1.4": "8b6e9b31b78126cabb1b3f77d5c6baeaa998b771c8a4ac9350a4b7b1fb8f5d13",
+        "norm_power.-2.2": "3bacc655c5773a081c30a81c92d8ae24ebd40297015ce1aa9c41f0e921fe6c14",
+        "norm_power.-2.3": "970e33ce5996b7b90dfa7034e4563db7fca3949e1328f1c7ef80f7fe47297072",
+        "norm_power.-2.4": "a564d9dc9dc0f80b54a18e30cf45d0c1ca12373a5952305c70ff0618df78839c",
+        "norm_power.1.2": "c92be29abd9db39d4f608b1276edf65828f7897f405387895af1398b848175cb",
+        "norm_power.1.3": "f48c33d94f7197d8596f7ebe1282db2d08366ef4a8c232e3307e020cdd24dfc8",
+        "norm_power.1.4": "984e40ce4726bc9556bdbdd85c8f886ab5da8c17b93e3feb9e03aebdf6c6c2f0",
+        "norm_power.2.2": "760965fb4993d3a69723362059d34588277453c3f4cc71df49daa2cd5e69098d",
+        "norm_power.2.3": "ef30d1a522c7b9e9c07b029f631c4587fc1d032d70cb233d1c2213066b95ec2b",
+        "norm_power.2.4": "22bb91f311edb5b1efed779a984bddb5822711a5e109463b9d5176ae191fc536",
+    },
+}
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_covector_layer_digests(name):
+    assert covector_digests(name) == COVECTOR_PINNED[name]
