@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -27,6 +28,7 @@ from curlasym.berger import (
     weyl_check,
     zeta,
 )
+from curlasym.cli import entry
 
 
 class TestBergerParams:
@@ -289,3 +291,38 @@ class TestStreaming:
                 for e in t.entries
             ]
             assert terms == pytest.approx(scalar, rel=5e-16, abs=0)
+
+
+class TestPinnedReports:
+    """SHA-256 of reports whose spectra span many chunks: a changed
+    eigenvalue, multiplicity, row or rounded sum shows here."""
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ("spectrum --a 1/2 --nmax 300",
+             "ec070ca6284931eac98725b95e691725ff89dc0ba7a7cb3cd32d355296d777cc"),
+            ("spectrum --a 2 --nmax 300",
+             "b96339e9eb0e0074e088203f94072b68324c125f901eae108ec32588c34966a8"),
+            ("eta --a 1/2 --s 6 --nmax 300",
+             "78b6491552d13923b73cdca602a15f93d9f0d46713b4be89b282759ccc35a2f9"),
+            ("eta --a 1 --s 6 --nmax 300",
+             "cded6a604849038e3f78d11985963e99d33f44f420c3cdfb68cb50a03413e226"),
+            ("eta --a 2 --s 6 --nmax 300",
+             "193a8368afefa3be6f4d895bd92bd6d80879345d0481b3194d0886742247386d"),
+            ("eta --a 1/2 --s 6 --nmax 2000",
+             "29ccfe100cdc4f9a34acb4b4978d76005bc1a9dc27c1e4c5c8c1bdd6ec112c24"),
+            ("eta --a 1 --s 6 --nmax 2000",
+             "1c2d290f297e889b76f121c4140b2fea693a85cbd54a005366005a77fb591c8c"),
+            ("eta --a 2 --s 6 --nmax 2000",
+             "47ab46d591a5a029916f4cf1458a584e274190fd170a3579e6cc6dbf3702c647"),
+            ("weyl --lambda 50",
+             "e1a15df435f55c4f7f5c6f8e246481e10670160750e32522bf5be0c6efffa50f"),
+            ("weyl --lambda 400",
+             "990254fd8e55203f8ab2538219c8c8575718a022fa997d884727d6cdd373eda3"),
+        ],
+    )
+    def test_report_digest(self, tmp_path, args, digest):
+        out = tmp_path / "report"
+        assert entry(["berger", *args.split(), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
