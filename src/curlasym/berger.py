@@ -8,28 +8,39 @@ eta decomposition identity, and exact rational closed forms for the eta
 invariant at s = 0.
 
 Spectra are never stored: a table is a (kind, a, n_max) record that yields
-one block of eigenvalues and multiplicities per quantum number n, so every
-reduction runs in O(n_max) memory.  Float sums use ``math.fsum``, which is
-correctly rounded and therefore independent of summation order.
+chunks of eigenvalues and multiplicities, each a run of whole quantum numbers
+of at most CHUNK_ROWS rows built in one numpy pass, so memory is bounded by
+the chunk size.  Float sums are exact: an integer accumulator over the
+binary exponents of the terms, rounded once, so every sum is correctly
+rounded and independent of summation order.
+
+numpy is imported on the first Berger call, so that the exact pipelines
+start without it.
 """
 
 from __future__ import annotations
 
-import io
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Reference constants used to validate the zeta evaluator at runtime.
 ZETA3 = 1.2020569031595942854
 ZETA5 = 1.0369277551433699263
 #: Largest truncation of any spectrum; the work grows as n_max^2 (about
-#: 1.5 s for weyl_check at this bound on a 2-core machine).
+#: 1 s for weyl_check near this bound on a 2-core machine).
 MAX_NMAX = 10_000
+#: Most rows in one chunk, unless a single quantum number has more (up to
+#: 2 + MAX_NMAX rows of curl).  It bounds the memory of every reduction.
+CHUNK_ROWS = 8192
+#: frexp exponent of the smallest subnormal; 53 - _EMIN scales every
+#: finite double to an integer.
+_EMIN = -1073
+_EXPONENTS = 1024 - _EMIN + 1
 
 
 @dataclass(frozen=True)
@@ -70,46 +81,69 @@ class SpectrumEntry:
     multiplicity: int
 
 
-def _laplacian_block(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Laplacian eigenvalues and multiplicities at quantum number n, by l."""
-    l = np.arange(n // 2 + 1)
-    values = n * (n + 2) + (a**-2 - 1) * (n - 2 * l) ** 2
-    mults = np.full(l.size, 2 * n + 2)
-    if n % 2 == 0:
-        mults[-1] = n + 1
-    return values, mults
+def _rows(kind: str, n: int) -> int:
+    """Rows of quantum number n: one per l = 0 .. n // 2, two for curl."""
+    return (n // 2 + 1) * (2 if kind == "curl" else 1)
 
 
-def _curl_block(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Curl eigenvalues and multiplicities at quantum number n >= 2.
+def _laplacian_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Laplacian eigenvalues and multiplicities for n0 <= n < n1, by (n, l).
 
-    Rows are series I, II, then III and IV interleaved for l = 1 .. n // 2.
+    The value is n (n + 2) + (a^-2 - 1) k^2 with k = n - 2 l.
     """
-    lap, lap_mults = _laplacian_block(a, n)
-    root = np.sqrt(a**2 + lap[1:])
-    values = np.empty(2 + 2 * root.size)
-    values[0] = n / a
-    values[1] = (n + 2 * (a**2 - 1)) / a
-    values[2::2] = a + root
-    values[3::2] = a - root
-    mults = np.empty(values.size, dtype=np.int64)
-    mults[0] = 2 * n - 2
-    mults[1] = 1 if n == 2 else 2 * n - 2
-    mults[2::2] = lap_mults[1:]
-    mults[3::2] = lap_mults[1:]
+    import numpy as np
+
+    n = np.arange(n0, n1)
+    rows = n // 2 + 1
+    ends = np.cumsum(rows)
+    k = np.repeat(n + 2 * (ends - rows), rows)
+    k -= np.arange(0, 2 * int(ends[-1]), 2)
+    k *= k
+    values = (a**-2 - 1) * k
+    values += np.repeat(n * (n + 2), rows)
+    mults = np.repeat(2 * n + 2, rows)
+    even = slice(n0 % 2, None, 2)
+    mults[ends[even] - 1] = n[even] + 1  # l = n / 2
     return values, mults
 
 
-def _row_labels(kind: str, n: int) -> Iterator[tuple[str, int]]:
-    """(series, l) of each row of the block at n, in block order."""
-    if kind == "laplacian":
-        yield from (("LAPLACE", l) for l in range(n // 2 + 1))
-        return
-    yield "I", 0
-    yield "II", 0
-    for l in range(1, n // 2 + 1):
-        yield "III", l
-        yield "IV", l
+def _curl_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Curl eigenvalues and multiplicities for 2 <= n0 <= n < n1.
+
+    The rows of each n are series I, II, then III and IV interleaved for
+    l = 1 .. n // 2: row pair l >= 1 comes from the Laplacian row (n, l),
+    and pair 0 takes the place of the Laplacian row (n, 0).
+    """
+    import numpy as np
+
+    lap, lap_mults = _laplacian_block(a, n0, n1)
+    n = np.arange(n0, n1)
+    rows = n // 2 + 1
+    start = np.cumsum(rows) - rows
+    root = np.sqrt(a**2 + lap)
+    values = np.empty((lap.size, 2))
+    np.add(a, root, out=values[:, 0])
+    np.subtract(a, root, out=values[:, 1])
+    values[start] = (n[:, None] + [0.0, 2 * (a**2 - 1)]) / a
+    mults = np.empty((lap.size, 2), lap_mults.dtype)
+    mults[:, 0] = mults[:, 1] = lap_mults
+    mults[start] = (2 * n - 2)[:, None]
+    if n0 == 2:
+        mults[0, 1] = 1  # series II at n = 2
+    return values.ravel(), mults.ravel()
+
+
+def _row_labels(kind: str, n0: int, n1: int) -> Iterator[tuple[str, int, int]]:
+    """(series, n, l) of each row for n0 <= n < n1, in chunk order."""
+    for n in range(n0, n1):
+        if kind == "laplacian":
+            yield from (("LAPLACE", n, l) for l in range(n // 2 + 1))
+            continue
+        yield "I", n, 0
+        yield "II", n, 0
+        for l in range(1, n // 2 + 1):
+            yield "III", n, l
+            yield "IV", n, l
 
 
 class _Entries:
@@ -130,11 +164,8 @@ class _Entries:
         return n + 1 + halves
 
     def __iter__(self) -> Iterator[SpectrumEntry]:
-        kind = self._table.kind
-        for n, values, mults in self._table.blocks():
-            for (series, l), v, m in zip(
-                _row_labels(kind, n), values.tolist(), mults.tolist()
-            ):
+        for rows in self._table._labelled_chunks():
+            for (series, n, l), v, m in rows:
                 yield SpectrumEntry(series, n, l, v, m)
 
 
@@ -142,34 +173,49 @@ class _Entries:
 class SpectrumTable:
     """Eigenvalues grouped by (series, n, l) with multiplicity weights.
 
-    The rows are produced on demand, one block per quantum number n.
+    The rows are produced on demand, one chunk at a time.
     """
 
     kind: str
     a: float
     n_max: int
 
-    def blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """(n, values, multiplicities) for each quantum number in order."""
+    def chunks(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """(n0, n1, values, multiplicities) of the quantum numbers
+        n0 <= n < n1, in order; a chunk holds at most CHUNK_ROWS rows or a
+        single quantum number."""
         if self.kind == "curl":
-            block, first = _curl_block, 2
+            block, n0 = _curl_block, 2
         else:
-            block, first = _laplacian_block, 0
-        for n in range(first, self.n_max + 1):
-            yield (n, *block(self.a, n))
+            block, n0 = _laplacian_block, 0
+        while n0 <= self.n_max:
+            n1, rows = n0 + 1, _rows(self.kind, n0)
+            while n1 <= self.n_max and rows + _rows(self.kind, n1) <= CHUNK_ROWS:
+                rows += _rows(self.kind, n1)
+                n1 += 1
+            yield (n0, n1, *block(self.a, n0, n1))
+            n0 = n1
+
+    def _labelled_chunks(self) -> Iterator[Iterator[tuple]]:
+        """Per chunk, ((series, n, l), value, multiplicity) for each row."""
+        for n0, n1, values, mults in self.chunks():
+            yield zip(_row_labels(self.kind, n0, n1), values.tolist(), mults.tolist())
 
     @property
     def entries(self) -> _Entries:
         return _Entries(self)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("series,n,l,value,multiplicity\n")
-        for e in self.entries:
-            buf.write(
-                f"{e.series},{e.n},{e.l},{e.value!r},{e.multiplicity}\n"
+    def csv_chunks(self) -> Iterator[str]:
+        """The table as CSV text: the header, then the rows of one chunk per
+        piece."""
+        yield "series,n,l,value,multiplicity\n"
+        for rows in self._labelled_chunks():
+            yield "".join(
+                f"{series},{n},{l},{v!r},{m}\n" for (series, n, l), v, m in rows
             )
-        return buf.getvalue()
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_chunks())
 
 
 def _check_nmax(n_max: int, low: int) -> None:
@@ -202,27 +248,34 @@ def completeness_bound(t: SpectrumTable) -> float:
     """
     if t.kind != "curl":
         raise ValueError("completeness bound applies to curl tables")
-    values, _ = _curl_block(t.a, t.n_max + 1)
-    return float(np.abs(values).min())
+    values, _ = _curl_block(t.a, t.n_max + 1, t.n_max + 2)
+    return float(abs(values).min())
 
 
-def counting_function(t: SpectrumTable, lam: float, sign: int) -> int:
-    """Multiplicity-weighted count of eigenvalues with 0 < sign*value < lam."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+def _counts(t: SpectrumTable, lam: float) -> tuple[int, int]:
+    """Multiplicity-weighted counts of eigenvalues in (0, lam) and in
+    (-lam, 0), from one pass over the table."""
     if lam <= 0:
-        return 0
+        return 0, 0
     bound = completeness_bound(t)
     if lam > bound:
         raise ValueError(
             f"lambda {lam} exceeds the completeness bound {bound}; "
             "increase n_max"
         )
-    total = 0
-    for _, values, mults in t.blocks():
-        v = sign * values
-        total += int(mults[(0 < v) & (v < lam)].sum())
-    return total
+    plus = minus = 0
+    for _, _, values, mults in t.chunks():
+        plus += int(mults[(0 < values) & (values < lam)].sum())
+        minus += int(mults[(values < 0) & (-lam < values)].sum())
+    return plus, minus
+
+
+def counting_function(t: SpectrumTable, lam: float, sign: int) -> int:
+    """Multiplicity-weighted count of eigenvalues with 0 < sign*value < lam."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    plus, minus = _counts(t, lam)
+    return plus if sign == 1 else minus
 
 
 def weyl_check(p: BergerParams, lam: float) -> dict:
@@ -243,9 +296,7 @@ def weyl_check(p: BergerParams, lam: float) -> dict:
             f"lambda must be > 0 with a * lambda**3 a finite non-zero float, got {lam}"
         )
     n_max = int(math.ceil(a * lam)) + int(math.ceil(2 * lam)) + 10
-    t = curl_spectrum(p, n_max)
-    n_plus = counting_function(t, lam, 1)
-    n_minus = counting_function(t, lam, -1)
+    n_plus, n_minus = _counts(curl_spectrum(p, n_max), lam)
     ratio_plus = n_plus * 3 / a_lam3
     ratio_minus = n_minus * 3 / a_lam3
     return {
@@ -266,37 +317,55 @@ def _check_s(s: float, lower: int, what: str) -> None:
 
 
 def _eta_terms(t: SpectrumTable, s: float) -> Iterator[np.ndarray]:
-    """sign(v) * multiplicity * |v|^-s, one array per block."""
-    for _, values, mults in t.blocks():
+    """sign(v) * multiplicity * |v|^-s, one array per chunk."""
+    import numpy as np
+
+    for _, _, values, mults in t.chunks():
         yield np.copysign(mults, values) * np.abs(values) ** -s
 
 
-def _finite_fsum(blocks: Iterator[np.ndarray], what: str) -> tuple[float, float]:
-    """math.fsum over the blocks, and the sum of the absolute values.
+def _exact_sum(chunks: Iterable[np.ndarray], what: str) -> tuple[float, float]:
+    """The correctly rounded sum of all the chunks' terms (the float
+    ``math.fsum`` returns), and the float sum of their absolute values.
 
-    ValueError unless the fsum is a finite float.
+    Each finite double is m * 2**(e - 53) with an integer |m| < 2**53 and
+    frexp exponent e; with m = hi * 2**27 + lo, 0 <= lo < 2**27, bincount
+    sums hi and lo per e exactly, because a float64 bin stays below 2**53
+    while a chunk has fewer than 2**26 terms (int64 running bins: fewer than
+    2**36 terms in all).  The bins are combined in one Python integer and
+    divided once.  ValueError unless every term and the sum are finite.
     """
+    import numpy as np
+
+    hi_bins = np.zeros(_EXPONENTS, np.int64)
+    lo_bins = np.zeros(_EXPONENTS, np.int64)
     magnitude = 0.0
-
-    def lists() -> Iterator[list[float]]:
-        nonlocal magnitude
-        for block in blocks:
-            magnitude += float(np.abs(block).sum())
-            yield block.tolist()
-
     with np.errstate(all="ignore"):
-        try:
-            total = math.fsum(itertools.chain.from_iterable(lists()))
-        except (OverflowError, ValueError):
-            total = math.nan
-    if not math.isfinite(total):
-        raise ValueError(f"{what} is not a finite float")
-    return total, magnitude
+        for x in chunks:
+            size = float(np.abs(x).sum())
+            # A non-finite term makes size non-finite; so can an overflow.
+            if not math.isfinite(size) and not np.isfinite(x).all():
+                raise ValueError(f"{what} is not a finite float")
+            magnitude += size
+            m, e = np.frexp(x)
+            e -= _EMIN
+            m *= 2.0**26
+            hi = np.floor(m)
+            lo = (m - hi) * 2.0**27
+            hi_bins += np.bincount(e, hi, _EXPONENTS).astype(np.int64)
+            lo_bins += np.bincount(e, lo, _EXPONENTS).astype(np.int64)
+    scaled = 0  # the sum times 2**(53 - _EMIN)
+    for k in np.flatnonzero(hi_bins | lo_bins).tolist():
+        scaled += ((int(hi_bins[k]) << 27) + int(lo_bins[k])) << k
+    try:
+        return scaled / (1 << (53 - _EMIN)), magnitude
+    except OverflowError:
+        raise ValueError(f"{what} is not a finite float") from None
 
 
 def _eta_sum(t: SpectrumTable, s: float) -> tuple[float, float]:
     _check_s(s, 3, "eta partial sums")
-    return _finite_fsum(_eta_terms(t, s), f"the eta partial sum at a={t.a}, s={s}")
+    return _exact_sum(_eta_terms(t, s), f"the eta partial sum at a={t.a}, s={s}")
 
 
 def eta_partial(t: SpectrumTable, s: float) -> float:
@@ -324,14 +393,16 @@ def zeta(s: float) -> float:
 def _positive_laplacian(
     p: BergerParams, n_max: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(mu, multiplicity) arrays of the positive eigenvalues, per block."""
-    for _, values, mults in laplacian_spectrum(p, n_max).blocks():
+    """(mu, multiplicity) arrays of the positive eigenvalues, per chunk."""
+    for _, _, values, mults in laplacian_spectrum(p, n_max).chunks():
         keep = values > 0
         yield values[keep], mults[keep]
 
 
 def _theta_terms(p: BergerParams, s: float, n_max: int) -> Iterator[np.ndarray]:
-    """Theta brackets weighted by multiplicity, one array per block."""
+    """Theta brackets weighted by multiplicity, one array per chunk."""
+    import numpy as np
+
     a = p.a_float
     for mu, mults in _positive_laplacian(p, n_max):
         w = np.sqrt(a**2 + mu)
@@ -339,7 +410,7 @@ def _theta_terms(p: BergerParams, s: float, n_max: int) -> Iterator[np.ndarray]:
 
 
 def _theta_sum(p: BergerParams, s: float, n_max: int) -> tuple[float, float]:
-    return _finite_fsum(
+    return _exact_sum(
         _theta_terms(p, s, n_max), f"the theta sum at a={p.a_float}, s={s}"
     )
 
@@ -407,6 +478,8 @@ def hitchin_remainder(p: BergerParams, s: float, n_max: int) -> float:
     -2 s a w^{-(s+1)} - (s(s+1)(s+2)/3) a^3 w^{-(s+3)} + O(w^{-(s+5)}) with
     w = sqrt(a^2 + mu); the remainder times mu^2 must stay bounded.
     """
+    import numpy as np
+
     a = p.a_float
     worst = 0.0
     for mu, _ in _positive_laplacian(p, n_max):

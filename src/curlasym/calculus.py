@@ -56,7 +56,7 @@ from .polymat import (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SymbolJet:
     """Graded list of matrix components expanded at (0, xi0).
 
@@ -64,6 +64,7 @@ class SymbolJet:
     order accuracy - k, so components always has accuracy + 1 entries.
     """
 
+    __slots__ = ("top_degree", "accuracy", "shape", "components")
     top_degree: int
     accuracy: int
     shape: tuple

@@ -2,8 +2,11 @@
 
 Exit codes: 0 all assertions pass, 1 a mathematical verification failed,
 2 usage or IO error.  Reports are deterministic byte-for-byte for identical
-arguments: the symbolic pipelines are exact and every floating-point sum is
-correctly rounded (``math.fsum``), so it does not depend on summation order.
+arguments: the symbolic pipelines are exact, and the Berger spectra are
+summed chunk by chunk into an exact integer accumulator and rounded once,
+so every floating-point sum is correctly rounded and does not depend on
+summation order or on the chunk size, which bounds the memory.  The
+spectrum CSV is written one chunk at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import json
 import math
 import os
 import sys
+from typing import Iterable
 
 from .altderiv import aprin_alternative, build_hierarchy
 from .berger import (
@@ -63,13 +67,16 @@ def _load_config(name: str) -> CurvatureConfig:
         raise SystemExit(f"cannot load config {name!r}: {exc}")
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str | Iterable[str], output: str | None) -> None:
+    """Write a report, whole or as a stream of pieces, to output or stdout."""
+    pieces = [text] if isinstance(text, str) else text
     try:
         if output:
             with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         else:
-            print(text, flush=True)
+            sys.stdout.writelines(pieces)
+            print(flush=True)
     except OSError as exc:  # BrokenPipeError too, when stdout's reader quits
         if not output:
             # Python flushes stdout again at exit; let that flush go nowhere.
@@ -139,7 +146,7 @@ def cmd_berger(args: argparse.Namespace) -> int:
     p = BergerParams(_parse_a(args.a))
     if args.berger_cmd == "spectrum":
         table = curl_spectrum(p, args.nmax)
-        _emit(table.to_csv(), args.output)
+        _emit(table.csv_chunks(), args.output)
         return 0
     if args.berger_cmd == "eta":
         tol = DEFAULTS["eta_identity_tol"]

@@ -68,7 +68,7 @@ def _delta(a: int, b: int) -> int:
     return 1 if a == b else 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CurvatureConfig:
     """Ricci tensor and its covariant derivative at the origin.
 
@@ -79,6 +79,7 @@ class CurvatureConfig:
     relating the 24 constants is imposed, they are treated as independent.
     """
 
+    __slots__ = ("ric0", "dric0")
     ric0: Sequence
     dric0: Sequence
 
@@ -189,10 +190,13 @@ def riemann_from_ricci(cfg: CurvatureConfig):
     return riem0, driem0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class MetricJet:
     """All geometric jets derived from one curvature configuration."""
 
+    __slots__ = (
+        "config", "order", "g", "g_inv", "rho", "rho_inv", "gamma", "riem0", "driem0"
+    )
     config: CurvatureConfig
     order: int
     g: Matrix
@@ -387,10 +391,11 @@ def d_delta_symbols(mj: MetricJet, accuracy: int = 3) -> tuple:
     return d_sym, SymbolJet(1, accuracy, (1, 3), levels)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TransportJet:
     """Cubic Taylor expansion of a parallel transport map."""
 
+    __slots__ = ("endpoints", "z_vector", "z_covector")
     endpoints: object
     z_vector: Matrix
     z_covector: Matrix

@@ -8,7 +8,10 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from curlasym import berger
 from curlasym.berger import (
@@ -277,6 +280,18 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    def test_spectrum_csv_is_written_in_chunks(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        tracemalloc.start()
+        try:
+            code = entry(["berger", "spectrum", "--nmax", "1000", "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.stat().st_size > 10 * 2**20
+        assert peak < 4 * 2**20
+
     def test_eta_partial_is_correctly_rounded(self):
         """fsum equals the exact sum of the same float terms, rounded once."""
         mpmath = pytest.importorskip("mpmath")
@@ -291,6 +306,107 @@ class TestStreaming:
                 for e in t.entries
             ]
             assert terms == pytest.approx(scalar, rel=5e-16, abs=0)
+
+
+def reference_rows(kind, a, n_max):
+    """The table row by row in Python floats, one quantum number at a time."""
+    rows = []
+    for n in range(2 if kind == "curl" else 0, n_max + 1):
+        laplace = [
+            (l, n * (n + 2) + (a**-2 - 1) * (n - 2 * l) ** 2,
+             n + 1 if 2 * l == n else 2 * n + 2)
+            for l in range(n // 2 + 1)
+        ]
+        if kind == "laplacian":
+            rows += [("LAPLACE", n, l, v, m) for l, v, m in laplace]
+            continue
+        rows.append(("I", n, 0, n / a, 2 * n - 2))
+        rows.append(("II", n, 0, (n + 2 * (a**2 - 1)) / a, 1 if n == 2 else 2 * n - 2))
+        for l, v, m in laplace[1:]:
+            root = math.sqrt(a**2 + v)
+            rows += [("III", n, l, a + root, m), ("IV", n, l, a - root, m)]
+    return rows
+
+
+class TestChunks:
+    """Rows and sums do not depend on how the quantum numbers are chunked."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 100])
+    def test_rows_and_sums_for_any_chunk_size(self, monkeypatch, chunk_rows):
+        params = [BergerParams(a) for a in (Fraction(1, 2), Fraction(3, 2), 0.37)]
+
+        def sums(p):
+            return eta_partial(curl_spectrum(p, 60), 6.0), theta_partial(p, 4.5, 60)
+
+        expected = [sums(p) for p in params]
+        monkeypatch.setattr(berger, "CHUNK_ROWS", chunk_rows)
+        for p, want in zip(params, expected):
+            assert sums(p) == want
+            for table in (curl_spectrum(p, 60), laplacian_spectrum(p, 60)):
+                got = [
+                    (e.series, e.n, e.l, e.value, e.multiplicity)
+                    for e in table.entries
+                ]
+                assert got == reference_rows(table.kind, table.a, 60)
+
+    def test_chunks_hold_whole_quantum_numbers(self, monkeypatch):
+        monkeypatch.setattr(berger, "CHUNK_ROWS", 30)
+        t = curl_spectrum(BergerParams(2), 80)
+        runs = [(n0, n1, values.size) for n0, n1, values, _ in t.chunks()]
+        assert [r[0] for r in runs[1:]] == [r[1] for r in runs[:-1]]
+        assert (runs[0][0], runs[-1][1]) == (2, 81)
+        for n0, n1, size in runs:
+            assert size == sum(2 + 2 * (n // 2) for n in range(n0, n1))
+            assert size <= 30 or n1 == n0 + 1
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+           -1e-300, 1.0, 1e300, -1e300, 1.7976931348623157e308,
+           -1.7976931348623157e308]
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e-300, 1e300).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.sampled_from(SPECIAL),
+)
+
+
+@st.composite
+def term_chunks(draw):
+    """Chunks of finite terms; some cancel exactly, leaving a small rest."""
+    terms = draw(st.lists(FINITE, max_size=60))
+    if draw(st.booleans()):
+        terms += [-x for x in terms] + draw(st.lists(FINITE, max_size=2))
+        terms = draw(st.permutations(terms))
+    cuts = sorted(draw(st.lists(st.integers(0, len(terms)), max_size=4)))
+    bounds = [0, *cuts, len(terms)]
+    return [terms[i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+class TestExactSum:
+    @given(term_chunks())
+    def test_equals_correctly_rounded_sum(self, chunks):
+        terms = [x for chunk in chunks for x in chunk]
+        arrays = (np.array(chunk, dtype=np.float64) for chunk in chunks)
+        exact = sum(map(Fraction, terms), Fraction(0))
+        try:
+            expected = float(exact)
+        except OverflowError:
+            with pytest.raises(ValueError, match="not a finite float"):
+                berger._exact_sum(arrays, "the test sum")
+            return
+        total, _ = berger._exact_sum(arrays, "the test sum")
+        assert math.copysign(1, total) == math.copysign(1, expected)
+        assert total == expected
+        try:
+            assert total == math.fsum(terms)
+        except OverflowError:
+            pass  # fsum overflows in an intermediate sum that is not the result
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_term_rejected(self, bad):
+        chunks = [np.ones(3), np.array([1.0, bad])]
+        with pytest.raises(ValueError, match="not a finite float"):
+            berger._exact_sum(iter(chunks), "the test sum")
 
 
 class TestPinnedReports:

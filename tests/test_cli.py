@@ -269,3 +269,18 @@ class TestDeterminism:
         assert run(args, out1) == 0
         assert run(args, out2) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_exact_commands_start_without_numpy():
+    code = (
+        "import contextlib, io, sys\n"
+        "import curlasym.cli as cli\n"
+        "assert 'curlasym.berger' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.entry(['asym', '--config', 'c1']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from curlasym.calculus import identity_jet
 from curlasym.configs import random_config, unit_config
 from curlasym.exactpoly import (
     GR_I,
@@ -83,6 +84,20 @@ class TestCurvatureConfig:
         for record, field in ((cfg, "ric0"), (mj, "g"), (tj, "z_vector")):
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
+
+    def test_records_reject_new_and_existing_names(self):
+        # dataclass(slots=True) made these raise TypeError for a new name.
+        mj = build_metric_jet(unit_config("c7"))
+        records = (
+            identity_jet(2),
+            mj.config,
+            mj,
+            transport_jet(mj, "origin_to_y"),
+        )
+        for record in records:
+            for name in ("foo", type(record).__slots__[0]):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 1)
 
 
 class TestRiemannFromRicci:
