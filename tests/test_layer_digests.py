@@ -1,5 +1,5 @@
 """SHA-256 digests of the geometry layer, the Hodge symbol, the norm-power
-jets and the pointwise eigenprojections, pinned.
+jets, the pointwise eigenprojections and the projection layer, pinned.
 
 The geometry digests were taken from the hand-looped construction that the
 ``tensor``/``poly_from_monomials`` helpers replaced, and the norm-power and
@@ -8,6 +8,11 @@ raising that ``raised_covector`` replaced; any change in a value,
 a truncation order or a term set changes a digest.  Values are serialised
 with ``poly_to_dict`` for polynomials and ``str`` of the rational parts for
 scalars, so the digests do not depend on how a scalar renders itself.
+
+The projection-layer digests (every ``run_algorithm`` step, the
+``verify_projection`` dicts, the asymmetry report and the square-root
+hierarchy) were taken while each layer still rebuilt the metric jet, the curl
+symbol and the covector norm that its caller already held.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from fractions import Fraction
 
 import pytest
 
-from curlasym.altderiv import hodge_symbol
+from curlasym.altderiv import build_hierarchy, hodge_symbol
 from curlasym.configs import random_bianchi_config, random_config, unit_config
 from curlasym.exactpoly import GaussianRational, TruncatedPoly, poly_to_dict
 from curlasym.geometry import (
@@ -29,7 +34,13 @@ from curlasym.geometry import (
     norm_power_jet,
     transport_jet,
 )
-from curlasym.projections import initial_symbols
+from curlasym.projections import (
+    LABELS,
+    asymmetry_report,
+    initial_symbols,
+    run_algorithm,
+    verify_projection,
+)
 
 CONFIGS = ("c1", "c11", "c17", "seed1", "seed2")
 TRANSPORT_TAGS = ("origin_to_y", "y_to_origin", ("y_to_tau_y", Fraction(1, 2)))
@@ -63,9 +74,12 @@ def _ser(value):
     raise TypeError(type(value))
 
 
-def _digest(value) -> str:
-    text = json.dumps(_ser(value), sort_keys=True, separators=(",", ":"))
+def _text_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _digest(value) -> str:
+    return _text_digest(json.dumps(_ser(value), sort_keys=True, separators=(",", ":")))
 
 
 def layer_digests(name: str) -> dict:
@@ -330,3 +344,109 @@ COVECTOR_PINNED = {
 @pytest.mark.parametrize("name", CONFIGS)
 def test_covector_layer_digests(name):
     assert covector_digests(name) == COVECTOR_PINNED[name]
+
+
+PROJECTION_CONFIGS = ("c11", "seed1", "seed2")
+HIERARCHY_FIELDS = ("r0", "r_m1", "r_m2", "s_m2", "s_m3", "s_m4")
+
+
+def projection_digests(name: str) -> dict:
+    """Digests of each accuracy-3 branch (its jet and every R/S/T/X step),
+    its verification dict, the asymmetry report and the six matrices of the
+    square-root hierarchy (on the Bianchi config of the same seed)."""
+    cfg = _config(name)
+    out = {}
+    for aleph in LABELS:
+        fam = run_algorithm(cfg, aleph, 3)
+        out[f"run.{aleph}.jet"] = _digest(fam.jet)
+        for k, step in enumerate(fam.steps, 1):
+            out[f"run.{aleph}.{k}"] = _digest([step[key] for key in "RSTX"])
+        out[f"verify.{aleph}"] = _text_digest(
+            json.dumps(verify_projection(fam), sort_keys=True)
+        )
+    out["asymmetry_report"] = _text_digest(asymmetry_report(cfg).dumps())
+    h = build_hierarchy(_hodge_config(name))
+    for field in HIERARCHY_FIELDS:
+        out[f"hierarchy.{field}"] = _digest(getattr(h, field))
+    return out
+
+
+PROJECTION_PINNED = {
+    "c11": {
+        "asymmetry_report": "d37f9d0dcc5192708e1851fdef5fd56384d9ef75dd0953703c8c0ec2e0ee7875",
+        "hierarchy.r0": "ae162c5005cf42fc2635e82d096276be80a31ddbcb815c0b5cad6c08d2344123",
+        "hierarchy.r_m1": "62ad4e5302e23d0e46a2eeb668b6874b7a1272d3e65910a453aabb66b0a90cec",
+        "hierarchy.r_m2": "cfa6c9e5c8f150281dd4abda4b158698501dd2ebfa4630254a663ebc6d9a5bf6",
+        "hierarchy.s_m2": "da87985c146b383daef830f8def556e86296873e883fa480c9d26720e6f772a2",
+        "hierarchy.s_m3": "15a47a813cfcd622f8b09da87099174288bcc144d8f0a7a786093312235bde17",
+        "hierarchy.s_m4": "850fff9022408b6008aa51d2d046931b0119959a57926e98d84f80776c6a8724",
+        "run.+.1": "f251bd9d4a428392848d7b3dea9ef22a401a56d68a7785010b1bbced26528431",
+        "run.+.2": "c168e955447161ba6b99856054865d15df044762e6f42234dd32dc8585d6fe0e",
+        "run.+.3": "36b98d602f2f85835e23af6f217dfb32c02dd126e0b09b6dc6c2d6e96f5d9c01",
+        "run.+.jet": "fab84475184c0c01769135c576367a1274dc3b8d0536f01497bbbc1f3dd94544",
+        "run.-.1": "62c7e9c61cc27b13249bf1f6b1f02d5b58e76442f77a0f886fac1e3f91dc50f8",
+        "run.-.2": "2a6cd6264e8251abd461d626295fd7f52fc4712f62865e838b1aea0390700d19",
+        "run.-.3": "a703a1f9a7f13d10e17fc3ddcafaeb5dbe88b55623bab47c40468cdbe58095bd",
+        "run.-.jet": "33b6bd725f4108a020077371c4a4ae1d8f74fd869d3fd6fde4264bd11a4f61dc",
+        "run.0.1": "f14d733b1e3c44a0937f05de9f5d91e6dc56079b1b7191b954ae776c71b4a82e",
+        "run.0.2": "2c136660ce16686ffd19172f2a89be96a8f2868c5e919c3d94ef3ac971a56287",
+        "run.0.3": "f1a82f81e00045ac71c14be9f273c4e0adb55f71074715716cefb1e024bc9736",
+        "run.0.jet": "3b04ed82833db0eb4638ecfb56ca884016b40f23f0815f9dc9af93a25c3d3c84",
+        "verify.+": "0d2c6d788fed5cfdbf230f2d4372fb55b13ba6f112db30a859a5960bf960a15e",
+        "verify.-": "e66a61f5cdbe59b585597f94df947afee141a7e342bd521a46efb251cf6f1efc",
+        "verify.0": "4f6448d58862389fdab1d891e574b92a313c99fad679a47c162490099d92b662",
+    },
+    "seed1": {
+        "asymmetry_report": "736fdfce177b56578d36125abda66140ce1a7d473803d6d0e9444cb0ca29812d",
+        "hierarchy.r0": "9974933eb5078420cc757739027622d311f82edeb44ad948a3eae909d9746496",
+        "hierarchy.r_m1": "49d585daca16e5957bfbb5f4586a0293245e48bc608d419c49909e78ad6f899e",
+        "hierarchy.r_m2": "05d7308c6a6cde4ce0b048b3604026f899b7586abf4166baf8bd21be03874bcf",
+        "hierarchy.s_m2": "7b5f8ca58c869bb24ef4393a7ff439c16f3f25919a1116ae59c17d17214a398b",
+        "hierarchy.s_m3": "9e86d7666224671a9953d1bb16da1c85cfa6bb42aa3b819b0eeb6c5220754d98",
+        "hierarchy.s_m4": "46601681682a16d42b9a4c46d89a94f10cb4d645ae1698f41d2bf0bb6d9adb65",
+        "run.+.1": "6e5c1d1e6a23c73732a0654cc5e17b914bb62855821a13f4b988b7d3e8be8923",
+        "run.+.2": "46d9e8193a3f3f0f07a8e4540a436c786202a6459adea90c399650198ae4f004",
+        "run.+.3": "10aa3ed6efaa4800fe6c4c4f53dc9b430365ca59df07420f9772210cc7b554f8",
+        "run.+.jet": "76b111c1b059c768ed2d91edf432ded869083cfa4b0296df8a26203278ec25ad",
+        "run.-.1": "663f2e7d0501c286b9e8c10949118d1dfe923544c8eddfee066aac90b17eb0e0",
+        "run.-.2": "53047a01afb4f8323026d34eda2f1425891d138ca2887b0e7da06afcd59b36ff",
+        "run.-.3": "0f7b8c9feac08e8d78e7adc2fd685eea474eaca7fa778bab0967f5c28abe84c4",
+        "run.-.jet": "e3bc40140c089345f76ef20156e15341e9a6fc7ff4b4157f6a84d6ab7b4c2969",
+        "run.0.1": "7100bf7dc9cc2788410fff53f7ab654af520eb4a937208ce9a3788727e3261f8",
+        "run.0.2": "2c87efd8f8aaa1511c94c124470f98a9e7b6ce7b3dd4f47f5ab126658ed4b6dc",
+        "run.0.3": "5a39683bb21a222d8901893da733669e13158d188cfc566f101c2a1eaed4f06f",
+        "run.0.jet": "b346ef04e8142386b623e7b7c7539a5021846f31492a1bea0e21a408afd714cd",
+        "verify.+": "0d2c6d788fed5cfdbf230f2d4372fb55b13ba6f112db30a859a5960bf960a15e",
+        "verify.-": "e66a61f5cdbe59b585597f94df947afee141a7e342bd521a46efb251cf6f1efc",
+        "verify.0": "4f6448d58862389fdab1d891e574b92a313c99fad679a47c162490099d92b662",
+    },
+    "seed2": {
+        "asymmetry_report": "5337c0d2a60719c87f02890094ea5b595b7faeeec7e32e56018773ff69f1488c",
+        "hierarchy.r0": "146fd161fca37ce4ef9f36f6dd671b64272be85b9e5bba89151df044ba25619d",
+        "hierarchy.r_m1": "35bf7ef0371ba1422848d98ead9d12ac2bc82b02bbd3baf78086a58591864c01",
+        "hierarchy.r_m2": "0e38c8fcf03ac8c175ed603b8dc9232c8eba7b0fd8ec574b4f648b4886593a8d",
+        "hierarchy.s_m2": "d41ed6aaad7296e25249132ef598362c0ab175fc6f4bbf1cde809a482f505ef9",
+        "hierarchy.s_m3": "32c16dcdaedd0ee6985e92679b2a2f07257a9abc4e60c19faae801e102dd3221",
+        "hierarchy.s_m4": "95399b3bc3ebf5110ff1921d488b09f2ba89624aec2b56c0b17e4a6b119e0188",
+        "run.+.1": "bb47e60210d9988e5d7d46c5232f5fc94bb36a5c49536b1c5c71536b3960b8d9",
+        "run.+.2": "5534b06232f868d79890966d397a2f05c98c1a57da8c2c2ead3d94f7c19985e4",
+        "run.+.3": "b3354e301d2bb617dd00ef74310f2ce9da5296cd8e58caf07095ce53b5d31f4c",
+        "run.+.jet": "21f3c251ecaaa92bcd2850b8b62ecf33eb9040e565a2fcae31f12c5ade767854",
+        "run.-.1": "cdb702d9f19cfadd47bc2e0cc87227c8a01366e3c73b08e46c86f24ec2273114",
+        "run.-.2": "b270339fc17ae297fffe4f387b2306702ef41a1f14976df048bc63a5d0d84cbf",
+        "run.-.3": "02fa028a43d75c410469a88a23e222ac2e0dbdf709ce118874e9b0cb80d914aa",
+        "run.-.jet": "5d3a187bcf8e385b37ef0826842cb9be368b59d12608b10e9cc7503b19a9e4c2",
+        "run.0.1": "5c6e127572f62eb7240c0f652d605c1949bdf1ca94573043e34f1aa2a39ff3ab",
+        "run.0.2": "39d370615cb8a6eba4411d0f3f5c370285be81677501e83560c21e45d481dafd",
+        "run.0.3": "b77d8c4cb7fbbbf6b196e10f9b972807e53cb75469f6600ba5f739bc096ef235",
+        "run.0.jet": "1aa34fe5047b65d06b42b4d6ea1833ff972d86b6d507ca6eaa45a7bcc010dcbb",
+        "verify.+": "0d2c6d788fed5cfdbf230f2d4372fb55b13ba6f112db30a859a5960bf960a15e",
+        "verify.-": "e66a61f5cdbe59b585597f94df947afee141a7e342bd521a46efb251cf6f1efc",
+        "verify.0": "4f6448d58862389fdab1d891e574b92a313c99fad679a47c162490099d92b662",
+    },
+}
+
+
+@pytest.mark.parametrize("name", PROJECTION_CONFIGS)
+def test_projection_layer_digests(name):
+    assert projection_digests(name) == PROJECTION_PINNED[name]
