@@ -34,8 +34,10 @@ from .geometry import (
     CurvatureConfig,
     MetricJet,
     build_metric_jet,
+    covector_norm_sq,
     euclid_norm_power_jet,
-    norm_power_jet,
+    norm_power,
+    raised_covector,
     riemann_from_ricci,
     xi_polys,
 )
@@ -106,7 +108,6 @@ def hodge_symbol(cfg: CurvatureConfig) -> tuple:
 class HodgeHierarchy:
     """Symbol components of the half and inverse-half Laplacian powers."""
 
-    config: CurvatureConfig
     mj: MetricJet
     q1: Matrix
     q0: Matrix
@@ -134,8 +135,9 @@ def sqrt_hierarchy(q1: Matrix, q0: Matrix, mj: MetricJet) -> HodgeHierarchy:
     eu1 = euclid_norm_power_jet(1, order)
     eum1 = euclid_norm_power_jet(-1, order)
     eum2 = euclid_norm_power_jet(-2, order)
-    rn1 = norm_power_jet(mj, 1, order)
-    rnm1 = norm_power_jet(mj, -1, order)
+    quad = covector_norm_sq(raised_covector(mj, order))
+    rn1 = norm_power(quad, 1)
+    rnm1 = norm_power(quad, -1)
 
     half = rat(1, 2)
     inv_i = -GR_I  # 1/i
@@ -214,7 +216,7 @@ def sqrt_hierarchy(q1: Matrix, q0: Matrix, mj: MetricJet) -> HodgeHierarchy:
         mat_scale(derivative_term(rnm1_mat, eum1.scale(rat(1, 6)), 3), inv_i),
     )
 
-    return HodgeHierarchy(mj.config, mj, q1, q0, r0, r_m1, r_m2, s_m2, s_m3, s_m4)
+    return HodgeHierarchy(mj, q1, q0, r0, r_m1, r_m2, s_m2, s_m3, s_m4)
 
 
 def build_hierarchy(cfg: CurvatureConfig) -> HodgeHierarchy:

@@ -349,12 +349,12 @@ def trace_diag(q: SymbolJet) -> SymbolJet:
     return SymbolJet(q.top_degree, q.accuracy, (1, 1), comps)
 
 
-def transport_correction(q0: Matrix, mj, level: int, qm1: Matrix | None = None) -> GaussianRational:
+def transport_correction(q0: Matrix, mj, level: int, qm1: Matrix) -> GaussianRational:
     """Parallel-transport correction to the matrix trace at the anchor.
 
-    q0 must be the degree-0 component of the difference of the two nonzero
-    spectral projection symbols.  If the degree -1 component is supplied it
-    is checked to vanish at x = 0, which the closed-form contractions assume.
+    q0 and qm1 must be the degree-0 and degree -1 components of the
+    difference of the two nonzero spectral projection symbols.  qm1 is checked
+    to vanish at x = 0, which the closed-form contractions assume.
 
     Level 2 contracts the Riemann tensor with the second eta-derivatives of
     q0; level 3 contracts the symmetrized second derivative of the
@@ -363,7 +363,7 @@ def transport_correction(q0: Matrix, mj, level: int, qm1: Matrix | None = None) 
     """
     if level not in (2, 3):
         raise ValueError("level must be 2 or 3")
-    if qm1 is not None and not mat_is_zero(mat_restrict(qm1, X_VARS)):
+    if not mat_is_zero(mat_restrict(qm1, X_VARS)):
         raise ValueError(
             "degree -1 component does not vanish at the anchor point"
         )

@@ -28,7 +28,7 @@ from .berger import (
 )
 from .configs import UNIT_CONFIG_NAMES, unit_config
 from .exactpoly import parse_rational
-from .geometry import CurvatureConfig
+from .geometry import CurvatureConfig, build_metric_jet
 from .kernel import (
     LOG_COEFF_TARGET,
     basset_check,
@@ -92,10 +92,11 @@ def cmd_project(args: argparse.Namespace) -> int:
         if aleph not in LABELS:
             raise ValueError(f"unknown branch label {aleph!r}")
     cfg = _load_config(args.config)
+    mj = build_metric_jet(cfg)
     payload = {"config": cfg.to_dict(), "accuracy": args.accuracy, "runs": []}
     all_pass = True
     for aleph in alephs:
-        fam = run_algorithm(cfg, aleph, args.accuracy)
+        fam = run_algorithm(mj, aleph, args.accuracy)
         report = verify_projection(fam)
         all_pass = all_pass and report["pass"]
         payload["runs"].append(

@@ -305,7 +305,7 @@ def xi_polys(order: int) -> tuple:
     )
 
 
-def _norm_power(quad: TruncatedPoly, r: object) -> TruncatedPoly:
+def norm_power(quad: TruncatedPoly, r: object) -> TruncatedPoly:
     """Jet of quad^(r/2) for a squared norm jet with value 1 at the anchor.
 
     The exponent r must have denominator 1 or 2 so the expansion stays in the
@@ -326,18 +326,21 @@ def raised_covector(mj: MetricJet, order: int) -> tuple:
     return tuple(reduce(poly_add, map(poly_mul, row, xi)) for row in g_inv)
 
 
+def covector_norm_sq(raised: tuple) -> TruncatedPoly:
+    """The squared norm (xi0 + eta)_a g^{ab} (xi0 + eta)_b of a raised covector."""
+    return reduce(poly_add, map(poly_mul, xi_polys(raised[0].order), raised))
+
+
 def norm_power_jet(mj: MetricJet, r: object, order: int) -> TruncatedPoly:
     """Jet of the Riemannian norm power ||xi||^r at (0, xi0)."""
-    raised = raised_covector(mj, order)
-    q = reduce(poly_add, map(poly_mul, xi_polys(order), raised))
-    return _norm_power(q, r)
+    return norm_power(covector_norm_sq(raised_covector(mj, order)), r)
 
 
 def euclid_norm_power_jet(r: object, order: int) -> TruncatedPoly:
     """Jet of the Euclidean norm power |xi|^r at (0, xi0)."""
     # |xi0 + eta|^2 = 1 + 2 eta_3 + eta_1^2 + eta_2^2 + eta_3^2.
     squares = [(1, (v, v)) for v in ETA_VARS]
-    return _norm_power(poly_from_monomials(order, [(1, ()), (2, (E3,))] + squares), r)
+    return norm_power(poly_from_monomials(order, [(1, ()), (2, (E3,))] + squares), r)
 
 
 def curl_symbol(mj: MetricJet, accuracy: int = 3) -> SymbolJet:

@@ -23,14 +23,15 @@ from .calculus import (
     trace_diag,
     transport_correction,
 )
-from .exactpoly import X_VARS, GaussianRational, poly_mul, rat
+from .exactpoly import X_VARS, GaussianRational, TruncatedPoly, poly_mul, rat
 from .geometry import (
     EPSILON,
     CurvatureConfig,
     MetricJet,
     build_metric_jet,
+    covector_norm_sq,
     curl_symbol,
-    norm_power_jet,
+    norm_power,
     raised_covector,
     xi_polys,
 )
@@ -64,21 +65,21 @@ _DENOM_FACTOR = {
 }
 
 
-def initial_symbols(mj: MetricJet, order: int) -> dict:
+def initial_symbols(raised: tuple, inv1: TruncatedPoly, curl_prin: Matrix) -> dict:
     """Pointwise eigenprojection matrices of the curl principal symbol.
 
-    Returns {"0": P0, "+": P+, "-": P-} with P0 the projection onto the
-    gradient direction and P+- = (1/2)(Id - P0 -+ inverse-norm * curl_prin).
+    From the raised covector g^{ab} xi_b, the jet inv1 of ||xi||^-1 and
+    curl_prin at one order: {"0": P0, "+": P+, "-": P-}, with P0 the
+    projection onto the gradient direction and
+    P+- = (1/2)(Id - P0 -+ inv1 * curl_prin).
     """
-    inv2 = norm_power_jet(mj, -2, order)
-    inv1 = norm_power_jet(mj, -1, order)
+    order = inv1.order
     xi = xi_polys(order)
 
     # P0[a][b] = xi_a g^{bc} xi_c / ||xi||^2.
-    raised = raised_covector(mj, order)
+    inv2 = poly_mul(inv1, inv1)
     p0 = tensor(lambda a, b: poly_mul(inv2, poly_mul(xi[a], raised[b])), 2)
 
-    curl_prin = curl_symbol(mj, order).principal()
     half = rat(1, 2)
     base = mat_scale(mat_sub(identity_mat(order), p0), half)
     swirl = mat_scale(mat_poly_scale(curl_prin, inv1), half)
@@ -91,19 +92,20 @@ def initial_symbols(mj: MetricJet, order: int) -> dict:
 
 @dataclass(frozen=True)
 class ProjectionFamily:
-    """One projection jet with its construction audit trail."""
+    """One projection jet with its construction audit trail, and the metric
+    jet and curl symbol it was built from."""
 
     aleph: str
-    config: CurvatureConfig
-    accuracy: int
+    mj: MetricJet
+    curl_jet: SymbolJet
     jet: SymbolJet
     steps: tuple
 
     def to_dict(self) -> dict:
         return {
             "aleph": self.aleph,
-            "config": self.config.to_dict(),
-            "accuracy": self.accuracy,
+            "config": self.mj.config.to_dict(),
+            "accuracy": self.jet.accuracy,
             "jet": self.jet.to_dict(),
             "steps": [
                 {name: mat_to_dict(m) for name, m in step.items()}
@@ -112,26 +114,26 @@ class ProjectionFamily:
         }
 
 
-def run_algorithm(
-    cfg: CurvatureConfig, aleph: str, accuracy: int
-) -> ProjectionFamily:
+def run_algorithm(mj: MetricJet, aleph: str, accuracy: int) -> ProjectionFamily:
     """Build the projection jet for one eigenvalue branch, step by step.
 
-    At step k the idempotency defect R and commutation defect feed the
-    off-diagonal correction X through the eigenvalue-difference denominators;
-    X is installed as the graded level-k component and the iteration repeats.
-    All intermediates (R, S, T, X) are recorded for audit.
+    The curl symbol, the raised covector and the squared covector norm are
+    formed once from the metric jet mj (order 3, as ``build_metric_jet``
+    makes it).  At step k the idempotency defect R and commutation defect
+    feed the off-diagonal correction X through the eigenvalue-difference
+    denominators; X is installed as the graded level-k component and the
+    iteration repeats.  All intermediates (R, S, T, X) are recorded for audit.
     """
     if aleph not in LABELS:
         raise ValueError(f"unknown branch label {aleph!r}")
     if accuracy not in (1, 2, 3):
         raise ValueError("accuracy must be 1, 2 or 3")
     n = accuracy
-    mj = build_metric_jet(cfg, order=max(3, n))
-    prin = initial_symbols(mj, order=n)
     curl_jet = curl_symbol(mj, accuracy=n)
     curl_prin = curl_jet.principal()
-    inv1 = norm_power_jet(mj, -1, n)
+    raised = raised_covector(mj, n)
+    inv1 = norm_power(covector_norm_sq(raised), -1)
+    prin = initial_symbols(raised, inv1, curl_prin)
 
     p = SymbolJet(0, n, (3, 3), [prin[aleph]])
     steps = []
@@ -174,7 +176,7 @@ def run_algorithm(
         p = p.with_component_added(k, x_mat)
         steps.append({"R": r_mat, "S": s_mat, "T": t_mat, "X": x_mat})
 
-    return ProjectionFamily(aleph, cfg, n, p, tuple(steps))
+    return ProjectionFamily(aleph, mj, curl_jet, p, tuple(steps))
 
 
 def verify_projection(fam: ProjectionFamily) -> dict:
@@ -182,13 +184,12 @@ def verify_projection(fam: ProjectionFamily) -> dict:
 
     Idempotency must hold exactly at every graded level 0..N; commutation
     with the curl symbol at levels 0..N-1.  The level-N commutation residual
-    is reported informationally.
+    is reported informationally.  The compositions are the full ones, with
+    the curl symbol the family was built from.
     """
-    n = fam.accuracy
-    mj = build_metric_jet(fam.config, order=max(3, n))
-    curl_jet = curl_symbol(mj, accuracy=n)
+    n = fam.jet.accuracy
     idem = compose(fam.jet, fam.jet) - fam.jet
-    comm = compose(fam.jet, curl_jet) - compose(curl_jet, fam.jet)
+    comm = compose(fam.jet, fam.curl_jet) - compose(fam.curl_jet, fam.jet)
 
     first_failure = None
     idem_pass = True
@@ -274,20 +275,12 @@ def asymmetry_report(cfg: CurvatureConfig) -> AsymmetryReport:
     parallel-transport corrections, and compares the degree -3 value against
     the curvature-derivative closed form.
     """
-    fam_p = run_algorithm(cfg, "+", 3)
-    fam_m = run_algorithm(cfg, "-", 3)
-    diff = fam_p.jet - fam_m.jet
-    mj = build_metric_jet(cfg, order=3)
+    mj = build_metric_jet(cfg)
+    diff = run_algorithm(mj, "+", 3).jet - run_algorithm(mj, "-", 3).jet
 
-    tr = trace_diag(diff)
-    diag_traces = tuple(
-        tr.components[k][0][0].constant_term() for k in range(4)
-    )
-    q0 = diff.components[0]
-    qm1 = diff.components[1]
-    pt = tuple(
-        transport_correction(q0, mj, level, qm1=qm1) for level in (2, 3)
-    )
+    diag_traces = tuple(c[0][0].constant_term() for c in trace_diag(diff).components)
+    q0, qm1 = diff.components[:2]
+    pt = tuple(transport_correction(q0, mj, level, qm1) for level in (2, 3))
     a_prin = diag_traces[3]
     closed = aprin_closed_form(cfg, (rat(0), rat(0), rat(1)))
     return AsymmetryReport(cfg, diag_traces, pt, a_prin, closed)

@@ -11,6 +11,8 @@ from curlasym.exactpoly import (
     rat,
 )
 from curlasym.calculus import SymbolJet
+from curlasym.geometry import curl_symbol, norm_power_jet, raised_covector
+from curlasym.projections import initial_symbols
 
 
 def gr(re, im=0):
@@ -30,6 +32,15 @@ def const_mat(rows, order):
             r.append(TruncatedPoly.constant(c, order))
         out.append(tuple(r))
     return tuple(out)
+
+
+def eigenprojections(mj, order):
+    """The pointwise eigenprojections of one metric jet at one order."""
+    return initial_symbols(
+        raised_covector(mj, order),
+        norm_power_jet(mj, -1, order),
+        curl_symbol(mj, order).principal(),
+    )
 
 
 def anchor_values(m):

@@ -80,8 +80,9 @@ def report(num: int, ok: bool, text: str) -> None:
 
 def test_criterion_01_golden_intermediates_order_check():
     ok = True
+    mj_c1 = build_metric_jet(unit_config("c1"))
     for sign, aleph in ((1, "+"), (-1, "-")):
-        fam = run_algorithm(unit_config("c1"), aleph, 2)
+        fam = run_algorithm(mj_c1, aleph, 2)
         step = fam.steps[1]
         i = GR_I
         s12 = rat(1, 12)
@@ -110,8 +111,8 @@ def test_criterion_01_golden_intermediates_order_check():
                     ok = ok and got[a][b] == expect[a][b]
     trace_diff = sum(
         (
-            anchor_values(run_algorithm(unit_config("c1"), "+", 2).steps[1]["X"])[k][k]
-            - anchor_values(run_algorithm(unit_config("c1"), "-", 2).steps[1]["X"])[k][k]
+            anchor_values(run_algorithm(mj_c1, "+", 2).steps[1]["X"])[k][k]
+            - anchor_values(run_algorithm(mj_c1, "-", 2).steps[1]["X"])[k][k]
         )
         for k in range(3)
     )
@@ -122,7 +123,7 @@ def test_criterion_01_golden_intermediates_order_check():
 def test_criterion_02_golden_intermediates_a_prin():
     ok = True
     for sign, aleph in ((1, "+"), (-1, "-")):
-        fam = run_algorithm(unit_config("c11"), aleph, 3)
+        fam = run_algorithm(build_metric_jet(unit_config("c11")), aleph, 3)
         step = fam.steps[2]
         i = GR_I
         e8, e4 = rat(1, 8), rat(1, 4)
@@ -153,7 +154,7 @@ def test_criterion_03_full_sweep():
         ok = ok and rep.a_prin_value == aprin_closed_form(cfg, (0, 0, 1))
         mj = build_metric_jet(cfg, order=3)
         for aleph in LABELS:
-            fam = run_algorithm(cfg, aleph, 3)
+            fam = run_algorithm(mj, aleph, 3)
             ok = ok and verify_projection(fam)["pass"]
             ok = ok and mat_is_zero(subprincipal_check(fam, mj))
     report(3, ok, "24-config sweep: traces, transport, subprincipal, closed form")

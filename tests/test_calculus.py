@@ -289,7 +289,8 @@ class TestTransportCorrection:
     def _asym_parts(cfg):
         from curlasym.projections import run_algorithm
 
-        diff = run_algorithm(cfg, "+", 3).jet - run_algorithm(cfg, "-", 3).jet
+        mj = build_metric_jet(cfg)
+        diff = run_algorithm(mj, "+", 3).jet - run_algorithm(mj, "-", 3).jet
         return diff.components[0], diff.components[1]
 
     def test_vanishes_on_unit_configs(self):

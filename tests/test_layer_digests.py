@@ -37,10 +37,11 @@ from curlasym.geometry import (
 from curlasym.projections import (
     LABELS,
     asymmetry_report,
-    initial_symbols,
     run_algorithm,
     verify_projection,
 )
+
+from conftest import eigenprojections
 
 CONFIGS = ("c1", "c11", "c17", "seed1", "seed2")
 TRANSPORT_TAGS = ("origin_to_y", "y_to_origin", ("y_to_tau_y", Fraction(1, 2)))
@@ -114,7 +115,7 @@ def covector_digests(name: str) -> dict:
             out[f"norm_power.{r}.{order}"] = _digest(norm_power_jet(mj4, r, order))
     mj3 = build_metric_jet(cfg, 3)
     for order in (2, 3):
-        prin = initial_symbols(mj3, order)
+        prin = eigenprojections(mj3, order)
         out[f"initial.{order}"] = _digest([prin[label] for label in ("+", "0", "-")])
     return out
 
@@ -355,9 +356,10 @@ def projection_digests(name: str) -> dict:
     its verification dict, the asymmetry report and the six matrices of the
     square-root hierarchy (on the Bianchi config of the same seed)."""
     cfg = _config(name)
+    mj = build_metric_jet(cfg)
     out = {}
     for aleph in LABELS:
-        fam = run_algorithm(cfg, aleph, 3)
+        fam = run_algorithm(mj, aleph, 3)
         out[f"run.{aleph}.jet"] = _digest(fam.jet)
         for k, step in enumerate(fam.steps, 1):
             out[f"run.{aleph}.{k}"] = _digest([step[key] for key in "RSTX"])

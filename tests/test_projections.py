@@ -39,13 +39,12 @@ from curlasym.projections import (
     ProjectionFamily,
     aprin_closed_form,
     asymmetry_report,
-    initial_symbols,
     run_algorithm,
     subprincipal_check,
     verify_projection,
 )
 
-from conftest import anchor_values, const_mat, gr
+from conftest import anchor_values, const_mat, eigenprojections, gr
 
 
 def _gmat(entries, order):
@@ -74,7 +73,7 @@ X2X3 = (0, 1, 1, 0, 0, 0)
 class TestInitialSymbols:
     def test_flat_anchor_values(self):
         mj = build_metric_jet(CurvatureConfig.flat(), order=3)
-        prin = initial_symbols(mj, order=2)
+        prin = eigenprojections(mj, 2)
         assert anchor_values(prin["0"]) == anchor_values(
             const_mat([[0, 0, 0], [0, 0, 0], [0, 0, 1]], 2)
         )
@@ -93,7 +92,7 @@ class TestInitialSymbols:
         rng = random.Random(100)
         for _ in range(10):
             mj = build_metric_jet(random_config(rng), order=3)
-            prin = initial_symbols(mj, order=2)
+            prin = eigenprojections(mj, 2)
             total = mat_add(mat_add(prin["0"], prin["+"]), prin["-"])
             assert mat_is_zero(mat_sub(total, identity_mat(2)))
 
@@ -101,7 +100,7 @@ class TestInitialSymbols:
         rng = random.Random(101)
         for _ in range(5):
             mj = build_metric_jet(random_config(rng), order=3)
-            prin = initial_symbols(mj, order=2)
+            prin = eigenprojections(mj, 2)
             for a in LABELS:
                 for b in LABELS:
                     prod = mat_mul(prin[a], prin[b])
@@ -114,7 +113,7 @@ class TestInitialSymbols:
     def test_eigen_relations(self):
         rng = random.Random(102)
         mj = build_metric_jet(random_config(rng), order=3)
-        prin = initial_symbols(mj, order=2)
+        prin = eigenprojections(mj, 2)
         curl = curl_symbol(mj, 2).principal()
         norm = norm_power_jet(mj, 1, 2)
         assert mat_is_zero(mat_mul(curl, prin["0"]))
@@ -127,7 +126,7 @@ class TestInitialSymbols:
 class TestRunAlgorithm:
     def test_flat_steps_are_zero(self):
         for aleph in LABELS:
-            fam = run_algorithm(CurvatureConfig.flat(), aleph, 3)
+            fam = run_algorithm(build_metric_jet(CurvatureConfig.flat()), aleph, 3)
             for step in fam.steps:
                 assert mat_is_zero(step["X"])
             for k in (1, 2, 3):
@@ -136,14 +135,14 @@ class TestRunAlgorithm:
     def test_bad_inputs(self):
         cfg = CurvatureConfig.flat()
         with pytest.raises(ValueError):
-            run_algorithm(cfg, "x", 2)
+            run_algorithm(build_metric_jet(cfg), "x", 2)
         with pytest.raises(ValueError):
-            run_algorithm(cfg, "+", 7)
+            run_algorithm(build_metric_jet(cfg), "+", 7)
 
     def test_c1_step2_intermediates(self):
         """Frozen second-step audit matrices for the pure-Ricci unit config."""
         for sign, aleph in ((1, "+"), (-1, "-")):
-            fam = run_algorithm(unit_config("c1"), aleph, 2)
+            fam = run_algorithm(build_metric_jet(unit_config("c1")), aleph, 2)
             step = fam.steps[1]
             s12 = rat(1, 12)
             assert anchor_values(step["R"]) == anchor_values(
@@ -187,7 +186,7 @@ class TestRunAlgorithm:
     def test_c11_step3_intermediates(self):
         """Frozen third-step audit matrices for the Ricci-derivative config."""
         for sign, aleph in ((1, "+"), (-1, "-")):
-            fam = run_algorithm(unit_config("c11"), aleph, 3)
+            fam = run_algorithm(build_metric_jet(unit_config("c11")), aleph, 3)
             step = fam.steps[2]
             e8 = rat(1, 8)
             assert anchor_values(step["R"]) == anchor_values(
@@ -217,7 +216,7 @@ class TestRunAlgorithm:
     def test_c1_level1_polynomial_matrix(self):
         """Degree -1 component after step one, at the anchor covector."""
         for sign, aleph in ((1, "+"), (-1, "-")):
-            fam = run_algorithm(unit_config("c1"), aleph, 2)
+            fam = run_algorithm(build_metric_jet(unit_config("c1")), aleph, 2)
             got = mat_restrict(fam.jet.components[1], (3, 4, 5))
             s12 = ((-1, 12), (0, 1))
             expect = _gmat(
@@ -236,7 +235,7 @@ class TestRunAlgorithm:
     def test_c11_level_polynomial_matrices(self):
         """Degree -1 and -2 components after step two, at the anchor covector."""
         for sign, aleph in ((1, "+"), (-1, "-")):
-            fam = run_algorithm(unit_config("c11"), aleph, 3)
+            fam = run_algorithm(build_metric_jet(unit_config("c11")), aleph, 3)
             lvl1 = mat_restrict(fam.jet.components[1], (3, 4, 5))
             expect1 = _gmat(
                 {
@@ -267,7 +266,7 @@ class TestRunAlgorithm:
     def test_c1_recorded_defect_matches_recomputation(self):
         """The recorded R at step two equals the negated idempotency defect of
         the step-one jet, recomputed from scratch."""
-        fam = run_algorithm(unit_config("c1"), "+", 2)
+        fam = run_algorithm(build_metric_jet(unit_config("c1")), "+", 2)
         p1 = SymbolJet(
             0, 2, (3, 3), [fam.jet.components[0], fam.jet.components[1]]
         )
@@ -292,12 +291,12 @@ class TestVerifyProjection:
         for name in UNIT_CONFIG_NAMES:
             cfg = unit_config(name)
             for aleph in LABELS:
-                fam = run_algorithm(cfg, aleph, 3)
+                fam = run_algorithm(build_metric_jet(cfg), aleph, 3)
                 report = verify_projection(fam)
                 assert report["pass"], (name, aleph, report["first_failure"])
 
     def test_corrupted_component_fails_at_degree_minus_one(self):
-        fam = run_algorithm(unit_config("c1"), "+", 2)
+        fam = run_algorithm(build_metric_jet(unit_config("c1")), "+", 2)
         bad_lvl1 = [list(row) for row in fam.jet.components[1]]
         one = TruncatedPoly.constant(1, bad_lvl1[0][0].order)
         bad_lvl1[0][0] = bad_lvl1[0][0] + one
@@ -318,7 +317,7 @@ class TestVerifyProjection:
         assert report["first_failure"]["degree"] == -1
 
     def test_family_report_is_json_serializable(self):
-        fam = run_algorithm(unit_config("c1"), "+", 2)
+        fam = run_algorithm(build_metric_jet(unit_config("c1")), "+", 2)
         text = json.dumps(
             {"family": fam.to_dict(), "verification": verify_projection(fam)}
         )
@@ -334,7 +333,7 @@ class TestSubprincipalCheck:
         for cfg in configs:
             mj = build_metric_jet(cfg, order=3)
             for aleph in LABELS:
-                fam = run_algorithm(cfg, aleph, 3)
+                fam = run_algorithm(mj, aleph, 3)
                 assert mat_is_zero(subprincipal_check(fam, mj))
 
     def test_corrupted_christoffel_detected(self):
@@ -342,7 +341,7 @@ class TestSubprincipalCheck:
         up in the subprincipal at the anchor."""
         cfg = unit_config("c1")
         mj = build_metric_jet(cfg, order=3)
-        fam = run_algorithm(cfg, "+", 3)
+        fam = run_algorithm(mj, "+", 3)
         gamma = [
             [[mj.gamma[a][b][c] for c in range(3)] for b in range(3)]
             for a in range(3)
@@ -384,9 +383,8 @@ class TestAsymmetryReport:
 
     def test_degree_minus_one_difference_vanishes_at_anchor_base_point(self):
         for cfg in (unit_config("c1"), unit_config("c11")):
-            diff = (
-                run_algorithm(cfg, "+", 3).jet - run_algorithm(cfg, "-", 3).jet
-            )
+            mj = build_metric_jet(cfg)
+            diff = run_algorithm(mj, "+", 3).jet - run_algorithm(mj, "-", 3).jet
             assert mat_is_zero(mat_restrict(diff.components[1], (0, 1, 2)))
 
     def test_unit_sweep(self):
