@@ -38,7 +38,6 @@ from .geometry import (
     euclid_norm_power_jet,
     norm_power,
     raised_covector,
-    riemann_from_ricci,
     xi_polys,
 )
 from .polymat import (
@@ -55,18 +54,19 @@ from .polymat import (
 _WORK_ORDER = 4
 
 
-def hodge_symbol(cfg: CurvatureConfig) -> tuple:
+def hodge_symbol(mj: MetricJet) -> tuple:
     """Degree-1 and degree-0 symbol parts of the Hodge Laplacian on 1-forms.
 
     Returns (q1, q0) as matrices of truncated polynomials: q1 is linear in
     the covector and quadratic in x, q0 linear in x, both assembled from the
-    covariant derivatives of Ricci and Riemann at the origin.  Accurate up to
+    covariant derivatives of Ricci and Riemann at the origin, read from the
+    metric jet's configuration and its Riemann derivative.  Accurate up to
     the stated higher-order-in-x remainders.
     """
-    if any(v != 0 for row in cfg.ric0 for v in row):
+    if any(v != 0 for row in mj.config.ric0 for v in row):
         raise ValueError("requires vanishing Ricci tensor at the origin")
-    _, driem0 = riemann_from_ricci(cfg)
-    dric = cfg.dric0
+    driem0 = mj.driem0
+    dric = mj.config.dric0
     order = _WORK_ORDER
 
     # a_al{}^{be ga}{}_{mu nu}; index raising at the origin is trivial.
@@ -220,8 +220,8 @@ def sqrt_hierarchy(q1: Matrix, q0: Matrix, mj: MetricJet) -> HodgeHierarchy:
 
 
 def build_hierarchy(cfg: CurvatureConfig) -> HodgeHierarchy:
-    q1, q0 = hodge_symbol(cfg)
     mj = build_metric_jet(cfg, order=_WORK_ORDER)
+    q1, q0 = hodge_symbol(mj)
     return sqrt_hierarchy(q1, q0, mj)
 
 

@@ -61,7 +61,10 @@ class SymbolJet:
     """Graded list of matrix components expanded at (0, xi0).
 
     The constructor pads missing levels with zeros and truncates level k at
-    order accuracy - k, so components always has accuracy + 1 entries.
+    order accuracy - k, so components always has accuracy + 1 entries.  It
+    is the only code that truncates to this graded schedule: sums and
+    products carry the smaller order of their operands, so callers pass
+    their results untruncated.
     """
 
     __slots__ = ("top_degree", "accuracy", "shape", "components")
@@ -131,11 +134,6 @@ class SymbolJet:
             [mat_scale(m, c) for m in self.components],
         )
 
-    def with_component_added(self, k: int, m: Matrix) -> "SymbolJet":
-        comps = list(self.components)
-        comps[k] = mat_add(comps[k], mat_truncate(m, self.accuracy - k))
-        return SymbolJet(self.top_degree, self.accuracy, self.shape, comps)
-
     def _check_compatible(self, other: "SymbolJet") -> None:
         if (
             self.top_degree != other.top_degree
@@ -191,7 +189,8 @@ def compose(b: SymbolJet, a: SymbolJet) -> SymbolJet:
     """Symbol of the composition B A on the graded truncation schedule.
 
     Output level L collects (1 / (i^k m!)) (d_eta^m b_jb) (d_x^m a_ja) over
-    all jb + ja + |m| = L, each product truncated at order accuracy - L.
+    all jb + ja + |m| = L; the SymbolJet constructor truncates each level sum
+    to order accuracy - L.
     """
     if b.accuracy != a.accuracy:
         raise ValueError("accuracy mismatch")
@@ -215,7 +214,9 @@ def compose(b: SymbolJet, a: SymbolJet) -> SymbolJet:
                 cache[key] = mat_diff(deriv(side, level, prev), var)
         return cache[key]
 
-    out = [None] * (n + 1)
+    # Order n is at or above every level's schedule, so each level sum takes
+    # the order of its terms.
+    out = [zero_mat(out_shape, n)] * (n + 1)
     minus_i_pow = [GR_ONE]
     for _ in range(n):
         minus_i_pow.append(minus_i_pow[-1] * (-GR_I))
@@ -237,18 +238,9 @@ def compose(b: SymbolJet, a: SymbolJet) -> SymbolJet:
                         continue
                     coeff = minus_i_pow[k] * rat(1, math.prod(map(math.factorial, m)))
                     term = mat_scale(mat_mul(bm, am), coeff)
-                    out[level] = (
-                        term if out[level] is None else mat_add(out[level], term)
-                    )
+                    out[level] = mat_add(out[level], term)
 
-    comps = []
-    for level in range(n + 1):
-        order = n - level
-        if out[level] is None:
-            comps.append(zero_mat(out_shape, order))
-        else:
-            comps.append(mat_truncate(out[level], order))
-    return SymbolJet(b.top_degree + a.top_degree, n, out_shape, comps)
+    return SymbolJet(b.top_degree + a.top_degree, n, out_shape, out)
 
 
 def _multi_indices(k: int):

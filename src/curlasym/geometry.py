@@ -25,8 +25,6 @@ from typing import Mapping, Sequence
 from .calculus import SymbolJet
 from .exactpoly import (
     E1,
-    E3,
-    ETA_VARS,
     GR_I,
     TruncatedPoly,
     binomial_power_jet,
@@ -338,9 +336,7 @@ def norm_power_jet(mj: MetricJet, r: object, order: int) -> TruncatedPoly:
 
 def euclid_norm_power_jet(r: object, order: int) -> TruncatedPoly:
     """Jet of the Euclidean norm power |xi|^r at (0, xi0)."""
-    # |xi0 + eta|^2 = 1 + 2 eta_3 + eta_1^2 + eta_2^2 + eta_3^2.
-    squares = [(1, (v, v)) for v in ETA_VARS]
-    return norm_power(poly_from_monomials(order, [(1, ()), (2, (E3,))] + squares), r)
+    return norm_power(covector_norm_sq(xi_polys(order)), r)
 
 
 def curl_symbol(mj: MetricJet, accuracy: int = 3) -> SymbolJet:

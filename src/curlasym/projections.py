@@ -48,21 +48,12 @@ from .polymat import (
     mat_scale,
     mat_sub,
     mat_to_dict,
-    mat_truncate,
     tensor,
 )
 
-LABELS = ("+", "0", "-")
-
-# Scalar multiple of the inverse-norm jet giving 1 / (h_aleph - h_beth).
-_DENOM_FACTOR = {
-    ("+", "0"): rat(1),
-    ("+", "-"): rat(1, 2),
-    ("0", "+"): rat(-1),
-    ("0", "-"): rat(1),
-    ("-", "0"): rat(-1),
-    ("-", "+"): rat(-1, 2),
-}
+# The curl principal eigenvalue of each branch, in units of ||xi||.
+EIGENVALUE = {"+": 1, "0": 0, "-": -1}
+LABELS = tuple(EIGENVALUE)
 
 
 def initial_symbols(raised: tuple, inv1: TruncatedPoly, curl_prin: Matrix) -> dict:
@@ -135,10 +126,10 @@ def run_algorithm(mj: MetricJet, aleph: str, accuracy: int) -> ProjectionFamily:
     inv1 = norm_power(covector_norm_sq(raised), -1)
     prin = initial_symbols(raised, inv1, curl_prin)
 
-    p = SymbolJet(0, n, (3, 3), [prin[aleph]])
+    comps = [prin[aleph]]
+    p = SymbolJet(0, n, (3, 3), comps)
     steps = []
     for k in range(1, n + 1):
-        order = n - k
         idem = compose(p, p) - p
         for j in range(k):
             if not mat_is_zero(idem.components[j]):
@@ -146,20 +137,12 @@ def run_algorithm(mj: MetricJet, aleph: str, accuracy: int) -> ProjectionFamily:
                     f"idempotency defect at level {j} before step {k}"
                 )
         r_mat = mat_neg(idem.components[k])
-        s_mat = mat_truncate(
-            mat_add(
-                mat_neg(r_mat),
-                mat_add(
-                    mat_mul(prin[aleph], r_mat), mat_mul(r_mat, prin[aleph])
-                ),
-            ),
-            order,
+        s_mat = mat_sub(
+            mat_add(mat_mul(prin[aleph], r_mat), mat_mul(r_mat, prin[aleph])),
+            r_mat,
         )
         comm = compose(p, curl_jet) - compose(curl_jet, p)
-        t_mat = mat_truncate(
-            mat_add(comm.components[k], mat_commutator(s_mat, curl_prin)),
-            order,
-        )
+        t_mat = mat_add(comm.components[k], mat_commutator(s_mat, curl_prin))
         x_mat = s_mat
         for beth in LABELS:
             if beth == aleph:
@@ -168,12 +151,10 @@ def run_algorithm(mj: MetricJet, aleph: str, accuracy: int) -> ProjectionFamily:
                 mat_mul(mat_mul(prin[aleph], t_mat), prin[beth]),
                 mat_mul(mat_mul(prin[beth], t_mat), prin[aleph]),
             )
-            denom = inv1.scale(_DENOM_FACTOR[(aleph, beth)])
-            x_mat = mat_add(
-                x_mat, mat_truncate(mat_poly_scale(mixed, denom), order)
-            )
-        x_mat = mat_truncate(x_mat, order)
-        p = p.with_component_added(k, x_mat)
+            denom = inv1.scale(rat(1, EIGENVALUE[aleph] - EIGENVALUE[beth]))
+            x_mat = mat_add(x_mat, mat_poly_scale(mixed, denom))
+        comps.append(x_mat)
+        p = SymbolJet(0, n, (3, 3), comps)
         steps.append({"R": r_mat, "S": s_mat, "T": t_mat, "X": x_mat})
 
     return ProjectionFamily(aleph, mj, curl_jet, p, tuple(steps))
@@ -185,52 +166,49 @@ def verify_projection(fam: ProjectionFamily) -> dict:
     Idempotency must hold exactly at every graded level 0..N; commutation
     with the curl symbol at levels 0..N-1.  The level-N commutation residual
     is reported informationally.  The compositions are the full ones, with
-    the curl symbol the family was built from.
+    the curl symbol the family was built from.  Both checks always run;
+    first_failure names the idempotency failure when there is one.
     """
     n = fam.jet.accuracy
     idem = compose(fam.jet, fam.jet) - fam.jet
     comm = compose(fam.jet, fam.curl_jet) - compose(fam.curl_jet, fam.jet)
 
-    first_failure = None
-    idem_pass = True
-    for k in range(n + 1):
-        if not mat_is_zero(idem.components[k]):
-            idem_pass = False
-            first_failure = {
-                "kind": "idempotency",
-                "degree": -k,
-                "residual": mat_to_dict(idem.components[k]),
-            }
-            break
-    comm_pass = True
-    if first_failure is None:
-        for k in range(n):
-            if not mat_is_zero(comm.components[k]):
-                comm_pass = False
-                first_failure = {
-                    "kind": "commutation",
-                    "degree": 1 - k,
-                    "residual": mat_to_dict(comm.components[k]),
-                }
-                break
+    idem_failure = _first_failure("idempotency", idem, n + 1)
+    comm_failure = _first_failure("commutation", comm, n)
+    idem_pass = idem_failure is None
+    comm_pass = comm_failure is None
     return {
         "aleph": fam.aleph,
         "accuracy": n,
         "idempotency_pass": idem_pass,
         "commutation_pass": comm_pass,
         "pass": idem_pass and comm_pass,
-        "first_failure": first_failure,
+        "first_failure": idem_failure or comm_failure,
         "commutation_top_level_zero": mat_is_zero(comm.components[n]),
     }
 
 
-def subprincipal_check(fam: ProjectionFamily, mj: MetricJet) -> Matrix:
-    """Subprincipal symbol of the projection jet restricted to x = 0.
+def _first_failure(kind: str, jet: SymbolJet, levels: int):
+    """The first non-zero level among the first ``levels`` levels of jet, as a
+    failure record with its homogeneity degree, or None."""
+    for k, m in enumerate(jet.components[:levels]):
+        if not mat_is_zero(m):
+            return {
+                "kind": kind,
+                "degree": jet.top_degree - k,
+                "residual": mat_to_dict(m),
+            }
+    return None
+
+
+def subprincipal_check(fam: ProjectionFamily) -> Matrix:
+    """Subprincipal symbol of the projection jet restricted to x = 0, taken
+    with the family's own metric jet.
 
     The contract is that the returned matrix (a polynomial in eta only,
     reliable to order accuracy - 2) vanishes identically.
     """
-    sub = subprincipal(fam.jet, mj)
+    sub = subprincipal(fam.jet, fam.mj)
     return mat_restrict(sub, X_VARS)
 
 

@@ -156,7 +156,7 @@ def test_criterion_03_full_sweep():
         for aleph in LABELS:
             fam = run_algorithm(mj, aleph, 3)
             ok = ok and verify_projection(fam)["pass"]
-            ok = ok and mat_is_zero(subprincipal_check(fam, mj))
+            ok = ok and mat_is_zero(subprincipal_check(fam))
     report(3, ok, "24-config sweep: traces, transport, subprincipal, closed form")
 
 

@@ -72,10 +72,10 @@ def _power_jets(h):
 class TestHodgeSymbol:
     def test_requires_ricci_flat_origin(self):
         with pytest.raises(ValueError):
-            hodge_symbol(unit_config("c1"))
+            hodge_symbol(build_metric_jet(unit_config("c1")))
 
     def test_flat_is_zero(self):
-        q1, q0 = hodge_symbol(CurvatureConfig.flat())
+        q1, q0 = hodge_symbol(build_metric_jet(CurvatureConfig.flat()))
         assert mat_is_zero(q1)
         assert mat_is_zero(q0)
 
@@ -86,8 +86,8 @@ class TestHodgeSymbol:
         rng = random.Random(120)
         for _ in range(5):
             cfg = random_bianchi_config(rng)
-            q1, q0 = hodge_symbol(cfg)
             mj = build_metric_jet(cfg, order=3)
+            q1, q0 = hodge_symbol(mj)
             curl = curl_symbol(mj, accuracy=3)
             d_sym, delta_sym = d_delta_symbols(mj, accuracy=3)
             lap = compose(curl, curl) + compose(d_sym, delta_sym)

@@ -1,8 +1,10 @@
 """How often each pipeline builds its geometry.
 
-The metric jet is built once per configuration and command, the curl symbol
-(one ``MetricJet.e_mixed`` each) and the raised covector once per
-``run_algorithm``, and ``verify_projection`` reuses what its family carries.
+The metric jet is built once per configuration and command, and the Riemann
+tensor once per metric jet, also for the Hodge symbol of the square-root
+hierarchy.  The curl symbol (one ``MetricJet.e_mixed`` each) and the raised
+covector are built once per ``run_algorithm``, and ``verify_projection``
+reuses what its family carries.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from curlasym.projections import asymmetry_report, run_algorithm, verify_project
 
 @pytest.fixture
 def counts(monkeypatch) -> Counter:
-    """Counts calls to build_metric_jet, MetricJet.e_mixed and raised_covector."""
+    """Counts calls to build_metric_jet, riemann_from_ricci, MetricJet.e_mixed
+    and raised_covector."""
     tally = Counter()
 
     def counting(name, fn):
@@ -32,7 +35,7 @@ def counts(monkeypatch) -> Counter:
 
         return wrapper
 
-    for name in ("build_metric_jet", "raised_covector"):
+    for name in ("build_metric_jet", "riemann_from_ricci", "raised_covector"):
         original = getattr(geometry, name)
         for module in list(sys.modules.values()):
             if module and module.__name__.startswith("curlasym"):
@@ -44,13 +47,23 @@ def counts(monkeypatch) -> Counter:
 
 def test_asymmetry_report(counts):
     asymmetry_report(unit_config("c11"))
-    assert counts == {"build_metric_jet": 1, "e_mixed": 2, "raised_covector": 2}
+    assert counts == {
+        "build_metric_jet": 1,
+        "riemann_from_ricci": 1,
+        "e_mixed": 2,
+        "raised_covector": 2,
+    }
 
 
 def test_project_three_branches(counts, tmp_path):
     argv = ["project", "--config", "c11", "--accuracy", "3"]
     assert entry(argv + ["--output", str(tmp_path / "out.json")]) == 0
-    assert counts == {"build_metric_jet": 1, "e_mixed": 3, "raised_covector": 3}
+    assert counts == {
+        "build_metric_jet": 1,
+        "riemann_from_ricci": 1,
+        "e_mixed": 3,
+        "raised_covector": 3,
+    }
 
 
 def test_verify_projection_builds_nothing(counts):
@@ -62,4 +75,8 @@ def test_verify_projection_builds_nothing(counts):
 
 def test_hierarchy(counts):
     build_hierarchy(unit_config("c11"))
-    assert counts == {"build_metric_jet": 1, "raised_covector": 1}
+    assert counts == {
+        "build_metric_jet": 1,
+        "riemann_from_ricci": 1,
+        "raised_covector": 1,
+    }

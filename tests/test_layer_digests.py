@@ -12,11 +12,14 @@ scalars, so the digests do not depend on how a scalar renders itself.
 The projection-layer digests (every ``run_algorithm`` step, the
 ``verify_projection`` dicts, the asymmetry report and the square-root
 hierarchy) were taken while each layer still rebuilt the metric jet, the curl
-symbol and the covector norm that its caller already held.
+symbol and the covector norm that its caller already held.  The accuracy 1
+and 2 steps and the ``compose`` digests were taken while ``run_algorithm``
+and ``compose`` still truncated their own results to the graded schedule.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -25,6 +28,7 @@ from fractions import Fraction
 import pytest
 
 from curlasym.altderiv import build_hierarchy, hodge_symbol
+from curlasym.calculus import SymbolJet, compose
 from curlasym.configs import random_bianchi_config, random_config, unit_config
 from curlasym.exactpoly import GaussianRational, TruncatedPoly, poly_to_dict
 from curlasym.geometry import (
@@ -34,6 +38,7 @@ from curlasym.geometry import (
     norm_power_jet,
     transport_jet,
 )
+from curlasym.polymat import mat_is_zero, zero_mat
 from curlasym.projections import (
     LABELS,
     asymmetry_report,
@@ -41,7 +46,7 @@ from curlasym.projections import (
     verify_projection,
 )
 
-from conftest import eigenprojections
+from conftest import eigenprojections, random_jet
 
 CONFIGS = ("c1", "c11", "c17", "seed1", "seed2")
 TRANSPORT_TAGS = ("origin_to_y", "y_to_origin", ("y_to_tau_y", Fraction(1, 2)))
@@ -101,7 +106,8 @@ def layer_digests(name: str) -> dict:
     out["d_delta"] = _digest((d_sym, delta_sym))
     out["curl"] = _digest(curl_symbol(mj, 3))
     if name != "c1":
-        out["hodge"] = _digest(hodge_symbol(_hodge_config(name)))
+        hodge_mj = build_metric_jet(_hodge_config(name))
+        out["hodge"] = _digest(hodge_symbol(hodge_mj))
     return out
 
 
@@ -351,6 +357,14 @@ PROJECTION_CONFIGS = ("c11", "seed1", "seed2")
 HIERARCHY_FIELDS = ("r0", "r_m1", "r_m2", "s_m2", "s_m3", "s_m4")
 
 
+def _family_digests(fam, prefix: str) -> dict:
+    """Digests of one branch's jet and of every R/S/T/X step."""
+    out = {f"{prefix}.jet": _digest(fam.jet)}
+    for k, step in enumerate(fam.steps, 1):
+        out[f"{prefix}.{k}"] = _digest([step[key] for key in "RSTX"])
+    return out
+
+
 def projection_digests(name: str) -> dict:
     """Digests of each accuracy-3 branch (its jet and every R/S/T/X step),
     its verification dict, the asymmetry report and the six matrices of the
@@ -360,9 +374,7 @@ def projection_digests(name: str) -> dict:
     out = {}
     for aleph in LABELS:
         fam = run_algorithm(mj, aleph, 3)
-        out[f"run.{aleph}.jet"] = _digest(fam.jet)
-        for k, step in enumerate(fam.steps, 1):
-            out[f"run.{aleph}.{k}"] = _digest([step[key] for key in "RSTX"])
+        out.update(_family_digests(fam, f"run.{aleph}"))
         out[f"verify.{aleph}"] = _text_digest(
             json.dumps(verify_projection(fam), sort_keys=True)
         )
@@ -452,3 +464,129 @@ PROJECTION_PINNED = {
 @pytest.mark.parametrize("name", PROJECTION_CONFIGS)
 def test_projection_layer_digests(name):
     assert projection_digests(name) == PROJECTION_PINNED[name]
+
+
+def low_accuracy_digests(name: str) -> dict:
+    """Digests of each branch's jet and R/S/T/X steps at accuracies 1 and 2."""
+    mj = build_metric_jet(_config(name))
+    out = {}
+    for accuracy in (1, 2):
+        for aleph in LABELS:
+            fam = run_algorithm(mj, aleph, accuracy)
+            out.update(_family_digests(fam, f"run{accuracy}.{aleph}"))
+    return out
+
+
+LOW_ACCURACY_PINNED = {
+    "c11": {
+        "run1.+.1": "f1a82f81e00045ac71c14be9f273c4e0adb55f71074715716cefb1e024bc9736",
+        "run1.+.jet": "e3c2fb8072963dfe3b50a2f0790eb08f66f3c7d3009906598bcff239eb7cb210",
+        "run1.-.1": "f1a82f81e00045ac71c14be9f273c4e0adb55f71074715716cefb1e024bc9736",
+        "run1.-.jet": "dad7f098ce5280ec76b51a42fbdd599b0d4b9374602a6218e7dc99d79819a189",
+        "run1.0.1": "f1a82f81e00045ac71c14be9f273c4e0adb55f71074715716cefb1e024bc9736",
+        "run1.0.jet": "6312434fbf653b495ceebe003894cd9c31b0c4b5bdf8cc254dba89b3ffa46689",
+        "run2.+.1": "df480f59a08980152de2e68b13bd8c57596370cffdd429877d80ff0117eb11d2",
+        "run2.+.2": "f1a82f81e00045ac71c14be9f273c4e0adb55f71074715716cefb1e024bc9736",
+        "run2.+.jet": "a44d0812c9c47de2721201c03822ab76497cc604a2c7450bc2db33d1acc81522",
+        "run2.-.1": "df480f59a08980152de2e68b13bd8c57596370cffdd429877d80ff0117eb11d2",
+        "run2.-.2": "f1a82f81e00045ac71c14be9f273c4e0adb55f71074715716cefb1e024bc9736",
+        "run2.-.jet": "a6af0edba808432619cb519b86f36e2eb2b7b67d1d46e7316d5f9ce1aedd9845",
+        "run2.0.1": "df480f59a08980152de2e68b13bd8c57596370cffdd429877d80ff0117eb11d2",
+        "run2.0.2": "f1a82f81e00045ac71c14be9f273c4e0adb55f71074715716cefb1e024bc9736",
+        "run2.0.jet": "0c9c98cd45ce8a748bbdb037a08cdd7aa44755a014fab551cf55410f708d12f0",
+    },
+    "seed1": {
+        "run1.+.1": "f1a82f81e00045ac71c14be9f273c4e0adb55f71074715716cefb1e024bc9736",
+        "run1.+.jet": "e3c2fb8072963dfe3b50a2f0790eb08f66f3c7d3009906598bcff239eb7cb210",
+        "run1.-.1": "f1a82f81e00045ac71c14be9f273c4e0adb55f71074715716cefb1e024bc9736",
+        "run1.-.jet": "dad7f098ce5280ec76b51a42fbdd599b0d4b9374602a6218e7dc99d79819a189",
+        "run1.0.1": "f1a82f81e00045ac71c14be9f273c4e0adb55f71074715716cefb1e024bc9736",
+        "run1.0.jet": "6312434fbf653b495ceebe003894cd9c31b0c4b5bdf8cc254dba89b3ffa46689",
+        "run2.+.1": "3241f5454f1290337add20bbe5fe3dfd452d94226f0323a455296f34416f99ba",
+        "run2.+.2": "b337f2050e5b71c3a41aba4ba1dde1388ce391eac6e3a9355300e1eaa921ac24",
+        "run2.+.jet": "24a4fd5b34684e49843758255ab4a48e33c739c828ab51a68bf7cb601761fb18",
+        "run2.-.1": "50e44a7af34663fb03ef667e8828f4267cf083a0721e964fe2e54459e4a2b92f",
+        "run2.-.2": "25d2891c9c9bc50761f3f95850ecd0750f8e43becefa9e503d0d882eff29e518",
+        "run2.-.jet": "9d9c32961e791f06f6290e5bb567dc6c12e6485e089cc1f6c0c3783f34485de9",
+        "run2.0.1": "db55e0621aa5ebb1bf1bb4d9ed125927e52772b9534e6e9935a6ff7fcc05a9c2",
+        "run2.0.2": "29e92cefa787c766d6e7b29387d2397425846bfb965a87ed168ce1e53cf82d4b",
+        "run2.0.jet": "cac442ebc7ec56213d6e55a0fc04d94aca8b69aa6315d794b72ececa8fa9f7e5",
+    },
+    "seed2": {
+        "run1.+.1": "f1a82f81e00045ac71c14be9f273c4e0adb55f71074715716cefb1e024bc9736",
+        "run1.+.jet": "e3c2fb8072963dfe3b50a2f0790eb08f66f3c7d3009906598bcff239eb7cb210",
+        "run1.-.1": "f1a82f81e00045ac71c14be9f273c4e0adb55f71074715716cefb1e024bc9736",
+        "run1.-.jet": "dad7f098ce5280ec76b51a42fbdd599b0d4b9374602a6218e7dc99d79819a189",
+        "run1.0.1": "f1a82f81e00045ac71c14be9f273c4e0adb55f71074715716cefb1e024bc9736",
+        "run1.0.jet": "6312434fbf653b495ceebe003894cd9c31b0c4b5bdf8cc254dba89b3ffa46689",
+        "run2.+.1": "c3c5a4b124754ddadaa3136346d2b8c3a94ff3f5c6e91aa0cd626ab9ad08fce0",
+        "run2.+.2": "9c3ecd72911bba0ca62e6a770a4f819db545117051263a089c6f64e78ccb1c96",
+        "run2.+.jet": "329a6bf5205ea77c835cfc10ddcd239fade5cab56bea1eceded1b36e621bbdbf",
+        "run2.-.1": "1a585d9f5316b16645731f28ff300c9f96697b7d9996f6608ee843e3068ed779",
+        "run2.-.2": "922a7fd1de0b0fa3b17bda36cef94c2f83844042ad6f6b6ed9f599be58adcec5",
+        "run2.-.jet": "d68f0b83446919bade62b92c3edac2ee2d56563da352d186f6794db76adafcba",
+        "run2.0.1": "e17080018414c0396a9c6d1c144026ba427965d95d9c55ed38e9966aa72ddef2",
+        "run2.0.2": "9dcdbbb5e4e931750815e4b671fd35933c644ad058a44d3da6daf18e0bfb86af",
+        "run2.0.jet": "7203fc870712fc398ad2164c63a72a10db48697ec4a0d0fad2a60c74691ac8e4",
+    },
+}
+
+
+@pytest.mark.parametrize("name", PROJECTION_CONFIGS)
+def test_low_accuracy_projection_digests(name):
+    assert low_accuracy_digests(name) == LOW_ACCURACY_PINNED[name]
+
+
+def _without_principal(jet: SymbolJet) -> SymbolJet:
+    zero = zero_mat(jet.shape, jet.accuracy)
+    return dataclasses.replace(jet, components=[zero, *jet.components[1:]])
+
+
+def compose_digests(accuracy: int) -> list:
+    """Digests of ``compose`` on seeded random jet pairs, as drawn and with
+    level 0 zeroed.  Without level 0 every level sum is made of products of
+    levels >= 1, whose orders exceed the graded schedule, so the result
+    checks that each level is cut back to it."""
+    out = []
+    for seed in range(3):
+        rng = random.Random(100 * accuracy + seed)
+        b = random_jet(rng, accuracy, density=0.4)
+        a = random_jet(rng, accuracy, density=0.4)
+        for jet in (b, a):
+            assert all(not mat_is_zero(m) for m in jet.components[1:])
+        out.append(_digest(compose(b, a)))
+        out.append(_digest(compose(_without_principal(b), _without_principal(a))))
+    return out
+
+
+COMPOSE_PINNED = {
+    1: [
+        "65051d5c6887172d3b92c0f9b73655137dd5a11ad87779c87d0a0acb63d5e85b",
+        "263d902ab222fed8d457d10d71e59125cff56f993a1e1836d7bfee82715100d9",
+        "b022bfbb24ffc177513a0254f5fcebf51d6cdf32dfd2b5a1f40d0d3e24c4f131",
+        "263d902ab222fed8d457d10d71e59125cff56f993a1e1836d7bfee82715100d9",
+        "b0de997a903cfc440a1f64d0a2feed0c6b585917f7ac7270562ea72ce3a54785",
+        "263d902ab222fed8d457d10d71e59125cff56f993a1e1836d7bfee82715100d9",
+    ],
+    2: [
+        "33d87fbe6b25f4a797d11d027d2f48118dceff71e163dbb9607e752fc8bfc021",
+        "3896320143f635594d7bbec23193871dfc9793193e69a61edfec0630b66abb62",
+        "bc336f257fecf2480eec414dc84876b11279b4c9801607093178b0485f3f0022",
+        "0fd9a557e463122fc1ed5d35a8d81380a4425fa2867113224e442e7795bb534e",
+        "ed1f3d0eb2c32571bf01a4c8b6dd19d2cdf737023cddfdb10127eadff3e4b005",
+        "eef64fdb5a9ec35266d50919edea5bca663c2a190152e8aaafe266f7875c06d7",
+    ],
+    3: [
+        "5bb6ec8e944fda71fa60ed3b940dd6a1f1b6b745508e8dfce9c5f452f320f689",
+        "b96b4fef07a0123b69d97b626bba77671a766c4a68b9b18332b2fb52071c5cfd",
+        "2575acd18f46400b710773f724ab6f0b61759225305199bd049a419b6624590e",
+        "2b0ecc5f6351fb5873aeb50e6bb86e008a716c51bcf43ad6f09887afbc630894",
+        "688aea6022440ca9e8f18b214481e98ee1fb718ef0e41894e3e6216d1458923f",
+        "99add0293b9a8beac6992e9fdf54f0d4cfa9924d7ef2cc36f651b6b45935ee52",
+    ],
+}
+
+
+@pytest.mark.parametrize("accuracy", (1, 2, 3))
+def test_compose_digests(accuracy):
+    assert compose_digests(accuracy) == COMPOSE_PINNED[accuracy]

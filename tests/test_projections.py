@@ -18,7 +18,6 @@ from curlasym.exactpoly import (
 )
 from curlasym.geometry import (
     CurvatureConfig,
-    MetricJet,
     build_metric_jet,
     curl_symbol,
     norm_power_jet,
@@ -316,6 +315,20 @@ class TestVerifyProjection:
         assert report["first_failure"]["kind"] == "idempotency"
         assert report["first_failure"]["degree"] == -1
 
+    def test_commutation_checked_when_idempotency_fails(self):
+        """Doubling level 1 breaks both checks; idempotency is reported
+        first, and the commutation failure is not hidden behind it."""
+        fam = run_algorithm(build_metric_jet(unit_config("c11")), "+", 3)
+        comps = list(fam.jet.components)
+        comps[1] = mat_add(comps[1], comps[1])
+        bad_jet = dataclasses.replace(fam.jet, components=comps)
+        report = verify_projection(dataclasses.replace(fam, jet=bad_jet))
+        assert report["idempotency_pass"] is False
+        assert report["commutation_pass"] is False
+        assert report["pass"] is False
+        assert report["first_failure"]["kind"] == "idempotency"
+        assert report["first_failure"]["degree"] == -1
+
     def test_family_report_is_json_serializable(self):
         fam = run_algorithm(build_metric_jet(unit_config("c1")), "+", 2)
         text = json.dumps(
@@ -334,7 +347,7 @@ class TestSubprincipalCheck:
             mj = build_metric_jet(cfg, order=3)
             for aleph in LABELS:
                 fam = run_algorithm(mj, aleph, 3)
-                assert mat_is_zero(subprincipal_check(fam, mj))
+                assert mat_is_zero(subprincipal_check(fam))
 
     def test_corrupted_christoffel_detected(self):
         """Negative control: a constant error in one Christoffel entry shows
@@ -348,18 +361,11 @@ class TestSubprincipalCheck:
         ]
         one = TruncatedPoly.constant(1, gamma[0][0][0].order)
         gamma[0][0][0] = gamma[0][0][0] + one
-        bad_mj = MetricJet(
-            mj.config,
-            mj.order,
-            mj.g,
-            mj.g_inv,
-            mj.rho,
-            mj.rho_inv,
-            tuple(tuple(tuple(r) for r in sl) for sl in gamma),
-            mj.riem0,
-            mj.driem0,
+        bad_mj = dataclasses.replace(
+            mj, gamma=tuple(tuple(tuple(r) for r in sl) for sl in gamma)
         )
-        assert not mat_is_zero(subprincipal_check(fam, bad_mj))
+        bad_fam = dataclasses.replace(fam, mj=bad_mj)
+        assert not mat_is_zero(subprincipal_check(bad_fam))
 
 
 class TestAsymmetryReport:
