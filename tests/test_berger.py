@@ -24,6 +24,7 @@ from curlasym.berger import (
     curl_spectrum,
     eta_closed_forms,
     eta_decomposition_rhs,
+    eta_identity,
     eta_partial,
     hitchin_remainder,
     laplacian_spectrum,
@@ -233,6 +234,44 @@ class TestEta:
         assert r400 <= r200 + 1e-9
 
 
+class TestEtaIdentityGuards:
+    """eta_identity refuses what its parts refuse, with the same texts, and
+    the CLI maps each refusal to exit 2."""
+
+    S = "s must be finite and > 3 for eta partial sums, got "
+    NMAX = f"n_max must be in 2..{MAX_NMAX}, got "
+
+    @pytest.mark.parametrize(
+        "a, s, n_max, text",
+        [
+            (2.0, 3.0, 10, S + "3.0"),
+            (2.0, -1.0, 10, S + "-1.0"),
+            (2.0, math.nan, 10, S + "nan"),
+            (2.0, math.inf, 10, S + "inf"),
+            (2.0, 6.0, 1, NMAX + "1"),
+            (2.0, 6.0, -3, NMAX + "-3"),
+            (2.0, 6.0, MAX_NMAX + 1, NMAX + str(MAX_NMAX + 1)),
+            # a - w rounds to 0 in series IV
+            (1e150, 6.0, 10,
+             "the eta partial sum at a=1e+150, s=6.0 is not a finite float"),
+            # w - a rounds to 0 in the n = 1 bracket only, which curl lacks
+            (2**27.5, 6.0, 10,
+             "the theta sum at a=189812531.24850312, s=6.0 is not a finite float"),
+            # (w - a)^-s overflows at n = 1 (w - a = 1/2); curl terms stay finite
+            (2.0, 2000.0, 10, "the theta sum at a=2.0, s=2000.0 is not a finite float"),
+            (1.0, 1e308, 10,
+             "the eta decomposition at a=1.0, s=1e+308 is not a finite float"),
+        ],
+    )
+    def test_refused_with_the_same_text(self, capsys, a, s, n_max, text):
+        with pytest.raises(ValueError) as info:
+            eta_identity(BergerParams(a), s, n_max)
+        assert str(info.value) == text
+        argv = ["berger", "eta", "--a", repr(a), "--s", repr(s), "--nmax", str(n_max)]
+        assert entry(argv) == 2
+        assert capsys.readouterr().err == text + "\n"
+
+
 class TestClosedForms:
     def test_round_sphere(self):
         forms = eta_closed_forms(BergerParams(1))
@@ -268,8 +307,15 @@ class TestStreaming:
         [
             lambda: eta_partial(curl_spectrum(BergerParams(2), 1000), 6.0),
             lambda: weyl_check(BergerParams(1), 100.0),
+            lambda: eta_identity(BergerParams(2), 6.0, 1000),
+            lambda: entry(["berger", "eta", "--nmax", "1000"]),
         ],
-        ids=["eta_nmax_1000", "weyl_lambda_100"],
+        ids=[
+            "eta_nmax_1000",
+            "weyl_lambda_100",
+            "identity_nmax_1000",
+            "cli_eta_nmax_1000",
+        ],
     )
     def test_peak_memory_bounded(self, call):
         tracemalloc.start()
@@ -348,6 +394,39 @@ class TestChunks:
                     for e in table.entries
                 ]
                 assert got == reference_rows(table.kind, table.a, 60)
+
+    #: eta_identity(p, 6, 60) as float.hex and weyl_check(p, 20) counts.
+    PINNED = {
+        Fraction(1, 2): ("0x1.fa18cd42f114dp-1", "0x1.fa18cd4da78e5p-1", 1296, 1349),
+        Fraction(3, 2): ("0x1.24a349d6d820ep-2", "0x1.24a38593c2700p-2", 3939, 3998),
+        0.37: ("0x1.852da1ed28a29p+2", "0x1.852da1ed61032p+2", 948, 1025),
+    }
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 100, berger.CHUNK_ROWS])
+    def test_identity_and_counts_for_any_chunk_size(self, monkeypatch, chunk_rows):
+        monkeypatch.setattr(berger, "CHUNK_ROWS", chunk_rows)
+        for a, (lhs, rhs, n_plus, n_minus) in self.PINNED.items():
+            p = BergerParams(a)
+            sides = eta_identity(p, 6.0, 60)[:2]
+            assert sides == (float.fromhex(lhs), float.fromhex(rhs))
+            counts = weyl_check(p, 20.0)
+            assert (counts["n_plus"], counts["n_minus"]) == (n_plus, n_minus)
+
+    @pytest.mark.parametrize(
+        "a, n_max, sizes",
+        [
+            (Fraction(3, 2), 60, [1, 7, 100, 8192]),
+            (Fraction(1, 2), 2000, [8192, 16384]),
+        ],
+    )
+    def test_bound_agrees_across_chunk_sizes(self, monkeypatch, a, n_max, sizes):
+        """The sums are exact; the bound is a float sum of chunk sums, so
+        only its last bits may depend on the chunking."""
+        bounds = []
+        for chunk_rows in sizes:
+            monkeypatch.setattr(berger, "CHUNK_ROWS", chunk_rows)
+            bounds.append(eta_identity(BergerParams(a), 6.0, n_max)[2])
+        assert bounds == pytest.approx([bounds[0]] * len(sizes), rel=1e-12, abs=0)
 
     def test_chunks_hold_whole_quantum_numbers(self, monkeypatch):
         monkeypatch.setattr(berger, "CHUNK_ROWS", 30)
@@ -441,4 +520,58 @@ class TestPinnedReports:
     def test_report_digest(self, tmp_path, args, digest):
         out = tmp_path / "report"
         assert entry(["berger", *args.split(), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    #: eta at s 3.5 and 10 on a grid of a and n_max, weyl at lambda 100:
+    #: (exit code, SHA-256 of the report).
+    GRID = {
+        "eta --a 0.37 --s 3.5 --nmax 2":
+            (1, "23f423e60f5195f393b67aa6d2b2276eab43ab80b9f11c00e43a779509465be7"),
+        "eta --a 0.37 --s 3.5 --nmax 3":
+            (1, "fb86f669cdbbe073a89091f4f16e9b4aaaeb654df12ba78777c85e582fc29213"),
+        "eta --a 0.37 --s 3.5 --nmax 61":
+            (1, "e92927a3a8f8301bf0aec2ac41b5f645d2b0a43595b53e6cdf953a99d46206a2"),
+        "eta --a 3/2 --s 3.5 --nmax 2":
+            (1, "f97076c3150cef763e03f63d13b053281b6b5bd271d7207c68f2ce00f751812b"),
+        "eta --a 3/2 --s 3.5 --nmax 3":
+            (1, "6d9bb25ab74934a8bd95062a2ca3618e2f833f3ca36019c6608d0b47c24928b3"),
+        "eta --a 3/2 --s 3.5 --nmax 61":
+            (1, "b6fa89328ed1bc242b91851f4f4ff51ae488cfe0526dd4f90513a8f939699a73"),
+        "eta --a 5 --s 3.5 --nmax 2":
+            (1, "48137e8d26a33eaa30e40514fbc9c3b9a34d435491100effb1fd05b7d44ff711"),
+        "eta --a 5 --s 3.5 --nmax 3":
+            (1, "81722b929c2b7754d2afcc50d2a2bda78fc732821d634fbd115c93649d9e6624"),
+        "eta --a 5 --s 3.5 --nmax 61":
+            (1, "3a572644101c5950fb803cfc43db367ea4097e9fb224b8582d27dd9a621cb2a0"),
+        "eta --a 0.37 --s 10 --nmax 2":
+            (1, "b72e470e80551ce0c859d5cff7d84266ce5783c2ccc61337e5abfe9a305c78e2"),
+        "eta --a 0.37 --s 10 --nmax 3":
+            (0, "38a4f8563cfc78740ef4322d93af21af54dd4ac5f1a3b81cfe715a8143db6c19"),
+        "eta --a 0.37 --s 10 --nmax 61":
+            (0, "75dea94dbee193108f151a57e601e8010fe45978388934807ab6b6141a7920d1"),
+        "eta --a 3/2 --s 10 --nmax 2":
+            (1, "ddfa7ea654749935387981f3ddbf66a2aa23b877af2d5cab2f68cc783eb3bf48"),
+        "eta --a 3/2 --s 10 --nmax 3":
+            (1, "81483d0b0665a775749c6c31e78db446585faf1d62d8c909dbb4891d7e0e933f"),
+        "eta --a 3/2 --s 10 --nmax 61":
+            (0, "8153743961952fbd6d08eac89a5498717c3b2f7e95b8864b07c2aac887c4b18c"),
+        "eta --a 5 --s 10 --nmax 2":
+            (1, "5ca3fb9edeee459f24e83e615bc0dd88791795eb44f6b58fb84bd0600b3e3562"),
+        "eta --a 5 --s 10 --nmax 3":
+            (1, "d05da3c90aae78be7624fa1ad038ad0a59be2a366727471366d60f3c967b8376"),
+        "eta --a 5 --s 10 --nmax 61":
+            (0, "e104279d95113829c8ae76d1a791a1a6d8044752820f7ecd4cb6760615d644c5"),
+        "weyl --a 1/2 --lambda 100":
+            (0, "82a57fdaee3049752aca7c94a2884d3898ccc601e197c88622b87b7b082e53cb"),
+        "weyl --a 2 --lambda 100":
+            (0, "bee8b1e3572df26501bc916f3d297294abde5b379427c9dc8cd62cb6061dacc3"),
+        "weyl --a 0.37 --lambda 100":
+            (0, "d1d57678523f69b5a55b61fa94e31720d7f5e19a8438cb55311826e708a312ad"),
+    }
+
+    @pytest.mark.parametrize("args", GRID)
+    def test_grid_report_digest(self, tmp_path, args):
+        code, digest = self.GRID[args]
+        out = tmp_path / "report"
+        assert entry(["berger", *args.split(), "--output", str(out)]) == code
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
