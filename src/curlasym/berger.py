@@ -10,9 +10,11 @@ invariant at s = 0.
 Spectra are never stored: a table is a (kind, a, n_max) record that yields
 chunks of eigenvalues and multiplicities, each a run of whole quantum numbers
 of at most CHUNK_ROWS rows built in one numpy pass, so memory is bounded by
-the chunk size.  Float sums are exact: an integer accumulator over the
-binary exponents of the terms, rounded once, so every sum is correctly
-rounded and independent of summation order.
+the chunk size.  A Laplacian row (n, l >= 1) with eigenvalue mu gives the
+curl pair a +- sqrt(a^2 + mu): the eta identity reads each row once.  Sums
+are exact (an integer accumulator over the binary exponents of the terms,
+rounded once): correctly rounded whatever the order or chunking of their
+terms.  The eta identity's rounding bound, a float sum of chunk sums, is not.
 
 numpy is imported on the first Berger call, so that the exact pipelines
 start without it.
@@ -81,9 +83,17 @@ class SpectrumEntry:
     multiplicity: int
 
 
-def _rows(kind: str, n: int) -> int:
-    """Rows of quantum number n: one per l = 0 .. n // 2, two for curl."""
-    return (n // 2 + 1) * (2 if kind == "curl" else 1)
+def _runs(kind: str, n0: int, n_max: int) -> Iterator[tuple[int, int]]:
+    """Runs n0 <= n < n1 up to n_max of at most CHUNK_ROWS rows, or of one n:
+    n has a row per l = 0 .. n // 2, two for curl."""
+    width = 2 if kind == "curl" else 1
+    while n0 <= n_max:
+        n1, rows = n0 + 1, width * (n0 // 2 + 1)
+        while n1 <= n_max and rows + width * (n1 // 2 + 1) <= CHUNK_ROWS:
+            rows += width * (n1 // 2 + 1)
+            n1 += 1
+        yield n0, n1
+        n0 = n1
 
 
 def _laplacian_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,29 +117,39 @@ def _laplacian_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray
     return values, mults
 
 
+def _pair_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, ...]:
+    """Laplacian rows of 1 <= n0 <= n < n1 and their curl pairs a + w, a - w.
+
+    Returns mu, its multiplicities, w = sqrt(a^2 + mu), the mask of the
+    rows l >= 1 (whose pairs are series III and IV) and, one row per n >= 2,
+    the series I and II values and multiplicities that replace pair l = 0.
+    """
+    import numpy as np
+
+    mu, mults = _laplacian_block(a, n0, n1)
+    n = np.arange(n0, n1)
+    pair = np.ones(mu.size, bool)
+    pair[np.cumsum(n // 2 + 1) - n // 2 - 1] = False
+    n = n[n >= 2]
+    # Series II has multiplicity 1 at n = 2.
+    one_two_mults = np.stack((2 * n - 2, np.where(n == 2, 1, 2 * n - 2)), axis=1)
+    one_two = (n[:, None] + [0.0, 2 * (a**2 - 1)]) / a
+    return mu, mults, np.sqrt(a**2 + mu), pair, one_two, one_two_mults
+
+
 def _curl_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
     """Curl eigenvalues and multiplicities for 2 <= n0 <= n < n1.
 
     The rows of each n are series I, II, then III and IV interleaved for
-    l = 1 .. n // 2: row pair l >= 1 comes from the Laplacian row (n, l),
-    and pair 0 takes the place of the Laplacian row (n, 0).
+    l = 1 .. n // 2: the pairs of ``_pair_block`` in row order.
     """
     import numpy as np
 
-    lap, lap_mults = _laplacian_block(a, n0, n1)
-    n = np.arange(n0, n1)
-    rows = n // 2 + 1
-    start = np.cumsum(rows) - rows
-    root = np.sqrt(a**2 + lap)
-    values = np.empty((lap.size, 2))
-    np.add(a, root, out=values[:, 0])
-    np.subtract(a, root, out=values[:, 1])
-    values[start] = (n[:, None] + [0.0, 2 * (a**2 - 1)]) / a
-    mults = np.empty((lap.size, 2), lap_mults.dtype)
-    mults[:, 0] = mults[:, 1] = lap_mults
-    mults[start] = (2 * n - 2)[:, None]
-    if n0 == 2:
-        mults[0, 1] = 1  # series II at n = 2
+    _, lap_mults, w, pair, one_two, one_two_mults = _pair_block(a, n0, n1)
+    values = np.stack((a + w, a - w), axis=1)
+    values[~pair] = one_two
+    mults = np.stack((lap_mults, lap_mults), axis=1)
+    mults[~pair] = one_two_mults
     return values.ravel(), mults.ravel()
 
 
@@ -184,17 +204,10 @@ class SpectrumTable:
         """(n0, n1, values, multiplicities) of the quantum numbers
         n0 <= n < n1, in order; a chunk holds at most CHUNK_ROWS rows or a
         single quantum number."""
-        if self.kind == "curl":
-            block, n0 = _curl_block, 2
-        else:
-            block, n0 = _laplacian_block, 0
-        while n0 <= self.n_max:
-            n1, rows = n0 + 1, _rows(self.kind, n0)
-            while n1 <= self.n_max and rows + _rows(self.kind, n1) <= CHUNK_ROWS:
-                rows += _rows(self.kind, n1)
-                n1 += 1
+        curl = self.kind == "curl"
+        block, first = (_curl_block, 2) if curl else (_laplacian_block, 0)
+        for n0, n1 in _runs(self.kind, first, self.n_max):
             yield (n0, n1, *block(self.a, n0, n1))
-            n0 = n1
 
     def _labelled_chunks(self) -> Iterator[Iterator[tuple]]:
         """Per chunk, ((series, n, l), value, multiplicity) for each row."""
@@ -254,7 +267,7 @@ def completeness_bound(t: SpectrumTable) -> float:
 
 def _counts(t: SpectrumTable, lam: float) -> tuple[int, int]:
     """Multiplicity-weighted counts of eigenvalues in (0, lam) and in
-    (-lam, 0), from one pass over the table."""
+    (-lam, 0), in one pass over the pairs; a - w is the only negative one."""
     if lam <= 0:
         return 0, 0
     bound = completeness_bound(t)
@@ -264,9 +277,12 @@ def _counts(t: SpectrumTable, lam: float) -> tuple[int, int]:
             "increase n_max"
         )
     plus = minus = 0
-    for _, _, values, mults in t.chunks():
-        plus += int(mults[(0 < values) & (values < lam)].sum())
-        minus += int(mults[(values < 0) & (-lam < values)].sum())
+    for n0, n1 in _runs("laplacian", 2, t.n_max):
+        _, mults, w, pair, one_two, one_two_mults = _pair_block(t.a, n0, n1)
+        mults, w = mults[pair], w[pair]
+        plus += int(one_two_mults[(0 < one_two) & (one_two < lam)].sum())
+        plus += int(mults[t.a + w < lam].sum())
+        minus += int(mults[(t.a < w) & (w - t.a < lam)].sum())
     return plus, minus
 
 
@@ -316,61 +332,77 @@ def _check_s(s: float, lower: int, what: str) -> None:
         raise ValueError(f"s must be finite and > {lower} for {what}, got {s}")
 
 
-def _eta_terms(t: SpectrumTable, s: float) -> Iterator[np.ndarray]:
-    """sign(v) * multiplicity * |v|^-s, one array per chunk."""
-    import numpy as np
-
-    for _, _, values, mults in t.chunks():
-        yield np.copysign(mults, values) * np.abs(values) ** -s
-
-
-def _exact_sum(chunks: Iterable[np.ndarray], what: str) -> tuple[float, float]:
-    """The correctly rounded sum of all the chunks' terms (the float
-    ``math.fsum`` returns), and the float sum of their absolute values.
+def _exact_sums(chunks: Iterable[tuple], *whats: str) -> list[tuple[float, float]]:
+    """Per ``whats`` entry i, in one pass over the chunks (tuples of term
+    arrays): the correctly rounded sum of the terms i (the float
+    ``math.fsum`` returns) and the float sum of the chunks' sums of their
+    absolute values, whose last bits depend on the chunking.
 
     Each finite double is m * 2**(e - 53) with an integer |m| < 2**53 and
     frexp exponent e; with m = hi * 2**27 + lo, 0 <= lo < 2**27, bincount
     sums hi and lo per e exactly, because a float64 bin stays below 2**53
     while a chunk has fewer than 2**26 terms (int64 running bins: fewer than
     2**36 terms in all).  The bins are combined in one Python integer and
-    divided once.  ValueError unless every term and the sum are finite.
+    divided once.  ValueError for the first sum whose terms or total are
+    not all finite.
     """
     import numpy as np
 
-    hi_bins = np.zeros(_EXPONENTS, np.int64)
-    lo_bins = np.zeros(_EXPONENTS, np.int64)
-    magnitude = 0.0
+    bins = np.zeros((len(whats), 2, _EXPONENTS), np.int64)
+    sizes = [0.0] * len(whats)
     with np.errstate(all="ignore"):
-        for x in chunks:
-            size = float(np.abs(x).sum())
-            # A non-finite term makes size non-finite; so can an overflow.
-            if not math.isfinite(size) and not np.isfinite(x).all():
-                raise ValueError(f"{what} is not a finite float")
-            magnitude += size
-            m, e = np.frexp(x)
-            e -= _EMIN
-            m *= 2.0**26
-            hi = np.floor(m)
-            lo = (m - hi) * 2.0**27
-            hi_bins += np.bincount(e, hi, _EXPONENTS).astype(np.int64)
-            lo_bins += np.bincount(e, lo, _EXPONENTS).astype(np.int64)
-    scaled = 0  # the sum times 2**(53 - _EMIN)
-    for k in np.flatnonzero(hi_bins | lo_bins).tolist():
-        scaled += ((int(hi_bins[k]) << 27) + int(lo_bins[k])) << k
-    try:
-        return scaled / (1 << (53 - _EMIN)), magnitude
-    except OverflowError:
-        raise ValueError(f"{what} is not a finite float") from None
+        for terms in chunks:
+            for i, x in enumerate(terms):
+                size = float(np.abs(x).sum())
+                # A non-finite term makes size non-finite; so can an overflow.
+                if not math.isfinite(size) and not np.isfinite(x).all():
+                    size = math.nan  # marks the sum as not finite
+                sizes[i] += size
+                m, e = np.frexp(x)
+                e -= _EMIN
+                m *= 2.0**26
+                hi = np.floor(m)
+                lo = np.subtract(m, hi, out=m)
+                lo *= 2.0**27
+                bins[i, 0] += np.bincount(e, hi, _EXPONENTS).astype(np.int64)
+                bins[i, 1] += np.bincount(e, lo, _EXPONENTS).astype(np.int64)
+    sums = []
+    for (hi_bins, lo_bins), size, what in zip(bins, sizes, whats):
+        scaled = 0  # the sum times 2**(53 - _EMIN)
+        for k in np.flatnonzero(hi_bins | lo_bins).tolist():
+            scaled += ((int(hi_bins[k]) << 27) + int(lo_bins[k])) << k
+        try:
+            sums.append((scaled / (1 << (53 - _EMIN)), size))
+        except OverflowError:
+            size = math.nan
+        if math.isnan(size):
+            raise ValueError(f"{what} is not a finite float")
+    return sums
 
 
-def _eta_sum(t: SpectrumTable, s: float) -> tuple[float, float]:
-    _check_s(s, 3, "eta partial sums")
-    return _exact_sum(_eta_terms(t, s), f"the eta partial sum at a={t.a}, s={s}")
+def _powers(a: float, s: float, n_max: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Per run of the Laplacian rows 1 <= n <= n_max (mu > 0): mu, w, the
+    multiplicities m, the theta brackets x - y of x = (w + a)^-s and
+    y = (w - a)^-s, and the run's curl terms sign(v) m |v|^-s: m x and -m y
+    of the pairs a + w, a - w of the rows l >= 1, then series I and II."""
+    import numpy as np
+
+    _check_nmax(n_max, 0)
+    for n0, n1 in _runs("laplacian", 1, n_max):
+        mu, mults, w, pair, one_two, one_two_mults = _pair_block(a, n0, n1)
+        x, y = (w + a) ** -s, (w - a) ** -s
+        m = mults[pair]
+        curl = (m * x[pair], -(m * y[pair]), (one_two_mults * one_two**-s).ravel())
+        yield mu, w, mults, x - y, np.concatenate(curl)
 
 
 def eta_partial(t: SpectrumTable, s: float) -> float:
-    """Partial eta sum over the table, correctly rounded."""
-    return _eta_sum(t, s)[0]
+    """Partial eta sum over the curl table, correctly rounded."""
+    if t.kind != "curl":
+        raise ValueError("eta partial sums apply to curl tables")
+    _check_s(s, 3, "eta partial sums")
+    terms = ((curl,) for *_, curl in _powers(t.a, s, t.n_max))
+    return _exact_sums(terms, f"the eta partial sum at a={t.a}, s={s}")[0][0]
 
 
 def zeta(s: float) -> float:
@@ -390,40 +422,15 @@ def zeta(s: float) -> float:
     return direct + tail
 
 
-def _positive_laplacian(
-    p: BergerParams, n_max: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(mu, multiplicity) arrays of the positive eigenvalues, per chunk."""
-    for _, _, values, mults in laplacian_spectrum(p, n_max).chunks():
-        keep = values > 0
-        yield values[keep], mults[keep]
-
-
-def _theta_terms(p: BergerParams, s: float, n_max: int) -> Iterator[np.ndarray]:
-    """Theta brackets weighted by multiplicity, one array per chunk."""
-    import numpy as np
-
-    a = p.a_float
-    for mu, mults in _positive_laplacian(p, n_max):
-        w = np.sqrt(a**2 + mu)
-        yield mults * ((w + a) ** -s - (w - a) ** -s)
-
-
-def _theta_sum(p: BergerParams, s: float, n_max: int) -> tuple[float, float]:
-    return _exact_sum(
-        _theta_terms(p, s, n_max), f"the theta sum at a={p.a_float}, s={s}"
-    )
-
-
 def theta_partial(p: BergerParams, s: float, n_max: int) -> float:
     """The Laplacian-indexed series of the eta decomposition."""
-    return _theta_sum(p, s, n_max)[0]
-
-
-def _rhs_sum(p: BergerParams, s: float, n_max: int) -> tuple[float, float]:
-    _check_s(s, 2, "the decomposition")
     a = p.a_float
-    theta, magnitude = _theta_sum(p, s, n_max)
+    brackets = ((m * bracket,) for _, _, m, bracket, _ in _powers(a, s, n_max))
+    return _exact_sums(brackets, f"the theta sum at a={a}, s={s}")[0][0]
+
+
+def _rhs(a: float, s: float, theta: float) -> tuple[float, float]:
+    """The right-hand side from the theta sum, and the terms it adds."""
     try:
         head, tail = (2 * a) ** -s, 4 * a**s * zeta(s - 1)
         rhs = theta + head + tail
@@ -431,7 +438,7 @@ def _rhs_sum(p: BergerParams, s: float, n_max: int) -> tuple[float, float]:
         rhs = math.inf
     if not math.isfinite(rhs):
         raise ValueError(f"the eta decomposition at a={a}, s={s} is not a finite float")
-    return rhs, magnitude + head + tail
+    return rhs, head + tail
 
 
 def eta_decomposition_rhs(p: BergerParams, s: float, n_max: int) -> float:
@@ -440,7 +447,8 @@ def eta_decomposition_rhs(p: BergerParams, s: float, n_max: int) -> float:
     theta(s) + (2a)^{-s} + 4 a^s zeta(s-1), with theta summed over the
     positive Laplacian eigenvalues of the same truncation.
     """
-    return _rhs_sum(p, s, n_max)[0]
+    _check_s(s, 2, "the decomposition")
+    return _rhs(p.a_float, s, theta_partial(p, s, n_max))[0]
 
 
 def eta_identity(p: BergerParams, s: float, n_max: int) -> tuple[float, float, float]:
@@ -450,10 +458,20 @@ def eta_identity(p: BergerParams, s: float, n_max: int) -> tuple[float, float, f
     times the larger of the two sums of the absolute values of the terms
     summed into one side: at large s the terms reach ~a^s and cancel, and a
     residual below the bound says nothing about the identity.
+
+    Both are summed in one pass over the Laplacian rows (``_powers``):
+    the curl terms of each run and its theta brackets times multiplicity.
     """
-    lhs, lhs_size = _eta_sum(curl_spectrum(p, n_max), s)
-    rhs, rhs_size = _rhs_sum(p, s, n_max)
-    return lhs, rhs, 2.0**-52 * max(lhs_size, rhs_size)
+    _check_nmax(n_max, 2)
+    _check_s(s, 3, "eta partial sums")
+    a = p.a_float
+    (eta, eta_size), (theta, theta_size) = _exact_sums(
+        ((curl, m * bracket) for _, _, m, bracket, curl in _powers(a, s, n_max)),
+        f"the eta partial sum at a={a}, s={s}",
+        f"the theta sum at a={a}, s={s}",
+    )
+    rhs, added = _rhs(a, s, theta)
+    return eta, rhs, 2.0**-52 * max(eta_size, theta_size + added)
 
 
 def eta_closed_forms(p: BergerParams) -> dict:
@@ -478,15 +496,11 @@ def hitchin_remainder(p: BergerParams, s: float, n_max: int) -> float:
     -2 s a w^{-(s+1)} - (s(s+1)(s+2)/3) a^3 w^{-(s+3)} + O(w^{-(s+5)}) with
     w = sqrt(a^2 + mu); the remainder times mu^2 must stay bounded.
     """
-    import numpy as np
-
     a = p.a_float
     worst = 0.0
-    for mu, _ in _positive_laplacian(p, n_max):
-        w = np.sqrt(a**2 + mu)
-        bracket = (w + a) ** -s - (w - a) ** -s
+    for mu, w, _, bracket, _ in _powers(a, s, n_max):
         expansion = -2 * s * a * w ** -(s + 1)
         expansion -= s * (s + 1) * (s + 2) / 3 * a**3 * w ** -(s + 3)
-        scaled = np.abs(bracket - expansion) * mu**2
+        scaled = abs(bracket - expansion) * mu**2
         worst = max(worst, float(scaled.max(initial=0.0)))
     return worst

@@ -124,6 +124,25 @@ class TestCurlSpectrum:
             spectrum(BergerParams(1), MAX_NMAX + 1)
 
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: theta_partial(BergerParams(2), 6.0, n),
+            lambda n: eta_decomposition_rhs(BergerParams(2), 6.0, n),
+            lambda n: hitchin_remainder(BergerParams(2), 6.0, n),
+        ],
+        ids=["theta_partial", "eta_decomposition_rhs", "hitchin_remainder"],
+    )
+    def test_laplacian_sums_cap_nmax(self, call):
+        with pytest.raises(ValueError, match="n_max"):
+            call(MAX_NMAX + 1)
+        with pytest.raises(ValueError, match="n_max"):
+            call(-1)
+
+    def test_eta_partial_requires_curl_table(self):
+        with pytest.raises(ValueError, match="curl tables"):
+            eta_partial(laplacian_spectrum(BergerParams(2), 10), 6.0)
+
     def test_entries_length_matches_rows(self):
         p = BergerParams(Fraction(3, 2))
         for n in range(2, 30):
@@ -343,7 +362,7 @@ class TestStreaming:
         mpmath = pytest.importorskip("mpmath")
         for a in (Fraction(1, 2), 1, Fraction(3, 2), 2):
             t = curl_spectrum(BergerParams(a), 40)
-            terms = [x for chunk in berger._eta_terms(t, 6.0) for x in chunk]
+            terms = [x for *_, curl in berger._powers(t.a, 6.0, 40) for x in curl]
             with mpmath.workdps(50):
                 exact = float(mpmath.fsum(terms))
             assert eta_partial(t, 6.0) == exact
@@ -351,7 +370,46 @@ class TestStreaming:
                 math.copysign(e.multiplicity, e.value) * abs(e.value) ** -6.0
                 for e in t.entries
             ]
-            assert terms == pytest.approx(scalar, rel=5e-16, abs=0)
+            # The pairs come per run of Laplacian rows, not in table order.
+            assert sorted(terms) == pytest.approx(sorted(scalar), rel=5e-16, abs=0)
+
+
+class TestOnePass:
+    """The reductions read each Laplacian row once, through its curl pair."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """(kind, n0, n1) of every Laplacian and curl block built, in order."""
+        log = []
+        for kind in ("laplacian", "curl"):
+            name = f"_{kind}_block"
+
+            def logging(a, n0, n1, kind=kind, block=getattr(berger, name)):
+                log.append((kind, n0, n1))
+                return block(a, n0, n1)
+
+            monkeypatch.setattr(berger, name, logging)
+        monkeypatch.setattr(berger, "CHUNK_ROWS", 100)
+        return log
+
+    @staticmethod
+    def assert_runs(log, n0, n_max):
+        """The blocks are consecutive runs that cover n0 .. n_max once."""
+        assert len(log) > 10
+        assert [r[1] for r in log] == [n0] + [r[2] for r in log[:-1]]
+        assert log[-1][2] == n_max + 1
+
+    def test_eta_identity_builds_each_laplacian_run_once(self, built):
+        eta_identity(BergerParams(2), 6.0, 200)
+        assert {kind for kind, _, _ in built} == {"laplacian"}
+        self.assert_runs(built, 1, 200)
+
+    def test_weyl_counts_build_each_laplacian_run_once(self, built):
+        weyl_check(BergerParams(1), 40.0)  # n_max = 40 + 80 + 10
+        # The completeness bound interleaves the first omitted n = 131 alone.
+        assert built[:2] == [("curl", 131, 132), ("laplacian", 131, 132)]
+        assert {kind for kind, _, _ in built[2:]} == {"laplacian"}
+        self.assert_runs(built[2:], 2, 130)
 
 
 def reference_rows(kind, a, n_max):
@@ -465,15 +523,15 @@ class TestExactSum:
     @given(term_chunks())
     def test_equals_correctly_rounded_sum(self, chunks):
         terms = [x for chunk in chunks for x in chunk]
-        arrays = (np.array(chunk, dtype=np.float64) for chunk in chunks)
+        arrays = ((np.array(chunk, dtype=np.float64),) for chunk in chunks)
         exact = sum(map(Fraction, terms), Fraction(0))
         try:
             expected = float(exact)
         except OverflowError:
             with pytest.raises(ValueError, match="not a finite float"):
-                berger._exact_sum(arrays, "the test sum")
+                berger._exact_sums(arrays, "the test sum")
             return
-        total, _ = berger._exact_sum(arrays, "the test sum")
+        [(total, _)] = berger._exact_sums(arrays, "the test sum")
         assert math.copysign(1, total) == math.copysign(1, expected)
         assert total == expected
         try:
@@ -483,9 +541,9 @@ class TestExactSum:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_term_rejected(self, bad):
-        chunks = [np.ones(3), np.array([1.0, bad])]
+        chunks = [(np.ones(3),), (np.array([1.0, bad]),)]
         with pytest.raises(ValueError, match="not a finite float"):
-            berger._exact_sum(iter(chunks), "the test sum")
+            berger._exact_sums(iter(chunks), "the test sum")
 
 
 class TestPinnedReports:
