@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from curlasym.calculus import identity_jet
-from curlasym.configs import random_config, unit_config
+from curlasym.configs import UNIT_CONFIG_NAMES, random_config, unit_config
 from curlasym.exactpoly import (
     GR_I,
     TruncatedPoly,
@@ -125,6 +127,38 @@ class TestRiemannFromRicci:
                         assert riem[a][b][c][d] == -riem[b][a][c][d]
                         assert riem[a][b][c][d] == -riem[a][b][d][c]
                         assert riem[a][b][c][d] == riem[c][d][a][b]
+
+    def test_matches_delta_product_formula(self):
+        """Every entry is a Fraction equal to the Kronecker-delta products of
+        the dimension-3 identity, on the unit configs and random ones."""
+
+        def delta(a, b):
+            return 1 if a == b else 0
+
+        def oracle(ric, scal, a, b, c, d):
+            half_scal = Fraction(scal, 2)
+            return (
+                ric[a][c] * delta(b, d)
+                - ric[a][d] * delta(b, c)
+                + ric[b][d] * delta(a, c)
+                - ric[b][c] * delta(a, d)
+                + half_scal * (delta(a, d) * delta(b, c) - delta(a, c) * delta(b, d))
+            )
+
+        rng = random.Random(14)
+        configs = [unit_config(name) for name in UNIT_CONFIG_NAMES]
+        configs += [random_config(rng) for _ in range(8)]
+        for cfg in configs:
+            riem, driem = riemann_from_ricci(cfg)
+            tensors = [(riem, cfg.ric0, cfg.scalar0())]
+            tensors += [
+                (driem[s], cfg.dric0[s], cfg.dscalar0(s)) for s in range(3)
+            ]
+            for got, ric, scal in tensors:
+                for a, b, c, d in product(range(3), repeat=4):
+                    entry = got[a][b][c][d]
+                    assert type(entry) is Fraction
+                    assert entry == oracle(ric, scal, a, b, c, d)
 
 
 class TestMetricJet:

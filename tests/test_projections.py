@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import random
 
@@ -25,8 +26,10 @@ from curlasym.geometry import (
 from curlasym.polymat import (
     identity_mat,
     mat_add,
+    mat_conj,
     mat_is_zero,
     mat_mul,
+    mat_neg,
     mat_poly_scale,
     mat_restrict,
     mat_sub,
@@ -58,6 +61,30 @@ def _gmat(entries, order):
             row.append(TruncatedPoly(order, terms))
         rows.append(tuple(row))
     return tuple(rows)
+
+
+# The grid of the cross-branch tests: the 24 unit configs and four seeded
+# random ones.  Each (config, branch, accuracy) family on it is built once per
+# module; the records are frozen, so the tests share them.
+GRID = {name: unit_config(name) for name in UNIT_CONFIG_NAMES}
+GRID.update({f"seed{s}": random_config(random.Random(s)) for s in (1, 2, 3, 4)})
+
+
+@functools.cache
+def _grid_metric_jet(name):
+    return build_metric_jet(GRID[name])
+
+
+@functools.cache
+def _grid_family(name, aleph, accuracy):
+    return run_algorithm(_grid_metric_jet(name), aleph, accuracy)
+
+
+def _conjugate(m, level, sign=1):
+    """sign * (-1)^level * conj(m): the conjugation of a level-``level``
+    matrix, computed here independently of the library's helper."""
+    conj = mat_conj(m)
+    return conj if sign * (-1) ** level == 1 else mat_neg(conj)
 
 
 X1 = (1, 0, 0, 0, 0, 0)
@@ -285,13 +312,46 @@ class TestRunAlgorithm:
         )
 
 
+class TestBranchConjugation:
+    """The "-" family is the conjugate of the "+" family, and the three
+    branches resolve the identity, on every config of GRID at accuracies 1-3.
+
+    With J the conjugation (JQ)_k = (-1)^k conj(Q_k) of graded jets, the
+    "-" construction is J applied to the "+" construction, step by step;
+    only the commutation defect T, a commutator with curl, picks up one
+    more sign because J(curl) = -curl.
+    """
+
+    @pytest.mark.parametrize("name", tuple(GRID))
+    def test_minus_family_is_conjugate_of_plus(self, name):
+        for accuracy in (1, 2, 3):
+            plus = _grid_family(name, "+", accuracy)
+            minus = _grid_family(name, "-", accuracy)
+            for k, (p, m) in enumerate(zip(plus.jet.components, minus.jet.components)):
+                assert _conjugate(p, k) == m, (accuracy, k)
+            assert len(plus.steps) == len(minus.steps) == accuracy
+            for k, (p, m) in enumerate(zip(plus.steps, minus.steps), start=1):
+                for key in "RSX":
+                    assert _conjugate(p[key], k) == m[key], (accuracy, k, key)
+                assert _conjugate(p["T"], k, sign=-1) == m["T"], (accuracy, k)
+
+    @pytest.mark.parametrize("name", tuple(GRID))
+    def test_branches_resolve_the_identity(self, name):
+        for accuracy in (1, 2, 3):
+            fams = [_grid_family(name, aleph, accuracy) for aleph in LABELS]
+            for k, levels in enumerate(zip(*(f.jet.components for f in fams))):
+                p_plus, p0, p_minus = levels
+                total = mat_add(mat_add(p0, p_plus), p_minus)
+                if k == 0:
+                    total = mat_sub(total, identity_mat(accuracy))
+                assert mat_is_zero(total), (accuracy, k)
+
+
 class TestVerifyProjection:
     def test_all_unit_configs_pass(self):
         for name in UNIT_CONFIG_NAMES:
-            cfg = unit_config(name)
             for aleph in LABELS:
-                fam = run_algorithm(build_metric_jet(cfg), aleph, 3)
-                report = verify_projection(fam)
+                report = verify_projection(_grid_family(name, aleph, 3))
                 assert report["pass"], (name, aleph, report["first_failure"])
 
     def test_corrupted_component_fails_at_degree_minus_one(self):
