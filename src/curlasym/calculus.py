@@ -10,7 +10,9 @@ literal homogeneity, and differentiating in eta reassigns degree m to m - 1.
 Operations: composition of symbols, subprincipal symbol of operators on
 1-forms (with its three Christoffel terms), the generalized Poisson bracket,
 the formal adjoint at principal and subprincipal level, the componentwise
-matrix trace, and the two parallel-transport trace corrections.
+matrix trace, the two parallel-transport trace corrections, and the
+conjugation J of graded jets, (JQ)_k = (-1)^k conj(Q_k), which respects
+composition.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .polymat import (
     mat_diff,
     mat_is_zero,
     mat_mul,
+    mat_neg,
     mat_poly_scale,
     mat_restrict,
     mat_scale,
@@ -241,6 +244,21 @@ def compose(b: SymbolJet, a: SymbolJet) -> SymbolJet:
                     out[level] = mat_add(out[level], term)
 
     return SymbolJet(b.top_degree + a.top_degree, n, out_shape, out)
+
+
+def conjugate_branch(q: SymbolJet) -> SymbolJet:
+    """J(q): level k becomes (-1)^k conj(q_k).
+
+    Level L of B A sums (-i)^|m| / m! times products of levels jb and ja with
+    jb + ja + |m| = L, and conj((-i)^|m|) = (-1)^|m| (-i)^|m|, so
+    J(B A) = J(B) J(A).  A real differential operator with an imaginary
+    principal symbol, such as curl, has J(curl) = -curl.
+    """
+    comps = [
+        mat_conj(m) if k % 2 == 0 else mat_neg(mat_conj(m))
+        for k, m in enumerate(q.components)
+    ]
+    return SymbolJet(q.top_degree, q.accuracy, q.shape, comps)
 
 
 def _multi_indices(k: int):

@@ -173,13 +173,17 @@ def riemann_from_ricci(cfg: CurvatureConfig):
         half_scal = rat(scal, 2)
 
         def entry(a, b, c, d):
-            return (
-                ric[a][c] * _delta(b, d)
-                - ric[a][d] * _delta(b, c)
-                + ric[b][d] * _delta(a, c)
-                - ric[b][c] * _delta(a, d)
-                + half_scal * (_delta(a, d) * _delta(b, c) - _delta(a, c) * _delta(b, d))
-            )
+            # Only the terms whose Kronecker deltas are 1.
+            value = rat(0)
+            if b == d:
+                value += ric[a][c] - (half_scal if a == c else 0)
+            if b == c:
+                value -= ric[a][d] - (half_scal if a == d else 0)
+            if a == c:
+                value += ric[b][d]
+            if a == d:
+                value -= ric[b][c]
+            return value
 
         return tensor(entry, 4)
 

@@ -7,6 +7,12 @@ with the curl symbol hold to successively higher accuracy.  The difference of
 the two nonzero projections then yields the asymmetry symbol; its diagonal
 trace vanishes at degrees 0, -1, -2 and its degree -3 value at the anchor
 reproduces a curvature-derivative closed form.
+
+The conjugation J of graded jets, (JQ)_k = (-1)^k conj(Q_k)
+(``calculus.conjugate_branch``), respects composition and sends curl to
+-curl, and conj(P+_0) = P-_0.  So J maps every step of the "+" construction
+onto the "-" one (the commutation defect T with one more sign), P- = J(P+),
+and ``asymmetry_report`` builds only the "+" branch.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from typing import Sequence
 from .calculus import (
     SymbolJet,
     compose,
+    conjugate_branch,
     subprincipal,
     trace_diag,
     transport_correction,
@@ -248,13 +255,15 @@ class AsymmetryReport:
 def asymmetry_report(cfg: CurvatureConfig) -> AsymmetryReport:
     """Full order and principal-value check for one curvature configuration.
 
-    Runs the construction at accuracy 3 for both nonzero branches, takes the
-    diagonal trace of the difference per degree at the anchor point, the two
-    parallel-transport corrections, and compares the degree -3 value against
-    the curvature-derivative closed form.
+    Runs the construction at accuracy 3 for the "+" branch only and forms
+    the difference P+ - P- as P+ - J(P+) (see the module docstring).  Takes
+    the diagonal trace of the difference per degree at the anchor point, the
+    two parallel-transport corrections, and compares the degree -3 value
+    against the curvature-derivative closed form.
     """
     mj = build_metric_jet(cfg)
-    diff = run_algorithm(mj, "+", 3).jet - run_algorithm(mj, "-", 3).jet
+    plus = run_algorithm(mj, "+", 3).jet
+    diff = plus - conjugate_branch(plus)
 
     diag_traces = tuple(c[0][0].constant_term() for c in trace_diag(diff).components)
     q0, qm1 = diff.components[:2]

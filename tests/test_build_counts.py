@@ -4,7 +4,8 @@ The metric jet is built once per configuration and command, and the Riemann
 tensor once per metric jet, also for the Hodge symbol of the square-root
 hierarchy.  The curl symbol (one ``MetricJet.e_mixed`` each) and the raised
 covector are built once per ``run_algorithm``, and ``verify_projection``
-reuses what its family carries.
+reuses what its family carries.  ``asymmetry_report`` runs the construction
+for the "+" branch only; ``project`` runs it for every requested branch.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from curlasym import geometry
+from curlasym import geometry, projections
 from curlasym.altderiv import build_hierarchy
 from curlasym.cli import entry
 from curlasym.configs import unit_config
@@ -24,8 +25,8 @@ from curlasym.projections import asymmetry_report, run_algorithm, verify_project
 
 @pytest.fixture
 def counts(monkeypatch) -> Counter:
-    """Counts calls to build_metric_jet, riemann_from_ricci, MetricJet.e_mixed
-    and raised_covector."""
+    """Counts calls to build_metric_jet, riemann_from_ricci, MetricJet.e_mixed,
+    raised_covector and run_algorithm."""
     tally = Counter()
 
     def counting(name, fn):
@@ -35,8 +36,13 @@ def counts(monkeypatch) -> Counter:
 
         return wrapper
 
-    for name in ("build_metric_jet", "riemann_from_ricci", "raised_covector"):
-        original = getattr(geometry, name)
+    for home, name in (
+        (geometry, "build_metric_jet"),
+        (geometry, "riemann_from_ricci"),
+        (geometry, "raised_covector"),
+        (projections, "run_algorithm"),
+    ):
+        original = getattr(home, name)
         for module in list(sys.modules.values()):
             if module and module.__name__.startswith("curlasym"):
                 if getattr(module, name, None) is original:
@@ -50,8 +56,9 @@ def test_asymmetry_report(counts):
     assert counts == {
         "build_metric_jet": 1,
         "riemann_from_ricci": 1,
-        "e_mixed": 2,
-        "raised_covector": 2,
+        "e_mixed": 1,
+        "raised_covector": 1,
+        "run_algorithm": 1,
     }
 
 
@@ -63,6 +70,7 @@ def test_project_three_branches(counts, tmp_path):
         "riemann_from_ricci": 1,
         "e_mixed": 3,
         "raised_covector": 3,
+        "run_algorithm": 3,
     }
 
 

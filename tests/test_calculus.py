@@ -14,6 +14,7 @@ from curlasym.calculus import (
     SymbolJet,
     adjoint_prin_sub,
     compose,
+    conjugate_branch,
     constant_jet,
     identity_jet,
     poisson_bracket,
@@ -35,6 +36,7 @@ from curlasym.polymat import (
     identity_mat,
     mat_truncate,
     mat_add,
+    mat_conj,
     mat_is_zero,
     mat_mul,
     mat_scale,
@@ -122,6 +124,29 @@ class TestCompose:
         b = random_jet(rng, 2)
         shifted = SymbolJet(1, 2, (3, 3), list(b.components))
         assert compose(a, shifted).top_degree == a.top_degree + 1
+
+
+class TestConjugateBranch:
+    def test_levels_and_involution(self):
+        a = random_jet(random.Random(45), 3)
+        j = conjugate_branch(a)
+        assert j.components[0] == mat_conj(a.components[0])
+        assert mat_is_zero(mat_add(j.components[1], mat_conj(a.components[1])))
+        assert conjugate_branch(j) == a
+
+    def test_respects_composition(self):
+        rng = random.Random(46)
+        for _ in range(10):
+            a = random_jet(rng, 3, density=0.15)
+            b = random_jet(rng, 3, density=0.15)
+            assert conjugate_branch(compose(b, a)) == compose(
+                conjugate_branch(b), conjugate_branch(a)
+            )
+
+    def test_curl_changes_sign(self):
+        for cfg in (unit_config("c11"), random_config(random.Random(47))):
+            curl = curl_symbol(build_metric_jet(cfg), accuracy=3)
+            assert conjugate_branch(curl) == curl.scale(-1)
 
 
 class TestSubprincipalComposition:
