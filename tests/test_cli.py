@@ -44,6 +44,21 @@ class TestProject:
         assert x3[0][0]["terms"][0]["re"] == "-1/4"
         assert x3[1][1]["terms"] == []
 
+    def test_c11_report_bytes_pinned(self, tmp_path, capsys):
+        """The report, to a file and to standard output, is the pinned text of
+        json.dumps(payload, indent=2)."""
+        argv = ["project", "--config", "c11", "--accuracy", "3"]
+        out = tmp_path / "c11.json"
+        assert run(argv, out) == 0
+        text = out.read_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c1ab9276717088a4bec2b5f0537e4ce377d2456706d1a6a96711e7eb6dc64f7b"
+        )
+        assert text == json.dumps(json.loads(text), indent=2)
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().out == text + "\n"
+
     def test_bad_accuracy_is_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "curlasym.cli", "project", "--accuracy", "7"],
