@@ -6,7 +6,8 @@ arguments: the symbolic pipelines are exact, and the Berger spectra are
 summed chunk by chunk into an exact integer accumulator and rounded once,
 so every floating-point sum is correctly rounded and does not depend on
 summation order or on the chunk size, which bounds the memory.  The
-spectrum CSV is written one chunk at a time.
+spectrum CSV is written one chunk at a time, and the ~1 MB JSON of
+``project`` in pieces of 4096 encoder chunks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import json
 import math
 import os
 import sys
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .altderiv import aprin_alternative, build_hierarchy
 from .berger import (
@@ -86,6 +88,14 @@ def _emit(text: str | Iterable[str], output: str | None) -> None:
         raise SystemExit(2)
 
 
+def _json_pieces(payload: object) -> Iterator[str]:
+    """The text of json.dumps(payload, indent=2), joined 4096 encoder chunks
+    at a time, so the encoder's many small chunks are never all held at once."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while piece := "".join(islice(chunks, 4096)):
+        yield piece
+
+
 def cmd_project(args: argparse.Namespace) -> int:
     alephs = args.aleph.split(",")
     for aleph in alephs:
@@ -103,7 +113,7 @@ def cmd_project(args: argparse.Namespace) -> int:
             {"family": fam.to_dict(), "verification": report}
         )
     payload["pass"] = all_pass
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(_json_pieces(payload), args.output)
     return 0 if all_pass else 1
 
 
