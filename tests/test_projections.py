@@ -339,8 +339,8 @@ class TestBranchConjugation:
     def test_branches_resolve_the_identity(self, name):
         for accuracy in (1, 2, 3):
             fams = [_grid_family(name, aleph, accuracy) for aleph in LABELS]
-            for k, levels in enumerate(zip(*(f.jet.components for f in fams))):
-                p_plus, p0, p_minus = levels
+            levels = zip(*(f.jet.components for f in fams))
+            for k, (p_plus, p0, p_minus) in enumerate(levels):
                 total = mat_add(mat_add(p0, p_plus), p_minus)
                 if k == 0:
                     total = mat_sub(total, identity_mat(accuracy))
