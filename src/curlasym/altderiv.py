@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exactpoly import (
     E1,
@@ -27,7 +28,6 @@ from .exactpoly import (
     poly_diff,
     poly_from_monomials,
     poly_mul,
-    rat,
 )
 from .geometry import (
     EPSILON,
@@ -71,21 +71,22 @@ def hodge_symbol(mj: MetricJet) -> tuple:
 
     # a_al{}^{be ga}{}_{mu nu}; index raising at the origin is trivial.
     def a_tensor(al, be, ga, mu, nu):
-        val = rat(0)
+        val = Fraction(0)
         if al == be:
-            val += rat(1, 2) * dric[mu][ga][nu] - rat(1, 12) * dric[ga][mu][nu]
+            val += Fraction(1, 2) * dric[mu][ga][nu]
+            val -= Fraction(1, 12) * dric[ga][mu][nu]
         val -= (
             driem0[al][ga][mu][be][nu]
             - 3 * driem0[mu][ga][al][be][nu]
             + 5 * driem0[nu][ga][mu][be][al]
-        ) * rat(1, 6)
+        ) * Fraction(1, 6)
         return val
 
     def b_tensor(al, be, nu):
         return (
-            -rat(1, 6) * dric[be][al][nu]
-            + rat(1, 2) * dric[al][be][nu]
-            + rat(1, 2) * dric[nu][al][be]
+            -Fraction(1, 6) * dric[be][al][nu]
+            + Fraction(1, 2) * dric[al][be][nu]
+            + Fraction(1, 2) * dric[nu][al][be]
         )
 
     def q1_entry(al, be):
@@ -139,7 +140,7 @@ def sqrt_hierarchy(q1: Matrix, q0: Matrix, mj: MetricJet) -> HodgeHierarchy:
     rn1 = norm_power(quad, 1)
     rnm1 = norm_power(quad, -1)
 
-    half = rat(1, 2)
+    half = Fraction(1, 2)
     inv_i = -GR_I  # 1/i
 
     def dxi(p: TruncatedPoly, *vs: int) -> TruncatedPoly:
@@ -177,43 +178,43 @@ def sqrt_hierarchy(q1: Matrix, q0: Matrix, mj: MetricJet) -> HodgeHierarchy:
 
     r0 = mat_add(
         mat_poly_scale(q1, half_eum1),
-        mat_scale(transport_term(rn_mat), rat(-1, 2)),
+        mat_scale(transport_term(rn_mat), Fraction(-1, 2)),
     )
     r_m1 = mat_add(
         mat_add(
             mat_poly_scale(q0, half_eum1),
-            mat_scale(transport_term(r0), rat(-1, 2)),
+            mat_scale(transport_term(r0), Fraction(-1, 2)),
         ),
-        derivative_term(rn_mat, eum1.scale(rat(1, 4)), 2),
+        derivative_term(rn_mat, eum1.scale(Fraction(1, 4)), 2),
     )
     r_m2 = mat_add(
         mat_add(
-            mat_scale(transport_term(r_m1), rat(-1, 2)),
-            derivative_term(r0, eum1.scale(rat(1, 4)), 2),
+            mat_scale(transport_term(r_m1), Fraction(-1, 2)),
+            derivative_term(r0, eum1.scale(Fraction(1, 4)), 2),
         ),
-        mat_scale(derivative_term(rn_mat, eum1.scale(rat(1, 12)), 3), inv_i),
+        mat_scale(derivative_term(rn_mat, eum1.scale(Fraction(1, 12)), 3), inv_i),
     )
 
     s_m2 = mat_add(
-        mat_scale(mat_poly_scale(r0, eum2), rat(-1)),
-        mat_scale(transport_term(rnm1_mat), rat(-1)),
+        mat_scale(mat_poly_scale(r0, eum2), Fraction(-1)),
+        mat_scale(transport_term(rnm1_mat), Fraction(-1)),
     )
     s_m3 = mat_add(
         mat_add(
-            mat_scale(mat_poly_scale(r_m1, eum2), rat(-1)),
-            mat_scale(transport_term(s_m2), rat(-1)),
+            mat_scale(mat_poly_scale(r_m1, eum2), Fraction(-1)),
+            mat_scale(transport_term(s_m2), Fraction(-1)),
         ),
         derivative_term(rnm1_mat, eum1.scale(half), 2),
     )
     s_m4 = mat_add(
         mat_add(
             mat_add(
-                mat_scale(mat_poly_scale(r_m2, eum2), rat(-1)),
-                mat_scale(transport_term(s_m3), rat(-1)),
+                mat_scale(mat_poly_scale(r_m2, eum2), Fraction(-1)),
+                mat_scale(transport_term(s_m3), Fraction(-1)),
             ),
             derivative_term(s_m2, eum1.scale(half), 2),
         ),
-        mat_scale(derivative_term(rnm1_mat, eum1.scale(rat(1, 6)), 3), inv_i),
+        mat_scale(derivative_term(rnm1_mat, eum1.scale(Fraction(1, 6)), 3), inv_i),
     )
 
     return HodgeHierarchy(mj, q1, q0, r0, r_m1, r_m2, s_m2, s_m3, s_m4)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import getitem
@@ -29,11 +30,11 @@ from .exactpoly import (
     ETA_VARS,
     GR_I,
     GR_ONE,
+    MAX_ORDER,
     X_VARS,
     GaussianRational,
     poly_diff,
     poly_from_dict,
-    rat,
 )
 from .polymat import (
     Matrix,
@@ -220,9 +221,6 @@ def compose(b: SymbolJet, a: SymbolJet) -> SymbolJet:
     # Order n is at or above every level's schedule, so each level sum takes
     # the order of its terms.
     out = [zero_mat(out_shape, n)] * (n + 1)
-    minus_i_pow = [GR_ONE]
-    for _ in range(n):
-        minus_i_pow.append(minus_i_pow[-1] * (-GR_I))
 
     for jb in range(n + 1):
         if mat_is_zero(b.components[jb]):
@@ -239,8 +237,7 @@ def compose(b: SymbolJet, a: SymbolJet) -> SymbolJet:
                     am = deriv(1, ja, m)
                     if mat_is_zero(am):
                         continue
-                    coeff = minus_i_pow[k] * rat(1, math.prod(map(math.factorial, m)))
-                    term = mat_scale(mat_mul(bm, am), coeff)
+                    term = mat_scale(mat_mul(bm, am), _WEIGHT[m])
                     out[level] = mat_add(out[level], term)
 
     return SymbolJet(b.top_degree + a.top_degree, n, out_shape, out)
@@ -265,6 +262,14 @@ def _multi_indices(k: int):
     for m1 in range(k + 1):
         for m2 in range(k + 1 - m1):
             yield (m1, m2, k - m1 - m2)
+
+
+#: The weight (-i)^|m| / m! of the multi-index m in a composition.
+_WEIGHT = {
+    m: (GR_ONE, -GR_I, -GR_ONE, GR_I)[k % 4] / math.prod(map(math.factorial, m))
+    for k in range(MAX_ORDER + 1)
+    for m in _multi_indices(k)
+}
 
 
 def _christoffel_t(mj, order: int) -> list:
@@ -293,7 +298,7 @@ def subprincipal(q: SymbolJet, mj) -> Matrix:
         raise ValueError("subprincipal needs at least two graded levels")
     order = q.accuracy - 2
     qs = q.components[0]
-    half_i = GR_I * rat(1, 2)
+    half_i = GR_I * Fraction(1, 2)
 
     out = mat_truncate(q.components[1], order)
     for g, at in enumerate(_christoffel_t(mj, order)):
@@ -379,9 +384,9 @@ def transport_correction(q0: Matrix, mj, level: int, qm1: Matrix) -> GaussianRat
         )
 
     if level == 2:
-        table, weight = mj.riem0, rat(1, 6)
+        table, weight = mj.riem0, Fraction(1, 6)
     else:
-        table, weight = mj.d2gamma0(), -GR_I * rat(1, 6)
+        table, weight = mj.d2gamma0(), -GR_I * Fraction(1, 6)
     # Index tuples (a, v1, k, v2, ...): the entry q0[a][k] is differentiated
     # in eta_{v1}, eta_{v2}, ...
     total = GaussianRational(0)

@@ -10,8 +10,8 @@ same six index pairs).  "flat" is the all-zero configuration.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
-from .exactpoly import rat
 from .geometry import CurvatureConfig
 
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -26,17 +26,17 @@ def unit_config(name: str) -> CurvatureConfig:
     if name not in UNIT_CONFIG_NAMES:
         raise ValueError(f"unknown configuration {name!r}")
     idx = int(name[1:]) - 1
-    ric = [[rat(0)] * 3 for _ in range(3)]
-    dric = [[[rat(0)] * 3 for _ in range(3)] for _ in range(3)]
+    ric = [[Fraction(0)] * 3 for _ in range(3)]
+    dric = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
     if idx < 6:
         a, b = _PAIRS[idx]
-        ric[a][b] = rat(1)
-        ric[b][a] = rat(1)
+        ric[a][b] = Fraction(1)
+        ric[b][a] = Fraction(1)
     else:
         s, pair = divmod(idx - 6, 6)
         a, b = _PAIRS[pair]
-        dric[s][a][b] = rat(1)
-        dric[s][b][a] = rat(1)
+        dric[s][a][b] = Fraction(1)
+        dric[s][b][a] = Fraction(1)
     return CurvatureConfig(ric, dric)
 
 
@@ -46,15 +46,15 @@ def random_config(rng: random.Random) -> CurvatureConfig:
     def draw():
         num = rng.randint(-3, 3)
         den = rng.randint(1, 6)
-        return rat(num, den)
+        return Fraction(num, den)
 
-    ric = [[rat(0)] * 3 for _ in range(3)]
+    ric = [[Fraction(0)] * 3 for _ in range(3)]
     for a in range(3):
         for b in range(a, 3):
             v = draw()
             ric[a][b] = v
             ric[b][a] = v
-    dric = [[[rat(0)] * 3 for _ in range(3)] for _ in range(3)]
+    dric = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
     for s in range(3):
         for a in range(3):
             for b in range(a, 3):
@@ -73,15 +73,15 @@ def random_bianchi_config(rng: random.Random) -> CurvatureConfig:
     exactly on this class (and only on it).
     """
     base = random_config(rng)
-    z = ((rat(0),) * 3,) * 3
+    z = ((Fraction(0),) * 3,) * 3
     dric = [[list(row) for row in sl] for sl in base.dric0]
     for nu in (0, 1):
-        defect = rat(1, 2) * sum(dric[nu][i][i] for i in range(3)) - sum(
+        defect = Fraction(1, 2) * sum(dric[nu][i][i] for i in range(3)) - sum(
             dric[mu][mu][nu] for mu in range(3)
         )
         dric[2][2][nu] += defect
         dric[2][nu][2] += defect
-    defect = rat(1, 2) * sum(dric[2][i][i] for i in range(3)) - sum(
+    defect = Fraction(1, 2) * sum(dric[2][i][i] for i in range(3)) - sum(
         dric[mu][mu][2] for mu in range(3)
     )
     dric[2][2][2] += 2 * defect

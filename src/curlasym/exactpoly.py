@@ -30,11 +30,6 @@ from math import gcd, lcm
 from typing import Iterable, Iterator
 
 
-def rat(value: object = 0, den: object = None) -> Fraction:
-    """Coerce to the exact rational type."""
-    return Fraction(value) if den is None else Fraction(value, den)
-
-
 def parse_rational(text: str) -> Fraction:
     """``Fraction(text)`` with a bounded decimal exponent.
 
@@ -86,7 +81,7 @@ def _unpack(key: int) -> Exponent:
 
 
 def _qstr(num: int, den: int) -> str:
-    """str(rat(num, den)), computed on the integers."""
+    """str(Fraction(num, den)), computed on the integers."""
     g = gcd(num, den)
     return str(num // g) if den == g else f"{num // g}/{den // g}"
 
@@ -98,103 +93,122 @@ def _qstr(num: int, den: int) -> str:
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """The exact complex number (x + i*y) / den, den > 0, gcd(x, y, den) == 1.
 
-    __slots__ = ("re", "im")
-    re: Fraction
-    im: Fraction
+    This is one TruncatedPoly term reduced on its own, so equal values have
+    equal representations.  Floats are refused: they are binary fractions.
+    """
+
+    __slots__ = ("x", "y", "den")
+    x: int
+    y: int
+    den: int
 
     def __init__(self, re: object = 0, im: object = 0) -> None:
-        object.__setattr__(self, "re", rat(re))
-        object.__setattr__(self, "im", rat(im))
+        if isinstance(re, float) or isinstance(im, float):
+            raise TypeError("floats are not exact: pass an int, Fraction or str")
+        re, im = Fraction(re), Fraction(im)
+        a, b = re.denominator, im.denominator
+        _gr(re.numerator * b, im.numerator * a, a * b, self)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.x, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y, self.den)
 
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.x or self.y)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.y
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        other = _coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+    def __add__(self, other: object) -> "GaussianRational":
+        o, d = _coerce(other), self.den
+        return _gr(self.x * o.den + o.x * d, self.y * o.den + o.y * d, d * o.den)
 
     __radd__ = __add__
 
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        other = _coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+    def __sub__(self, other: object) -> "GaussianRational":
+        o, d = _coerce(other), self.den
+        return _gr(self.x * o.den - o.x * d, self.y * o.den - o.y * d, d * o.den)
 
     def __rsub__(self, other: object) -> "GaussianRational":
         return _coerce(other) - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.x, -self.y, self.den)
 
     def __mul__(self, other: object) -> "GaussianRational":
-        other = _coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        o, x, y = _coerce(other), self.x, self.y
+        return _gr(x * o.x - y * o.y, x * o.y + y * o.x, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "GaussianRational":
-        other = _coerce(other)
-        norm = other.re * other.re + other.im * other.im
+        # (x + iy)/d / ((u + iv)/e) = e (x + iy)(u - iv) / (d (u^2 + v^2))
+        o = _coerce(other)
+        (x, y, d), (u, v, e) = (self.x, self.y, self.den), (o.x, o.y, o.den)
+        norm = u * u + v * v
         if norm == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        return _gr((x * u + y * v) * e, (y * u - x * v) * e, d * norm)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self.x, -self.y, self.den)
 
     # -- comparison and display ------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+        if isinstance(other, (GaussianRational, int, Fraction)):
+            o = _coerce(other)
+            return self.x == o.x and self.y == o.y and self.den == o.den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self.x, self.y, self.den))
 
     def __repr__(self) -> str:
-        if self.im == 0:
-            return f"GR({self.re})"
-        return f"GR({self.re}, {self.im}i)"
+        re = _qstr(self.x, self.den)
+        return f"GR({re}, {_qstr(self.y, self.den)}i)" if self.y else f"GR({re})"
 
     def __str__(self) -> str:
         """"p/q" when real, else "p/q+p/qi" or "p/q-p/qi"."""
-        if self.im == 0:
-            return str(self.re)
-        return f"{self.re}{'+' if self.im > 0 else ''}{self.im}i"
+        if not self.y:
+            return _qstr(self.x, self.den)
+        sign = "+" if self.y > 0 else ""
+        return f"{_qstr(self.x, self.den)}{sign}{_qstr(self.y, self.den)}i"
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _gr(x: int, y: int, den: int, out=None) -> GaussianRational:
+    """(x + i*y) / den for den > 0 in lowest terms (stored into ``out`` if given)."""
+    g = gcd(x, y, den)
+    c = _new(GaussianRational) if out is None else out
+    _set(c, "x", x // g)
+    _set(c, "y", y // g)
+    _set(c, "den", den // g)
+    return c
 
 
 def _coerce(value: object) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
+    if isinstance(value, (int, Fraction)):
+        return _gr(value.numerator, 0, value.denominator)
     return GaussianRational(value)
-
-
-def _split(value: object) -> tuple:
-    """Integers (re, im, den) with value == (re + i*im) / den and den > 0."""
-    c = _coerce(value)
-    r, i = c.re, c.im
-    den = lcm(r.denominator, i.denominator)
-    return r.numerator * den // r.denominator, i.numerator * den // i.denominator, den
 
 
 GR_ZERO = GaussianRational(0)
@@ -218,7 +232,7 @@ class _Terms(Mapping):
 
     def __getitem__(self, exp: Exponent) -> GaussianRational:
         re, im = self._p._num[_pack(exp)]
-        return GaussianRational(Fraction(re, self._p.den), Fraction(im, self._p.den))
+        return _gr(re, im, self._p.den)
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -247,9 +261,9 @@ class TruncatedPoly:
             if len(exp) != NUM_VARS or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent tuple {exp!r}")
             if sum(exp) <= order:
-                coeffs[_pack(exp)] = _split(coeff)
-        den = lcm(*(d for _, _, d in coeffs.values()))
-        num = {k: (re * den // d, im * den // d) for k, (re, im, d) in coeffs.items()}
+                coeffs[_pack(exp)] = coeff
+        den = lcm(*(c.den for c in coeffs.values()))
+        num = {k: (c.x * den // c.den, c.y * den // c.den) for k, c in coeffs.items()}
         _poly(order, den, num, self)
 
     @property
@@ -313,7 +327,8 @@ class TruncatedPoly:
         return _poly(self.order, self.den, neg, reduce=False)
 
     def scale(self, value: object) -> "TruncatedPoly":
-        a, b, d = _split(value)
+        c = _coerce(value)
+        a, b, d = c.x, c.y, c.den
         if not (a or b):
             return TruncatedPoly(self.order)
         num = {k: (x * a - y * b, x * b + y * a) for k, (x, y) in self._num.items()}
@@ -344,10 +359,6 @@ class TruncatedPoly:
             )
             parts.append(f"({coeff!r}){'*' + mono if mono else ''}")
         return f"TruncatedPoly({' + '.join(parts) or 0}; order {self.order})"
-
-
-_new = object.__new__
-_set = object.__setattr__
 
 
 def _poly(order, den, num, out=None, reduce=True) -> TruncatedPoly:
@@ -459,12 +470,12 @@ def binomial_power_jet(u: TruncatedPoly, r: object) -> TruncatedPoly:
     """
     if not u.constant_term().is_zero():
         raise ValueError("binomial_power_jet requires a zero constant term")
-    r = rat(r)
+    r = Fraction(r)
     order = u.order
     result = TruncatedPoly.constant(1, order)
     if u.is_zero():
         return result
-    coeff = rat(1)
+    coeff = Fraction(1)
     power = TruncatedPoly.constant(1, order)
     for k in range(1, order + 1):
         coeff = coeff * (r - (k - 1)) / k

@@ -33,7 +33,6 @@ from .exactpoly import (
     poly_diff,
     poly_from_monomials,
     poly_mul,
-    rat,
 )
 from .polymat import (
     Matrix,
@@ -72,7 +71,8 @@ class CurvatureConfig:
 
     ric0 is a symmetric 3x3 matrix of rationals; dric0 holds the three
     symmetric 3x3 matrices (grad_1 Ric, grad_2 Ric, grad_3 Ric).  Entries are
-    stored as nested tuples of Fractions (strings are parsed exactly).
+    stored as nested tuples of Fractions (strings are parsed exactly; floats
+    are refused, since a binary fraction is not the decimal that was meant).
     Symmetry in the last two indices is enforced; no differential identity
     relating the 24 constants is imposed, they are treated as independent.
     """
@@ -143,11 +143,17 @@ class CurvatureConfig:
 
     @staticmethod
     def loads(text: str) -> "CurvatureConfig":
-        return CurvatureConfig.from_dict(json.loads(text, parse_float=parse_rational))
+        try:
+            data = json.loads(text, parse_float=parse_rational)
+        except RecursionError:
+            raise ValueError("config JSON nests too deeply") from None
+        return CurvatureConfig.from_dict(data)
 
 
 def _exact(value: object) -> Fraction:
-    return parse_rational(value) if isinstance(value, str) else rat(value)
+    if isinstance(value, float):
+        raise ValueError(f"entry {value!r} is a float: give it as a 'p/q' string")
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
 
 def _is_exact_array(value: object, depth: int) -> bool:
@@ -170,11 +176,11 @@ def riemann_from_ricci(cfg: CurvatureConfig):
     """
 
     def riemann(ric, scal):
-        half_scal = rat(scal, 2)
+        half_scal = Fraction(scal, 2)
 
         def entry(a, b, c, d):
             # Only the terms whose Kronecker deltas are 1.
-            value = rat(0)
+            value = Fraction(0)
             if b == d:
                 value += ric[a][c] - (half_scal if a == c else 0)
             if b == c:
@@ -247,8 +253,8 @@ def build_metric_jet(cfg: CurvatureConfig, order: int = 3) -> MetricJet:
         lambda a, b: _quadratic_cubic(
             order,
             _delta(a, b),
-            lambda m, n: rat(-riem0[a][m][b][n], 3),
-            lambda s, m, n: rat(-driem0[s][a][m][b][n], 6),
+            lambda m, n: Fraction(-riem0[a][m][b][n], 3),
+            lambda s, m, n: Fraction(-driem0[s][a][m][b][n], 6),
         ),
         2,
     )
@@ -273,13 +279,14 @@ def build_metric_jet(cfg: CurvatureConfig, order: int = 3) -> MetricJet:
         ),
     )
     u = det - TruncatedPoly.constant(1, order)
-    rho = binomial_power_jet(u, rat(1, 2))
-    rho_inv = binomial_power_jet(u, rat(-1, 2))
+    rho = binomial_power_jet(u, Fraction(1, 2))
+    rho_inv = binomial_power_jet(u, Fraction(-1, 2))
 
     # Christoffel symbols from the first-derivative formula; one order lower.
     dg = tensor(lambda a, b, c: poly_diff(g[a][b], c), 3)
     lowered = tensor(
-        lambda d, b, c: (dg[d][c][b] + dg[d][b][c] - dg[b][c][d]).scale(rat(1, 2)), 3
+        lambda d, b, c: (dg[d][c][b] + dg[d][b][c] - dg[b][c][d]).scale(Fraction(1, 2)),
+        3,
     )
     g_inv_low = mat_truncate(g_inv, order - 1)
     gamma = tensor(
@@ -313,7 +320,7 @@ def norm_power(quad: TruncatedPoly, r: object) -> TruncatedPoly:
     The exponent r must have denominator 1 or 2 so the expansion stays in the
     binomial-series regime with half-integer exponents.
     """
-    r = rat(r)
+    r = Fraction(r)
     if r.denominator not in (1, 2):
         raise ValueError("norm power exponent must have denominator 1 or 2")
     return binomial_power_jet(quad - TruncatedPoly.constant(1, quad.order), r / 2)
@@ -406,7 +413,7 @@ class TransportJet:
 
 def poly_scale_x(p: TruncatedPoly, factor: object) -> TruncatedPoly:
     """Substitute x -> factor * x (all three base variables)."""
-    factor = rat(factor)
+    factor = Fraction(factor)
     terms = {}
     for exp, coeff in p.terms.items():
         deg = exp[0] + exp[1] + exp[2]
@@ -422,15 +429,15 @@ def transport_jet(mj: MetricJet, endpoints) -> TransportJet:
     convention is w^b = Z_a{}^b v^a, stored as matrix[a][b].
     """
     if endpoints == "origin_to_y":
-        c2, c3 = rat(1, 6), rat(-1, 6)
+        c2, c3 = Fraction(1, 6), Fraction(-1, 6)
     elif endpoints == "y_to_origin":
-        c2, c3 = rat(-1, 6), rat(1, 6)
+        c2, c3 = Fraction(-1, 6), Fraction(1, 6)
     elif (
         isinstance(endpoints, tuple)
         and len(endpoints) == 2
         and endpoints[0] == "y_to_tau_y"
     ):
-        tau = rat(endpoints[1])
+        tau = Fraction(endpoints[1])
         c2 = (tau * tau - 1) / 6
         c3 = -(tau * tau * tau - 1) / 6
     else:

@@ -14,9 +14,9 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import ClassVar
 
-from .exactpoly import rat
 from .geometry import EPSILON, CurvatureConfig
 from .polymat import tensor
 
@@ -184,7 +184,7 @@ def singular_coefficient(cfg: CurvatureConfig) -> SingularCoefficient:
         total = sum(
             sign * cfg.dric0[a][b][r] for (a, b, c), sign in EPSILON.items() if c == g
         )
-        return total * rat(1, 12)
+        return total * Fraction(1, 12)
 
     return SingularCoefficient(tensor(entry, 2))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .calculus import (
@@ -30,7 +31,7 @@ from .calculus import (
     trace_diag,
     transport_correction,
 )
-from .exactpoly import X_VARS, GaussianRational, TruncatedPoly, poly_mul, rat
+from .exactpoly import X_VARS, GaussianRational, TruncatedPoly, poly_mul
 from .geometry import (
     EPSILON,
     CurvatureConfig,
@@ -78,7 +79,7 @@ def initial_symbols(raised: tuple, inv1: TruncatedPoly, curl_prin: Matrix) -> di
     inv2 = poly_mul(inv1, inv1)
     p0 = tensor(lambda a, b: poly_mul(inv2, poly_mul(xi[a], raised[b])), 2)
 
-    half = rat(1, 2)
+    half = Fraction(1, 2)
     base = mat_scale(mat_sub(identity_mat(order), p0), half)
     swirl = mat_scale(mat_poly_scale(curl_prin, inv1), half)
     return {
@@ -158,7 +159,7 @@ def run_algorithm(mj: MetricJet, aleph: str, accuracy: int) -> ProjectionFamily:
                 mat_mul(mat_mul(prin[aleph], t_mat), prin[beth]),
                 mat_mul(mat_mul(prin[beth], t_mat), prin[aleph]),
             )
-            denom = inv1.scale(rat(1, EIGENVALUE[aleph] - EIGENVALUE[beth]))
+            denom = inv1.scale(Fraction(1, EIGENVALUE[aleph] - EIGENVALUE[beth]))
             x_mat = mat_add(x_mat, mat_poly_scale(mixed, denom))
         comps.append(x_mat)
         p = SymbolJet(0, n, (3, 3), comps)
@@ -269,7 +270,7 @@ def asymmetry_report(cfg: CurvatureConfig) -> AsymmetryReport:
     q0, qm1 = diff.components[:2]
     pt = tuple(transport_correction(q0, mj, level, qm1) for level in (2, 3))
     a_prin = diag_traces[3]
-    closed = aprin_closed_form(cfg, (rat(0), rat(0), rat(1)))
+    closed = aprin_closed_form(cfg, (Fraction(0), Fraction(0), Fraction(1)))
     return AsymmetryReport(cfg, diag_traces, pt, a_prin, closed)
 
 
@@ -278,7 +279,7 @@ def _rational_sqrt(q):
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn != num or rd * rd != den:
         raise ValueError("covector norm is irrational")
-    return rat(rn, rd)
+    return Fraction(rn, rd)
 
 
 def aprin_closed_form(cfg: CurvatureConfig, xi: Sequence) -> object:
@@ -289,7 +290,7 @@ def aprin_closed_form(cfg: CurvatureConfig, xi: Sequence) -> object:
     at the origin is trivial.  Requires a nonzero covector with rational
     Euclidean norm.
     """
-    xs = [rat(v) for v in xi]
+    xs = [Fraction(v) for v in xi]
     n2 = xs[0] * xs[0] + xs[1] * xs[1] + xs[2] * xs[2]
     if n2 == 0:
         raise ValueError("zero covector")
@@ -299,4 +300,4 @@ def aprin_closed_form(cfg: CurvatureConfig, xi: Sequence) -> object:
         for (a, b, g), sign in EPSILON.items()
         for r in range(3)
     )
-    return total * rat(-1, 2) / (norm**5)
+    return total * Fraction(-1, 2) / (norm**5)

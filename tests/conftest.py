@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from curlasym.exactpoly import (
     GaussianRational,
     TruncatedPoly,
     iter_exponents,
-    rat,
 )
 from curlasym.calculus import SymbolJet
 from curlasym.geometry import curl_symbol, norm_power_jet, raised_covector
@@ -16,7 +16,7 @@ from curlasym.projections import initial_symbols
 
 
 def gr(re, im=0):
-    return GaussianRational(rat(re), rat(im))
+    return GaussianRational(Fraction(re), Fraction(im))
 
 
 def const_mat(rows, order):
@@ -65,8 +65,8 @@ def random_poly(rng: random.Random, order: int, density: float = 0.25):
     for e in iter_exponents(order):
         if rng.random() < density:
             terms[e] = GaussianRational(
-                rat(rng.randint(-2, 2), rng.randint(1, 3)),
-                rat(rng.randint(-2, 2), rng.randint(1, 3)),
+                Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+                Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
             )
     return TruncatedPoly(order, terms)
 

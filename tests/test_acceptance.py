@@ -34,7 +34,6 @@ from curlasym.exactpoly import (
     TruncatedPoly,
     poly_add,
     poly_mul,
-    rat,
 )
 from curlasym.geometry import (
     build_metric_jet,
@@ -85,7 +84,7 @@ def test_criterion_01_golden_intermediates_order_check():
         fam = run_algorithm(mj_c1, aleph, 2)
         step = fam.steps[1]
         i = GR_I
-        s12 = rat(1, 12)
+        s12 = Fraction(1, 12)
         want = {
             "R": [
                 [-s12, i * (2 * s12 * sign), 0],
@@ -99,8 +98,8 @@ def test_criterion_01_golden_intermediates_order_check():
             ],
             "T": [[s12 * sign, 0, 0], [0, -s12 * sign, 0], [0, 0, 0]],
             "X": [
-                [rat(-1, 6), i * (rat(1, 8) * sign), 0],
-                [i * (rat(-1, 24) * sign), rat(-1, 6), 0],
+                [Fraction(-1, 6), i * (Fraction(1, 8) * sign), 0],
+                [i * (Fraction(-1, 24) * sign), Fraction(-1, 6), 0],
                 [0, 0, 0],
             ],
         }
@@ -126,7 +125,7 @@ def test_criterion_02_golden_intermediates_a_prin():
         fam = run_algorithm(build_metric_jet(unit_config("c11")), aleph, 3)
         step = fam.steps[2]
         i = GR_I
-        e8, e4 = rat(1, 8), rat(1, 4)
+        e8, e4 = Fraction(1, 8), Fraction(1, 4)
         want = {
             "R": [[0, i * e8, 0], [i * -e8, 0, 0], [0, 0, 0]],
             "S": [[-sign * e8, 0, 0], [0, -sign * e8, 0], [0, 0, 0]],
@@ -141,7 +140,7 @@ def test_criterion_02_golden_intermediates_a_prin():
         # Degree -1 and -2 polynomial matrices are pinned in the module test
         # suite; here assert their anchor content indirectly via the report.
     rep = asymmetry_report(unit_config("c11"))
-    ok = ok and rep.a_prin_value == rat(-1, 2)
+    ok = ok and rep.a_prin_value == Fraction(-1, 2)
     report(2, ok, "c11 accuracy-3 step matrices exact; final trace -1/2")
 
 
@@ -168,17 +167,17 @@ def test_criterion_04_cross_pipeline_oracle():
         for b in range(3):
             v = h.s_m4[a][b].constant_term()
             if (a, b) == (1, 0):
-                ok = ok and v == GR_I * rat(-1, 2)
+                ok = ok and v == GR_I * Fraction(-1, 2)
             else:
                 ok = ok and v.is_zero()
     # Linear anchor data of the next component.
     expected_lin = {
-        (0, 1): (2, rat(-1, 4)),
-        (0, 2): (1, rat(-1, 4)),
-        (1, 0): (2, rat(1, 12)),
-        (1, 2): (0, rat(-1, 4)),
-        (2, 0): (1, rat(1, 12)),
-        (2, 1): (0, rat(-1, 4)),
+        (0, 1): (2, Fraction(-1, 4)),
+        (0, 2): (1, Fraction(-1, 4)),
+        (1, 0): (2, Fraction(1, 12)),
+        (1, 2): (0, Fraction(-1, 4)),
+        (2, 0): (1, Fraction(1, 12)),
+        (2, 1): (0, Fraction(-1, 4)),
     }
     for a in range(3):
         for b in range(3):
@@ -295,7 +294,7 @@ def test_criterion_11_calculus_property_suite():
         ok = ok and compose(compose(q, r), s) == compose(q, compose(r, s))
     # Subprincipal-of-composition identity, two code paths.
     rng = random.Random(162)
-    half_i = GR_I * rat(1, 2)
+    half_i = GR_I * Fraction(1, 2)
     for _ in range(100):
         mj = build_metric_jet(random_config(rng), order=3)
         q = random_jet(rng, 2, density=0.12)
@@ -346,7 +345,7 @@ def test_criterion_11_calculus_property_suite():
         ok = ok and mat_is_zero(
             mat_sub(mat_mul(out.z_vector, back.z_vector), identity_mat(3))
         )
-        tau = rat(rng.randint(0, 2), 2)
+        tau = Fraction(rng.randint(0, 2), 2)
         mid = transport_jet(mj, ("y_to_tau_y", tau))
         tail = tuple(
             tuple(poly_scale_x(p, tau) for p in row) for row in back.z_vector

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,7 @@ from curlasym.configs import (
     random_bianchi_config,
     unit_config,
 )
-from curlasym.exactpoly import GaussianRational, poly_mul, rat
+from curlasym.exactpoly import GaussianRational, poly_mul
 from curlasym.geometry import (
     CurvatureConfig,
     build_metric_jet,
@@ -135,12 +136,12 @@ class TestSqrtHierarchy:
         the Ricci-derivative unit config."""
         h = build_hierarchy(unit_config("c11"))
         expected_lin = {
-            (0, 1): {2: rat(-1, 4)},
-            (0, 2): {1: rat(-1, 4)},
-            (1, 0): {2: rat(1, 12)},
-            (1, 2): {0: rat(-1, 4)},
-            (2, 0): {1: rat(1, 12)},
-            (2, 1): {0: rat(-1, 4)},
+            (0, 1): {2: Fraction(-1, 4)},
+            (0, 2): {1: Fraction(-1, 4)},
+            (1, 0): {2: Fraction(1, 12)},
+            (1, 2): {0: Fraction(-1, 4)},
+            (2, 0): {1: Fraction(1, 12)},
+            (2, 1): {0: Fraction(-1, 4)},
         }
         for a in range(3):
             for b in range(3):
@@ -158,14 +159,14 @@ class TestSqrtHierarchy:
             for b in range(3):
                 v = h.s_m4[a][b].constant_term()
                 if (a, b) == (1, 0):
-                    assert v == GaussianRational(0, rat(-1, 2))
+                    assert v == GaussianRational(0, Fraction(-1, 2))
                 else:
                     assert v.is_zero()
 
 
 class TestAlternativeValue:
     def test_c11(self):
-        assert aprin_alternative(build_hierarchy(unit_config("c11"))) == rat(
+        assert aprin_alternative(build_hierarchy(unit_config("c11"))) == Fraction(
             -1, 2
         )
 

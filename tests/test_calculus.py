@@ -7,6 +7,7 @@ each with fixed seeds.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +24,7 @@ from curlasym.calculus import (
     transport_correction,
 )
 from curlasym.configs import UNIT_CONFIG_NAMES, random_config, unit_config
-from curlasym.exactpoly import GR_I, TruncatedPoly, rat
+from curlasym.exactpoly import GR_I, TruncatedPoly
 from curlasym.geometry import (
     CurvatureConfig,
     build_metric_jet,
@@ -70,7 +71,7 @@ class TestSymbolJet:
         a = random_jet(rng, 2)
         b = random_jet(rng, 2)
         assert (a + b) - b == a
-        assert a.scale(rat(3)).scale(rat(1, 3)) == a
+        assert a.scale(Fraction(3)).scale(Fraction(1, 3)) == a
         assert (a - a).is_zero()
 
     def test_serialization_roundtrip(self):
@@ -154,7 +155,7 @@ class TestSubprincipalComposition:
         """Subprincipal of a composition via the direct formula versus the
         product rule with the (i/2)-weighted covariant Poisson bracket."""
         rng = random.Random(50)
-        half_i = GR_I * rat(1, 2)
+        half_i = GR_I * Fraction(1, 2)
         for _ in range(100):
             cfg = random_config(rng)
             mj = build_metric_jet(cfg, order=3)
@@ -175,7 +176,7 @@ class TestSubprincipalComposition:
         """Negative control: the (-i/2) weight breaks the identity."""
         rng = random.Random(51)
         broken = 0
-        half_i = GR_I * rat(1, 2)
+        half_i = GR_I * Fraction(1, 2)
         for _ in range(10):
             cfg = random_config(rng)
             mj = build_metric_jet(cfg, order=3)
@@ -294,7 +295,7 @@ class TestTransportMaps:
         """Transporting y -> tau y -> origin composes to the tau-independent
         map y -> origin for every intermediate scaling."""
         rng = random.Random(91)
-        taus = (rat(0), rat(1, 2), rat(1))
+        taus = (Fraction(0), Fraction(1, 2), Fraction(1))
         for _ in range(34):
             cfg = random_config(rng)
             mj = build_metric_jet(cfg, order=3)

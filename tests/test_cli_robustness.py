@@ -131,6 +131,17 @@ class TestBoundedExponent:
         assert peak < 1_000_000
 
 
+@pytest.mark.parametrize(
+    "command", [["asym"], ["project"], ["kernel", "--sphere"]], ids=" ".join
+)
+def test_deeply_nested_config_is_usage_error(capsys, tmp_path, command):
+    # json.loads raised RecursionError, which escaped as a traceback.
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000)
+    code = entry([*command, "--config", str(path)])
+    assert_one_line_usage_error(code, capsys.readouterr().err, "nests too deeply")
+
+
 EXTREME = ["0", "-1", "1e-320", "5e-324", "1e-150", "1e150", "1e300", "1e308",
            "nan", "inf", "-inf", "1e10000000", "1/0", "3/2"]
 

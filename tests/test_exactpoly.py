@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,6 @@ from curlasym.exactpoly import (
     poly_from_monomials,
     poly_loads,
     poly_mul,
-    rat,
 )
 
 from conftest import random_poly
@@ -30,12 +30,41 @@ from conftest import random_poly
 
 def small_rationals():
     return st.builds(
-        rat, st.integers(-5, 5), st.integers(1, 6)
+        Fraction, st.integers(-5, 5), st.integers(1, 6)
     )
 
 
 def gaussian_rationals():
     return st.builds(GaussianRational, small_rationals(), small_rationals())
+
+
+@st.composite
+def operands(draw):
+    """A GaussianRational, int or Fraction and its (re, im) Fraction pair."""
+    re, im = draw(small_rationals()), draw(small_rationals())
+    kind = draw(st.sampled_from(("gr", "int", "fraction")))
+    if kind == "int":
+        return re.numerator, (Fraction(re.numerator), Fraction(0))
+    if kind == "fraction":
+        return re, (re, Fraction(0))
+    return GaussianRational(re, im), (re, im)
+
+
+def ref_pair(c):
+    """(re, im) of a GaussianRational, int or Fraction, as Fractions."""
+    if isinstance(c, GaussianRational):
+        return Fraction(c.re), Fraction(c.im)
+    return Fraction(c), Fraction(0)
+
+
+def ref_str(re, im):
+    if im == 0:
+        return str(re)
+    return f"{re}{'+' if im > 0 else ''}{im}i"
+
+
+def ref_repr(re, im):
+    return f"GR({re})" if im == 0 else f"GR({re}, {im}i)"
 
 
 @st.composite
@@ -78,10 +107,57 @@ class TestGaussianRational:
         assert GR_I * GR_I == GaussianRational(-1)
 
     def test_str_renders_p_over_q(self):
-        assert str(GaussianRational(rat(-1, 2))) == "-1/2"
-        assert str(GaussianRational(rat(1, 2), rat(-1, 3))) == "1/2-1/3i"
+        assert str(GaussianRational(Fraction(-1, 2))) == "-1/2"
+        assert str(GaussianRational(Fraction(1, 2), Fraction(-1, 3))) == "1/2-1/3i"
         assert str(GaussianRational(0, 2)) == "0+2i"
-        assert repr(GaussianRational(rat(1, 2), rat(-1, 3))) == "GR(1/2, -1/3i)"
+        half_third = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
+        assert repr(half_third) == "GR(1/2, -1/3i)"
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, -0.5])
+    def test_float_refused(self, value):
+        # 0.1 would silently become 3602879701896397/36028797018963968.
+        x = TruncatedPoly.variable(0, 1)
+        for make in (
+            lambda: GaussianRational(value),
+            lambda: GaussianRational(0, value),
+            lambda: GR_ONE + value,
+            lambda: x.scale(value),
+        ):
+            with pytest.raises(TypeError, match="float"):
+                make()
+
+    @given(gaussian_rationals(), operands())
+    @settings(max_examples=300)
+    def test_matches_fraction_pair_reference(self, a, operand):
+        b, (br, bi) = operand
+        ar, ai = ref_pair(a)
+        assert all(type(v) is Fraction for v in (a.re, a.im))
+
+        def check(value, re, im):
+            assert isinstance(value, GaussianRational)
+            assert ref_pair(value) == (re, im)
+            same = GaussianRational(re, im)
+            assert value == same and hash(value) == hash(same)
+            assert str(value) == ref_str(re, im)
+            assert repr(value) == ref_repr(re, im)
+
+        check(a, ar, ai)
+        check(a + b, ar + br, ai + bi)
+        check(b + a, ar + br, ai + bi)
+        check(a - b, ar - br, ai - bi)
+        check(b - a, br - ar, bi - ai)
+        check(a * b, ar * br - ai * bi, ar * bi + ai * br)
+        check(b * a, ar * br - ai * bi, ar * bi + ai * br)
+        check(-a, -ar, -ai)
+        check(a.conjugate(), ar, -ai)
+        norm = br * br + bi * bi
+        if norm == 0:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        else:
+            check(a / b, (ar * br + ai * bi) / norm, (ai * br - ar * bi) / norm)
+        assert (a == b) == (b == a) == ((ar, ai) == (br, bi))
+        assert (a != b) == ((ar, ai) != (br, bi))
 
     def test_poly_repr_keeps_gr_coefficients(self):
         p = TruncatedPoly.variable(3, 1, GR_I)
@@ -152,7 +228,7 @@ class TestBinomialPowerJet:
         rng = random.Random(5)
         u = random_poly(rng, 3)
         u = poly_add(u, TruncatedPoly.constant(-u.constant_term(), 3))
-        half = binomial_power_jet(u, rat(1, 2))
+        half = binomial_power_jet(u, Fraction(1, 2))
         assert poly_mul(half, half) == poly_add(
             TruncatedPoly.constant(1, 3), u
         )
@@ -161,15 +237,15 @@ class TestBinomialPowerJet:
         rng = random.Random(6)
         u = random_poly(rng, 3)
         u = poly_add(u, TruncatedPoly.constant(-u.constant_term(), 3))
-        inv = binomial_power_jet(u, rat(-1))
+        inv = binomial_power_jet(u, Fraction(-1))
         prod = poly_mul(inv, poly_add(TruncatedPoly.constant(1, 3), u))
         assert prod == TruncatedPoly.constant(1, 3)
 
     def test_inverse_pair_over_exponent_set(self):
         rng = random.Random(9)
         exponents = (
-            rat(1, 2), rat(-1, 2), rat(1), rat(-1),
-            rat(3, 2), rat(-3, 2), rat(-2), rat(-5, 2),
+            Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1),
+            Fraction(3, 2), Fraction(-3, 2), Fraction(-2), Fraction(-5, 2),
         )
         for _ in range(5):
             u = random_poly(rng, 3)
@@ -182,14 +258,14 @@ class TestBinomialPowerJet:
 
     def test_integer_power_matches_direct(self):
         x = TruncatedPoly.variable(0, 3)
-        jet = binomial_power_jet(x, rat(3))
+        jet = binomial_power_jet(x, Fraction(3))
         one_plus = poly_add(TruncatedPoly.constant(1, 3), x)
         direct = poly_mul(poly_mul(one_plus, one_plus), one_plus)
         assert jet == direct
 
     def test_nonzero_constant_rejected(self):
         with pytest.raises(ValueError):
-            binomial_power_jet(TruncatedPoly.constant(1, 2), rat(1, 2))
+            binomial_power_jet(TruncatedPoly.constant(1, 2), Fraction(1, 2))
 
 
 class TestSerialization:
@@ -253,8 +329,9 @@ def ref_diff(a, var):
 
 
 def ref_scale(a, c):
+    cr, ci = ref_pair(c)
     out = {
-        e: (re * c.re - im * c.im, re * c.im + im * c.re)
+        e: (re * cr - im * ci, re * ci + im * cr)
         for e, (re, im) in ref_terms(a).items()
     }
     return ref_clean(out, a.order)
@@ -276,7 +353,10 @@ class TestAgainstFractionReference:
             assert d.order == a.order - 1
             assert ref_terms(d) == ref_diff(a, var)
 
-    @given(polys(), gaussian_rationals())
+    @given(
+        polys(),
+        st.one_of(gaussian_rationals(), small_rationals(), st.integers(-5, 5)),
+    )
     def test_scale_and_conjugate(self, a, c):
         assert ref_terms(a.scale(c)) == ref_scale(a, c)
         assert ref_terms(a.conjugate()) == {
@@ -286,8 +366,8 @@ class TestAgainstFractionReference:
 
 class TestCanonicalForm:
     def test_product_truncated_to_zero_is_zero(self):
-        x = TruncatedPoly.variable(0, 1, rat(1, 2))
-        y = TruncatedPoly.variable(1, 1, rat(1, 3))
+        x = TruncatedPoly.variable(0, 1, Fraction(1, 2))
+        y = TruncatedPoly.variable(1, 1, Fraction(1, 3))
         zero = TruncatedPoly.zero(1)
         prod = poly_mul(x, y)
         assert prod == zero
@@ -296,8 +376,8 @@ class TestCanonicalForm:
 
     def test_product_with_cancelling_terms(self):
         # (x + i y)(x - i y) = x^2 + y^2: the x y terms cancel in the product.
-        x = TruncatedPoly.variable(0, 2, rat(1, 3))
-        iy = TruncatedPoly.variable(1, 2, GaussianRational(0, rat(1, 3)))
+        x = TruncatedPoly.variable(0, 2, Fraction(1, 3))
+        iy = TruncatedPoly.variable(1, 2, GaussianRational(0, Fraction(1, 3)))
         left = poly_mul(poly_add(x, iy), poly_add(x, -iy))
         right = poly_add(poly_mul(x, x), poly_mul(iy.conjugate(), iy))
         assert left == right and hash(left) == hash(right)
@@ -314,8 +394,8 @@ class TestCanonicalForm:
 
     def test_same_value_two_ways_same_representation(self):
         x = TruncatedPoly.variable(0, 2)
-        built = poly_add(x.scale(rat(1, 2)), x.scale(rat(1, 3)))
-        direct = TruncatedPoly(2, {(1, 0, 0, 0, 0, 0): rat(5, 6)})
+        built = poly_add(x.scale(Fraction(1, 2)), x.scale(Fraction(1, 3)))
+        direct = TruncatedPoly(2, {(1, 0, 0, 0, 0, 0): Fraction(5, 6)})
         assert built == direct
         assert hash(built) == hash(direct)
         assert built.den == direct.den == 6
@@ -346,7 +426,7 @@ class TestStorageLimits:
         assert poly_mul(p, x).is_zero()
 
     def test_terms_cannot_be_mutated(self):
-        p = TruncatedPoly.variable(0, 2, rat(1, 2))
+        p = TruncatedPoly.variable(0, 2, Fraction(1, 2))
         exp = (1, 0, 0, 0, 0, 0)
         with pytest.raises(TypeError):
             p.terms[exp] = GR_ONE
@@ -354,7 +434,7 @@ class TestStorageLimits:
             del p.terms[exp]
         with pytest.raises(AttributeError):
             p.terms = {}
-        assert p.terms == {exp: GaussianRational(rat(1, 2))}
+        assert p.terms == {exp: GaussianRational(Fraction(1, 2))}
 
 
 @st.composite
@@ -379,6 +459,6 @@ class TestPolyFromMonomials:
 
     def test_repeated_monomials_add_up(self):
         x = TruncatedPoly.variable(0, 2)
-        p = poly_from_monomials(2, [(1, (0,)), (rat(1, 2), (0,)), (-1, (3, 3))])
+        p = poly_from_monomials(2, [(1, (0,)), (Fraction(1, 2), (0,)), (-1, (3, 3))])
         e1 = TruncatedPoly.variable(3, 2)
-        assert p == poly_add(x.scale(rat(3, 2)), -poly_mul(e1, e1))
+        assert p == poly_add(x.scale(Fraction(3, 2)), -poly_mul(e1, e1))

@@ -15,7 +15,6 @@ from curlasym.exactpoly import (
     TruncatedPoly,
     poly_add,
     poly_mul,
-    rat,
 )
 from curlasym.geometry import (
     CurvatureConfig,
@@ -42,7 +41,7 @@ from conftest import gr
 
 def mono(exps, num, den=1):
     """Degree-3 monomial with the given exponent tuple and rational coefficient."""
-    return TruncatedPoly(3, {tuple(exps): gr(rat(num, den))})
+    return TruncatedPoly(3, {tuple(exps): gr(Fraction(num, den))})
 
 
 class TestCurvatureConfig:
@@ -66,11 +65,20 @@ class TestCurvatureConfig:
         assert CurvatureConfig.loads(cfg.dumps()) == cfg
 
     def test_asymmetric_input_rejected(self):
-        ric = [[rat(0)] * 3 for _ in range(3)]
-        ric[0][1] = rat(1)
-        dric = [[[rat(0)] * 3 for _ in range(3)] for _ in range(3)]
+        ric = [[Fraction(0)] * 3 for _ in range(3)]
+        ric[0][1] = Fraction(1)
+        dric = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
         with pytest.raises(ValueError):
             CurvatureConfig(ric, dric)
+
+    @pytest.mark.parametrize("entry", [0.1, 1.0, float("nan")])
+    def test_float_entry_rejected(self, entry):
+        zero = [[0] * 3 for _ in range(3)]
+        ric = [[entry, 0, 0], [0, 0, 0], [0, 0, 0]]
+        with pytest.raises(ValueError, match="float"):
+            CurvatureConfig(ric, [zero] * 3)
+        with pytest.raises(ValueError, match="float"):
+            CurvatureConfig(zero, [ric, zero, zero])
 
     def test_equal_configs_hash_equal(self):
         cfg = random_config(random.Random(13))

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from curlasym.configs import UNIT_CONFIG_NAMES, random_config, unit_config
-from curlasym.exactpoly import rat
 from curlasym.geometry import CurvatureConfig
 from curlasym.kernel import (
     LOG_COEFF_TARGET,
@@ -111,9 +111,9 @@ class TestSingularCoefficient:
     def test_c11_matrix(self):
         sc = singular_coefficient(unit_config("c11"))
         expect = (
-            (rat(0), rat(0), rat(0)),
-            (rat(0), rat(-1, 12), rat(0)),
-            (rat(0), rat(0), rat(1, 12)),
+            (Fraction(0), Fraction(0), Fraction(0)),
+            (Fraction(0), Fraction(-1, 12), Fraction(0)),
+            (Fraction(0), Fraction(0), Fraction(1, 12)),
         )
         assert sc.c_rational == expect
         assert sc.trace() == 0
@@ -136,7 +136,7 @@ class TestSingularCoefficient:
             cfg = random_config(rng)
             sc = singular_coefficient(cfg)
             paired = sc.c_rational[2][2]
-            assert paired == -aprin_closed_form(cfg, (0, 0, 1)) * rat(1, 6)
+            assert paired == -aprin_closed_form(cfg, (0, 0, 1)) * Fraction(1, 6)
 
 
 class TestSphereQuadrature:

@@ -12,12 +12,13 @@ scaled by one extra ring generator t and sympy truncates in t.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from curlasym.configs import random_config, unit_config
-from curlasym.exactpoly import VAR_NAMES, TruncatedPoly, binomial_power_jet, rat
+from curlasym.exactpoly import VAR_NAMES, TruncatedPoly, binomial_power_jet
 from curlasym.geometry import build_metric_jet, euclid_norm_power_jet, norm_power_jet
 from curlasym.kernel import bessel_k1
 
@@ -56,7 +57,7 @@ def to_ring(p: TruncatedPoly):
 
 def rational_power(p, r, prec: int):
     """sympy series of p^r for a rational r, p with constant term 1."""
-    r = rat(r)
+    r = Fraction(r)
     root = rs_nth_root(p, r.denominator, T, prec)
     power = rs_pow(root, abs(r.numerator), T, prec)
     return power if r > 0 else rs_series_inversion(power, T, prec)
@@ -85,12 +86,12 @@ CONFIGS = [unit_config("c2"), unit_config("c14")] + [
 ]
 
 
-@pytest.mark.parametrize("r", [rat(1, 2), rat(-1, 2), rat(3, 2), rat(-3, 2), rat(-2), rat(1, 3)])
+@pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2), Fraction(-2), Fraction(1, 3)])
 def test_binomial_power_jet_against_sympy(r):
     rng = random.Random(31)
     for order in (2, 3, 4):
         u = random_poly(rng, order, density=0.4)
-        u = (u + u.conjugate()).scale(rat(1, 2))  # the real part
+        u = (u + u.conjugate()).scale(Fraction(1, 2))  # the real part
         u = u - TruncatedPoly.constant(u.constant_term(), order)
         expected = rational_power(1 + to_ring(u), r, order + 1)
         assert to_ring(binomial_power_jet(u, r)) == expected
@@ -115,7 +116,7 @@ def test_norm_power_jet_against_sympy(cfg):
     euclid = sum(x * x for x in xi)
     for r in (1, -1, 2, -2, 3, -3):
         for order in (2, 3):
-            expected = rational_power(rs_trunc(quad, T, order + 1), rat(r, 2), order + 1)
+            expected = rational_power(rs_trunc(quad, T, order + 1), Fraction(r, 2), order + 1)
             assert to_ring(norm_power_jet(mj, r, order)) == expected
-            expected = rational_power(euclid, rat(r, 2), order + 1)
+            expected = rational_power(euclid, Fraction(r, 2), order + 1)
             assert to_ring(euclid_norm_power_jet(r, order)) == expected

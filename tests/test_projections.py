@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,6 @@ from curlasym.exactpoly import (
     GaussianRational,
     TruncatedPoly,
     poly_mul,
-    rat,
 )
 from curlasym.geometry import (
     CurvatureConfig,
@@ -57,7 +57,7 @@ def _gmat(entries, order):
         for b in range(3):
             terms = {}
             for exp, (re_c, im_c) in entries.get((a, b), {}).items():
-                terms[exp] = GaussianRational(rat(*re_c), rat(*im_c))
+                terms[exp] = GaussianRational(Fraction(*re_c), Fraction(*im_c))
             row.append(TruncatedPoly(order, terms))
         rows.append(tuple(row))
     return tuple(rows)
@@ -106,8 +106,8 @@ class TestInitialSymbols:
         for sign, branch in ((1, "+"), (-1, "-")):
             expect = const_mat(
                 [
-                    [(rat(1, 2), 0), (0, rat(-sign, 2)), 0],
-                    [(0, rat(sign, 2)), (rat(1, 2), 0), 0],
+                    [(Fraction(1, 2), 0), (0, Fraction(-sign, 2)), 0],
+                    [(0, Fraction(sign, 2)), (Fraction(1, 2), 0), 0],
                     [0, 0, 0],
                 ],
                 2,
@@ -143,7 +143,7 @@ class TestInitialSymbols:
         curl = curl_symbol(mj, 2).principal()
         norm = norm_power_jet(mj, 1, 2)
         assert mat_is_zero(mat_mul(curl, prin["0"]))
-        for sign, branch in ((rat(1), "+"), (rat(-1), "-")):
+        for sign, branch in ((Fraction(1), "+"), (Fraction(-1), "-")):
             lhs = mat_mul(curl, prin[branch])
             rhs = mat_poly_scale(prin[branch], norm.scale(sign))
             assert mat_is_zero(mat_sub(lhs, rhs))
@@ -170,7 +170,7 @@ class TestRunAlgorithm:
         for sign, aleph in ((1, "+"), (-1, "-")):
             fam = run_algorithm(build_metric_jet(unit_config("c1")), aleph, 2)
             step = fam.steps[1]
-            s12 = rat(1, 12)
+            s12 = Fraction(1, 12)
             assert anchor_values(step["R"]) == anchor_values(
                 const_mat(
                     [
@@ -197,7 +197,7 @@ class TestRunAlgorithm:
                     0,
                 )
             )
-            s24 = rat(1, 24)
+            s24 = Fraction(1, 24)
             assert anchor_values(step["X"]) == anchor_values(
                 const_mat(
                     [
@@ -214,7 +214,7 @@ class TestRunAlgorithm:
         for sign, aleph in ((1, "+"), (-1, "-")):
             fam = run_algorithm(build_metric_jet(unit_config("c11")), aleph, 3)
             step = fam.steps[2]
-            e8 = rat(1, 8)
+            e8 = Fraction(1, 8)
             assert anchor_values(step["R"]) == anchor_values(
                 const_mat(
                     [[0, (0, e8), 0], [(0, -e8), 0, 0], [0, 0, 0]], 0
@@ -226,7 +226,7 @@ class TestRunAlgorithm:
                     0,
                 )
             )
-            e4 = rat(1, 4)
+            e4 = Fraction(1, 4)
             assert anchor_values(step["T"]) == anchor_values(
                 const_mat(
                     [[0, (0, -sign * e4), 0], [(0, -sign * e4), 0, 0], [0, 0, 0]],
@@ -297,7 +297,7 @@ class TestRunAlgorithm:
             0, 2, (3, 3), [fam.jet.components[0], fam.jet.components[1]]
         )
         defect = compose(p1, p1) - p1
-        s12 = rat(1, 12)
+        s12 = Fraction(1, 12)
         expect = const_mat(
             [
                 [(s12, 0), (0, -2 * s12), 0],
@@ -433,8 +433,8 @@ class TestAsymmetryReport:
         rep = asymmetry_report(unit_config("c11"))
         assert rep.passed
         assert all(z.is_zero() for z in rep.diag_traces[:3])
-        assert rep.a_prin_value == GaussianRational(rat(-1, 2))
-        assert rep.closed_form_value == rat(-1, 2)
+        assert rep.a_prin_value == GaussianRational(Fraction(-1, 2))
+        assert rep.closed_form_value == Fraction(-1, 2)
 
     def test_c1_degree_minus_two_trace_vanishes(self):
         rep = asymmetry_report(unit_config("c1"))
@@ -508,7 +508,7 @@ class TestClosedForm:
     XI0 = (0, 0, 1)
 
     def test_examples(self):
-        assert aprin_closed_form(unit_config("c11"), self.XI0) == rat(-1, 2)
+        assert aprin_closed_form(unit_config("c11"), self.XI0) == Fraction(-1, 2)
         assert aprin_closed_form(CurvatureConfig.flat(), self.XI0) == 0
         assert aprin_closed_form(unit_config("c7"), self.XI0) == 0
 
@@ -523,14 +523,14 @@ class TestClosedForm:
         rng = random.Random(112)
         cfg = random_config(rng)
         base = aprin_closed_form(cfg, self.XI0)
-        assert aprin_closed_form(cfg, (0, 0, 2)) == base * rat(1, 8)
+        assert aprin_closed_form(cfg, (0, 0, 2)) == base * Fraction(1, 8)
 
     def test_scalar_trace_insensitivity(self):
         """Adding a pure-trace derivative term never changes the value."""
         rng = random.Random(113)
         cfg = random_config(rng)
         base = aprin_closed_form(cfg, self.XI0)
-        shifts = [rat(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)]
+        shifts = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)]
         dric = [
             [
                 [
