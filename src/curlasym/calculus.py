@@ -272,12 +272,10 @@ _WEIGHT = {
 }
 
 
-def _christoffel_t(mj, order: int) -> list:
-    """The matrices A_g^T, where A_g[r][c] = Gamma^r_{g c}, at the given order."""
+def _christoffel_t(mj) -> list:
+    """The matrices A_g^T, where A_g[r][c] = Gamma^r_{g c}."""
     gamma = mj.gamma
-    return [
-        mat_truncate(tensor(lambda r, c: gamma[c][g][r], 2), order) for g in range(3)
-    ]
+    return [tensor(lambda r, c: gamma[c][g][r], 2) for g in range(3)]
 
 
 def subprincipal(q: SymbolJet, mj) -> Matrix:
@@ -288,52 +286,51 @@ def subprincipal(q: SymbolJet, mj) -> Matrix:
     (i/2) tr(A_g) E_g and the row lowering and column raising
     -(i/2) (A_g^T E_g + E_g A_g^T).  Scalar 1x1 jets are supported as
     operators on half-densities: the bundle terms drop and only the density
-    contraction remains.  The result is reliable to truncation order
-    accuracy - 2.
+    contraction remains.  The mixed derivative of q_s and the Christoffel
+    symbols give the result truncation order min(accuracy - 2, mj.order - 1).
     """
     if q.shape not in ((3, 3), (1, 1)):
         raise ValueError("subprincipal requires a 3x3 or 1x1 jet")
     scalar = q.shape == (1, 1)
     if q.accuracy < 2:
         raise ValueError("subprincipal needs at least two graded levels")
-    order = q.accuracy - 2
     qs = q.components[0]
     half_i = GR_I * Fraction(1, 2)
 
-    out = mat_truncate(q.components[1], order)
-    for g, at in enumerate(_christoffel_t(mj, order)):
-        d_eta = mat_diff(qs, ETA_VARS[g])
-        e = mat_truncate(d_eta, order)
-        term = mat_add(mat_diff(d_eta, X_VARS[g]), mat_poly_scale(e, mat_trace(at)))
+    out = q.components[1]
+    for g, at in enumerate(_christoffel_t(mj)):
+        e = mat_diff(qs, ETA_VARS[g])
+        term = mat_add(mat_diff(e, X_VARS[g]), mat_poly_scale(e, mat_trace(at)))
         if not scalar:
             term = mat_sub(term, mat_add(mat_mul(at, e), mat_mul(e, at)))
         out = mat_add(out, mat_scale(term, half_i))
     return out
 
 
-def _covariant_x_derivative(m: Matrix, g: int, at: Matrix, order: int) -> Matrix:
-    """d_{x_g} m - [A_g^T, m] for a (1,1)-tensor symbol m, at the given order."""
-    dm = mat_truncate(mat_diff(m, X_VARS[g]), order)
-    return mat_sub(dm, mat_commutator(at, mat_truncate(m, order)))
+def _covariant_x_derivative(m: Matrix, g: int, at: Matrix) -> Matrix:
+    """d_{x_g} m - [A_g^T, m] for a (1,1)-tensor symbol m."""
+    return mat_sub(mat_diff(m, X_VARS[g]), mat_commutator(at, m))
 
 
 def poisson_bracket(qp: Matrix, rp: Matrix, mj) -> Matrix:
     """Generalized Poisson bracket of two principal symbol matrices.
 
     Both x-derivatives carry Christoffel corrections; the bracket reduces to
-    the plain matrix Poisson bracket when the Christoffel jet vanishes.
+    the plain matrix Poisson bracket when the Christoffel jet vanishes.  The
+    result has one order less than the lower of its inputs, and at most the
+    Christoffel order mj.order - 1.
     """
     order = min(_mat_order(qp), _mat_order(rp)) - 1
     if order < 0:
         raise ValueError("inputs must have truncation order >= 1")
     out = zero_mat((3, 3), order)
-    for g, at in enumerate(_christoffel_t(mj, order)):
-        dq_cov = _covariant_x_derivative(qp, g, at, order)
-        dr_cov = _covariant_x_derivative(rp, g, at, order)
+    for g, at in enumerate(_christoffel_t(mj)):
+        dq_cov = _covariant_x_derivative(qp, g, at)
+        dr_cov = _covariant_x_derivative(rp, g, at)
         dq_eta = mat_diff(qp, ETA_VARS[g])
         dr_eta = mat_diff(rp, ETA_VARS[g])
         out = mat_add(out, mat_sub(mat_mul(dq_cov, dr_eta), mat_mul(dq_eta, dr_cov)))
-    return mat_truncate(out, order)
+    return out
 
 
 def adjoint_prin_sub(q: SymbolJet, mj) -> tuple:
@@ -346,12 +343,7 @@ def adjoint_prin_sub(q: SymbolJet, mj) -> tuple:
         raise ValueError("adjoint requires a 3x3 jet")
 
     def sandwich(m: Matrix) -> Matrix:
-        order = _mat_order(m)
-        g = mat_truncate(mj.g, min(order, mj.order))
-        g_inv = mat_truncate(mj.g_inv, min(order, mj.order))
-        return mat_truncate(
-            mat_mul(mat_mul(g, mat_transpose(mat_conj(m))), g_inv), order
-        )
+        return mat_mul(mat_mul(mj.g, mat_transpose(mat_conj(m))), mj.g_inv)
 
     prin = sandwich(q.principal())
     sub = sandwich(subprincipal(q, mj))

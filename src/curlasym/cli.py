@@ -65,7 +65,7 @@ def _load_config(name: str) -> CurvatureConfig:
     try:
         with open(name, "r", encoding="utf-8") as fh:
             return CurvatureConfig.loads(fh.read())
-    except (OSError, ValueError, ZeroDivisionError) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot load config {name!r}: {exc}")
 
 

@@ -42,7 +42,6 @@ from .polymat import (
     mat_is_zero,
     mat_scale,
     mat_sub,
-    mat_truncate,
     tensor,
 )
 
@@ -153,7 +152,12 @@ class CurvatureConfig:
 def _exact(value: object) -> Fraction:
     if isinstance(value, float):
         raise ValueError(f"entry {value!r} is a float: give it as a 'p/q' string")
-    return parse_rational(value) if isinstance(value, str) else Fraction(value)
+    if not isinstance(value, str):
+        return Fraction(value)
+    try:
+        return parse_rational(value)
+    except ZeroDivisionError:
+        raise ValueError(f"entry {value!r} divides by zero") from None
 
 
 def _is_exact_array(value: object, depth: int) -> bool:
@@ -288,10 +292,9 @@ def build_metric_jet(cfg: CurvatureConfig, order: int = 3) -> MetricJet:
         lambda d, b, c: (dg[d][c][b] + dg[d][b][c] - dg[b][c][d]).scale(Fraction(1, 2)),
         3,
     )
-    g_inv_low = mat_truncate(g_inv, order - 1)
     gamma = tensor(
         lambda a, b, c: reduce(
-            poly_add, (poly_mul(g_inv_low[a][d], lowered[d][b][c]) for d in range(3))
+            poly_add, (poly_mul(g_inv[a][d], lowered[d][b][c]) for d in range(3))
         ),
         3,
     )
@@ -330,9 +333,8 @@ def raised_covector(mj: MetricJet, order: int) -> tuple:
     """The raised covector g^{ab}(x) (xi0 + eta)_b as order-`order` polynomials."""
     if order > mj.order:
         raise ValueError("requested order exceeds the metric jet order")
-    g_inv = mat_truncate(mj.g_inv, order)
     xi = xi_polys(order)
-    return tuple(reduce(poly_add, map(poly_mul, row, xi)) for row in g_inv)
+    return tuple(reduce(poly_add, map(poly_mul, row, xi)) for row in mj.g_inv)
 
 
 def covector_norm_sq(raised: tuple) -> TruncatedPoly:
@@ -363,7 +365,7 @@ def curl_symbol(mj: MetricJet, accuracy: int = 3) -> SymbolJet:
 
     def entry(a, b):
         terms = (
-            poly_mul(e.truncate(accuracy), x)
+            poly_mul(e, x)
             for e, x in zip(e_mix[a][b], xi)
             if not e.is_zero()
         )
@@ -384,19 +386,16 @@ def d_delta_symbols(mj: MetricJet, accuracy: int = 3) -> tuple:
     xi = xi_polys(accuracy)
     d_sym = SymbolJet(1, accuracy, (3, 1), [tuple((x.scale(GR_I),) for x in xi)])
 
-    g_inv = mat_truncate(mj.g_inv, accuracy)
+    def degree0(c):
+        terms = (
+            poly_mul(mj.g_inv[a][b], mj.gamma[c][b][a])
+            for a, b in product(range(3), repeat=2)
+        )
+        return reduce(poly_add, terms)
+
     top = tuple(p.scale(-GR_I) for p in raised_covector(mj, accuracy))
     levels = [(top,)]
     if accuracy >= 1:
-        low = accuracy - 1
-
-        def degree0(c):
-            terms = (
-                poly_mul(g_inv[a][b].truncate(low), mj.gamma[c][b][a].truncate(low))
-                for a, b in product(range(3), repeat=2)
-            )
-            return reduce(poly_add, terms)
-
         levels.append((tensor(degree0, 1),))
     return d_sym, SymbolJet(1, accuracy, (1, 3), levels)
 

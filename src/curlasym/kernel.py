@@ -164,7 +164,10 @@ class SingularCoefficient:
 
     def as_float(self) -> list:
         scale = 1 / math.pi**2
-        return [[float(v) * scale for v in row] for row in self.c_rational]
+        try:
+            return [[float(v) * scale for v in row] for row in self.c_rational]
+        except OverflowError:
+            raise ValueError("a singular coefficient entry overflows a float") from None
 
     def to_dict(self) -> dict:
         return {

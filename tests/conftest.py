@@ -11,6 +11,7 @@ from curlasym.exactpoly import (
     iter_exponents,
 )
 from curlasym.calculus import SymbolJet
+from curlasym.configs import random_config, unit_config
 from curlasym.geometry import curl_symbol, norm_power_jet, raised_covector
 from curlasym.projections import initial_symbols
 
@@ -51,6 +52,17 @@ def anchor_values(m):
 def x_part(m):
     """Restrict a polynomial matrix to eta = 0."""
     return tuple(tuple(p.restrict((3, 4, 5)) for p in row) for row in m)
+
+
+#: A unit config and a dense random one, for the order contract.
+ORDER_CONFIGS = {"c11": unit_config("c11"), "random1": random_config(random.Random(1))}
+
+
+def orders(t):
+    """The set of truncation orders of the polynomials in a nested tuple."""
+    if isinstance(t, TruncatedPoly):
+        return {t.order}
+    return set().union(*map(orders, t))
 
 
 def mat_pad(m, order):

@@ -44,7 +44,7 @@ from curlasym.polymat import (
     mat_sub,
 )
 
-from conftest import mat_pad, random_jet, random_matrix
+from conftest import ORDER_CONFIGS, mat_pad, orders, random_jet, random_matrix
 
 
 class TestSymbolJet:
@@ -250,6 +250,51 @@ class TestAdjoint:
             prin, sub = adjoint_prin_sub(curl, mj)
             assert mat_is_zero(mat_sub(prin, curl.principal()))
             assert mat_is_zero(sub)
+
+
+class TestOrderContract:
+    """Each result carries the order that min-order arithmetic gives it."""
+
+    @pytest.mark.parametrize("accuracy", (2, 3))
+    @pytest.mark.parametrize("name", ORDER_CONFIGS)
+    def test_result_orders(self, name, accuracy):
+        mj = build_metric_jet(ORDER_CONFIGS[name])
+        rng = random.Random(accuracy)
+        q = compose(curl_symbol(mj, accuracy), random_jet(rng, accuracy))
+        r = random_jet(rng, accuracy)
+        assert orders(subprincipal(q, mj)) == {accuracy - 2}
+        for qp, rp in (
+            (q.principal(), r.principal()),
+            (q.principal(), r.components[1]),
+            (q.components[1], r.principal()),
+        ):
+            expect = min(orders(qp) | orders(rp)) - 1
+            assert orders(poisson_bracket(qp, rp, mj)) == {expect}
+        prin, sub = adjoint_prin_sub(q, mj)
+        assert orders(prin) == {accuracy}
+        assert orders(sub) == {accuracy - 2}
+
+    @pytest.mark.parametrize("name", ORDER_CONFIGS)
+    def test_lower_accuracy_is_the_truncation(self, name):
+        """The accuracy-2 results are the accuracy-3 ones truncated."""
+        mj = build_metric_jet(ORDER_CONFIGS[name])
+        rng = random.Random(3)
+        q3 = compose(curl_symbol(mj, 3), random_jet(rng, 3))
+        q2 = SymbolJet(q3.top_degree, 2, q3.shape, q3.components[:3])
+        assert subprincipal(q2, mj) == mat_truncate(subprincipal(q3, mj), 0)
+        prin3, sub3 = adjoint_prin_sub(q3, mj)
+        assert adjoint_prin_sub(q2, mj) == (
+            mat_truncate(prin3, 2),
+            mat_truncate(sub3, 0),
+        )
+        bracket3 = poisson_bracket(q3.principal(), q3.principal(), mj)
+        bracket2 = poisson_bracket(q2.principal(), q2.principal(), mj)
+        assert bracket2 == mat_truncate(bracket3, 1)
+
+    def test_bracket_refuses_order_zero(self):
+        mj = build_metric_jet(CurvatureConfig.flat())
+        with pytest.raises(ValueError, match="order >= 1"):
+            poisson_bracket(identity_mat(0), identity_mat(2), mj)
 
 
 class TestTrace:

@@ -142,6 +142,37 @@ def test_deeply_nested_config_is_usage_error(capsys, tmp_path, command):
     assert_one_line_usage_error(code, capsys.readouterr().err, "nests too deeply")
 
 
+class TestUnusableConfigNumber:
+    """Config entries that parse exactly but that a command cannot use."""
+
+    ZERO = [[0, 0, 0]] * 3
+
+    def config_file(self, tmp_path, ric, dric0, literal):
+        """A config file with each "X" entry of ric and dric0 written as literal."""
+        text = json.dumps({"ric": ric, "dric": [dric0, self.ZERO, self.ZERO]})
+        path = tmp_path / "cfg.json"
+        path.write_text(text.replace('"X"', literal))
+        return str(path)
+
+    @pytest.mark.parametrize("big", ["1e400", '"1e400"'], ids=["number", "string"])
+    def test_kernel_coefficient_overflow(self, capsys, tmp_path, big):
+        # c[2][0] = dric[0][1][0] / 12 is above the float range.
+        dric0 = [[0, "X", 0], ["X", 0, 0], [0, 0, 0]]
+        path = self.config_file(tmp_path, self.ZERO, dric0, big)
+        code = entry(["kernel", "--sphere", "--config", path])
+        assert_one_line_usage_error(code, capsys.readouterr().err, "overflows")
+
+    @pytest.mark.parametrize(
+        "command", [["asym"], ["project"], ["kernel", "--sphere"]], ids=" ".join
+    )
+    def test_zero_denominator(self, capsys, tmp_path, command):
+        ric = [["X", 0, 0], [0, 0, 0], [0, 0, 0]]
+        path = self.config_file(tmp_path, ric, self.ZERO, '"1/0"')
+        code = entry([*command, "--config", path])
+        err = capsys.readouterr().err
+        assert_one_line_usage_error(code, err, "entry '1/0' divides by zero")
+
+
 EXTREME = ["0", "-1", "1e-320", "5e-324", "1e-150", "1e150", "1e300", "1e308",
            "nan", "inf", "-inf", "1e10000000", "1/0", "3/2"]
 

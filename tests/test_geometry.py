@@ -24,6 +24,7 @@ from curlasym.geometry import (
     epsilon,
     euclid_norm_power_jet,
     norm_power_jet,
+    raised_covector,
     riemann_from_ricci,
     transport_jet,
     xi_polys,
@@ -36,7 +37,7 @@ from curlasym.polymat import (
     mat_transpose,
 )
 
-from conftest import gr
+from conftest import ORDER_CONFIGS, gr, orders
 
 
 def mono(exps, num, den=1):
@@ -293,6 +294,28 @@ class TestOperatorSymbols:
             assert d_sym.principal()[a][0] == xi[a].scale(GR_I)
             assert delta_sym.principal()[0][a] == xi[a].scale(-GR_I)
         assert mat_is_zero(delta_sym.components[1])
+
+
+class TestOrderContract:
+    """Each jet carries the order that min-order arithmetic gives it."""
+
+    @pytest.mark.parametrize("mj_order", (3, 4))
+    @pytest.mark.parametrize("accuracy", (2, 3))
+    @pytest.mark.parametrize("name", ORDER_CONFIGS)
+    def test_jet_orders(self, name, accuracy, mj_order):
+        mj = build_metric_jet(ORDER_CONFIGS[name], order=mj_order)
+        assert orders(mj.gamma) == {mj_order - 1}
+        for n in range(accuracy + 1):
+            assert orders(raised_covector(mj, n)) == {n}
+        schedule = [{accuracy - k} for k in range(accuracy + 1)]
+        for jet in (curl_symbol(mj, accuracy), *d_delta_symbols(mj, accuracy)):
+            assert [orders(m) for m in jet.components] == schedule
+
+    def test_order_above_the_metric_jet_refused(self):
+        mj = build_metric_jet(unit_config("c11"))
+        for build in (raised_covector, curl_symbol, d_delta_symbols):
+            with pytest.raises(ValueError, match="exceeds the metric jet order"):
+                build(mj, 4)
 
 
 class TestTransport:
