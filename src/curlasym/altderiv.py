@@ -105,6 +105,21 @@ def hodge_symbol(mj: MetricJet) -> tuple:
     return tensor(q1_entry, 2), tensor(q0_entry, 2)
 
 
+def _derivative_term(
+    m: Matrix, weight: TruncatedPoly, norm_derivs: dict, rank: int
+) -> Matrix:
+    """weight * sum over index tuples I of rank `rank` of the eta derivative
+    d^I |xi|, read from norm_derivs, times the x derivative d^I m."""
+    out = None
+    for idx in itertools.product(range(3), repeat=rank):
+        dm = m
+        for v in idx:
+            dm = mat_diff(dm, v)
+        term = mat_poly_scale(dm, norm_derivs[idx])
+        out = term if out is None else mat_add(out, term)
+    return mat_poly_scale(out, weight)
+
+
 @dataclass(frozen=True)
 class HodgeHierarchy:
     """Symbol components of the half and inverse-half Laplacian powers."""
@@ -143,10 +158,13 @@ def sqrt_hierarchy(q1: Matrix, q0: Matrix, mj: MetricJet) -> HodgeHierarchy:
     half = Fraction(1, 2)
     inv_i = -GR_I  # 1/i
 
-    def dxi(p: TruncatedPoly, *vs: int) -> TruncatedPoly:
-        for v in vs:
+    # The eta derivatives d^I |xi|, formed once for the whole hierarchy.
+    norm_derivs = {}
+    for idx in itertools.chain(*(itertools.product(range(3), repeat=r) for r in (2, 3))):
+        p = eu1
+        for v in idx:
             p = poly_diff(p, ETA_VARS[v])
-        return p
+        norm_derivs[idx] = p
 
     # xi^mu / |xi|^2, the weights of the transport term.
     eum2_xi = [poly_mul(eum2, x) for x in xi]
@@ -159,17 +177,8 @@ def sqrt_hierarchy(q1: Matrix, q0: Matrix, mj: MetricJet) -> HodgeHierarchy:
             out = term if out is None else mat_add(out, term)
         return mat_scale(out, inv_i)
 
-    def derivative_term(m: Matrix, weight, rank: int) -> Matrix:
-        """weight * sum over index tuples I of rank `rank` of the eta
-        derivative d^I |xi| times the x derivative d^I m."""
-        out = None
-        for idx in itertools.product(range(3), repeat=rank):
-            dm = m
-            for v in idx:
-                dm = mat_diff(dm, v)
-            term = mat_poly_scale(dm, dxi(eu1, *idx))
-            out = term if out is None else mat_add(out, term)
-        return mat_poly_scale(out, weight)
+    def derivative_term(m: Matrix, weight: TruncatedPoly, rank: int) -> Matrix:
+        return _derivative_term(m, weight, norm_derivs, rank)
 
     rn_mat = mat_poly_scale(ident, rn1)
     rnm1_mat = mat_poly_scale(ident, rnm1)

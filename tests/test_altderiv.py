@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from curlasym.altderiv import (
+    _WORK_ORDER,
+    _derivative_term,
     aprin_alternative,
     build_hierarchy,
     hodge_symbol,
@@ -19,7 +22,16 @@ from curlasym.configs import (
     random_bianchi_config,
     unit_config,
 )
-from curlasym.exactpoly import GaussianRational, poly_mul
+from curlasym.exactpoly import (
+    E1,
+    ETA_VARS,
+    GR_I,
+    X_VARS,
+    GaussianRational,
+    poly_diff,
+    poly_from_monomials,
+    poly_mul,
+)
 from curlasym.geometry import (
     CurvatureConfig,
     build_metric_jet,
@@ -31,12 +43,18 @@ from curlasym.geometry import (
 )
 from curlasym.polymat import (
     identity_mat,
+    mat_add,
+    mat_diff,
     mat_is_zero,
     mat_map,
+    mat_poly_scale,
     mat_sub,
     mat_truncate,
+    tensor,
 )
 from curlasym.projections import aprin_closed_form
+
+from conftest import random_matrix, random_poly
 
 
 def _power_jets(h):
@@ -70,7 +88,71 @@ def _power_jets(h):
     return r_jet, s_jet
 
 
+def _fraction_hodge_symbol(mj):
+    """hodge_symbol's (q1, q0) with each tensor entry summed in Fraction
+    arithmetic, term by term from the curvature-derivative formula."""
+    driem0 = mj.driem0
+    dric = mj.config.dric0
+
+    def a_tensor(al, be, ga, mu, nu):
+        val = Fraction(0)
+        if al == be:
+            val += Fraction(1, 2) * dric[mu][ga][nu]
+            val -= Fraction(1, 12) * dric[ga][mu][nu]
+        val -= (
+            driem0[al][ga][mu][be][nu]
+            - 3 * driem0[mu][ga][al][be][nu]
+            + 5 * driem0[nu][ga][mu][be][al]
+        ) * Fraction(1, 6)
+        return val
+
+    def b_tensor(al, be, nu):
+        return (
+            -Fraction(1, 6) * dric[be][al][nu]
+            + Fraction(1, 2) * dric[al][be][nu]
+            + Fraction(1, 2) * dric[nu][al][be]
+        )
+
+    def q1_entry(al, be):
+        terms = []
+        for ga, mu, nu in itertools.product(range(3), repeat=3):
+            coeff = a_tensor(al, be, ga, mu, nu)
+            terms.append((coeff, (E1 + ga, mu, nu)))
+            if ga == 2:
+                terms.append((coeff, (mu, nu)))
+        return poly_from_monomials(_WORK_ORDER, terms).scale(GR_I)
+
+    def q0_entry(al, be):
+        terms = [(b_tensor(al, be, nu), (nu,)) for nu in X_VARS]
+        return poly_from_monomials(_WORK_ORDER, terms)
+
+    return tensor(q1_entry, 2), tensor(q0_entry, 2)
+
+
+def _ordered_derivative_term(m, weight, p, rank):
+    """weight * the sum of d^I p * d^I m over every ordered index tuple I of
+    the rank, each derivative taken from scratch: the term as written."""
+    out = None
+    for idx in itertools.product(range(3), repeat=rank):
+        dm, dp = m, p
+        for v in idx:
+            dm = mat_diff(dm, v)
+            dp = poly_diff(dp, ETA_VARS[v])
+        term = mat_poly_scale(dm, dp)
+        out = term if out is None else mat_add(out, term)
+    return mat_poly_scale(out, weight)
+
+
 class TestHodgeSymbol:
+    def test_matches_fraction_formula(self):
+        """On the 18 Ricci-flat unit configs and seeded Bianchi configs."""
+        rng = random.Random(123)
+        cfgs = [unit_config(name) for name in UNIT_CONFIG_NAMES[6:]]
+        cfgs += [random_bianchi_config(rng) for _ in range(6)]
+        for cfg in cfgs:
+            mj = build_metric_jet(cfg, order=_WORK_ORDER)
+            assert hodge_symbol(mj) == _fraction_hodge_symbol(mj)
+
     def test_requires_ricci_flat_origin(self):
         with pytest.raises(ValueError):
             hodge_symbol(build_metric_jet(unit_config("c1")))
@@ -101,6 +183,23 @@ class TestHodgeSymbol:
 
 
 class TestSqrtHierarchy:
+    @pytest.mark.parametrize("rank", (1, 2, 3))
+    def test_derivative_term_matches_ordered_sum(self, rank):
+        """On seeded random order-4 matrices, weights and eta polynomials."""
+        rng = random.Random(130 + rank)
+        for _ in range(3):
+            m = random_matrix(rng, _WORK_ORDER)
+            weight = random_poly(rng, _WORK_ORDER)
+            p = random_poly(rng, _WORK_ORDER)
+            derivs = {}
+            for idx in itertools.product(range(3), repeat=rank):
+                dp = p
+                for v in idx:
+                    dp = poly_diff(dp, ETA_VARS[v])
+                derivs[idx] = dp
+            expected = _ordered_derivative_term(m, weight, p, rank)
+            assert _derivative_term(m, weight, derivs, rank) == expected
+
     def test_flat_subleading_components_vanish(self):
         h = build_hierarchy(CurvatureConfig.flat())
         for m in (h.r0, h.r_m1, h.r_m2, h.s_m2, h.s_m3, h.s_m4):

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import getitem
 
 import pytest
 
@@ -24,7 +27,13 @@ from curlasym.calculus import (
     transport_correction,
 )
 from curlasym.configs import UNIT_CONFIG_NAMES, random_config, unit_config
-from curlasym.exactpoly import GR_I, TruncatedPoly
+from curlasym.exactpoly import (
+    ETA_VARS,
+    GR_I,
+    GaussianRational,
+    TruncatedPoly,
+    poly_diff,
+)
 from curlasym.geometry import (
     CurvatureConfig,
     build_metric_jet,
@@ -42,6 +51,7 @@ from curlasym.polymat import (
     mat_mul,
     mat_scale,
     mat_sub,
+    zero_mat,
 )
 
 from conftest import ORDER_CONFIGS, mat_pad, orders, random_jet, random_matrix
@@ -382,6 +392,41 @@ class TestTransportCorrection:
             for level in (2, 3):
                 val = transport_correction(q0, mj, level, qm1=qm1)
                 assert val.is_zero()
+
+    @staticmethod
+    def _derivative_chain(q0, mj, level):
+        """The correction with every eta derivative taken by poly_diff."""
+        if level == 2:
+            table, weight = mj.riem0, Fraction(1, 6)
+        else:
+            table, weight = mj.d2gamma0(), -GR_I * Fraction(1, 6)
+        total = GaussianRational(0)
+        for idx in product(range(3), repeat=level + 2):
+            coeff = reduce(getitem, idx, table)
+            a, v1, k, *rest = idx
+            p = q0[a][k]
+            for v in (v1, *rest):
+                p = poly_diff(p, ETA_VARS[v])
+            total = total + p.constant_term() * coeff
+        return total * weight
+
+    def test_matches_derivative_chain_on_random_symbols(self):
+        """Random q0 make both corrections nonzero; qm1 = 0 meets the
+        precondition."""
+        rng = random.Random(93)
+        cfgs = [unit_config(n) for n in ("c1", "c20")]
+        cfgs += [random_config(rng) for _ in range(3)]
+        nonzero = set()
+        for cfg in cfgs:
+            mj = build_metric_jet(cfg, order=3)
+            for _ in range(2):
+                q0 = random_matrix(rng, 3, density=0.5)
+                for level in (2, 3):
+                    val = transport_correction(q0, mj, level, qm1=zero_mat((3, 3), 2))
+                    assert val == self._derivative_chain(q0, mj, level)
+                    if not val.is_zero():
+                        nonzero.add(level)
+        assert nonzero == {2, 3}
 
     def test_precondition_enforced(self):
         cfg = unit_config("c7")

@@ -14,6 +14,8 @@ from curlasym.exactpoly import (
     GR_I,
     TruncatedPoly,
     poly_add,
+    poly_diff,
+    poly_from_monomials,
     poly_mul,
 )
 from curlasym.geometry import (
@@ -35,9 +37,48 @@ from curlasym.polymat import (
     mat_mul,
     mat_sub,
     mat_transpose,
+    tensor,
 )
 
 from conftest import ORDER_CONFIGS, gr, orders
+
+
+def _oracle_configs(seed: int, count: int = 8) -> list:
+    """The 24 unit configs and `count` seeded random ones."""
+    rng = random.Random(seed)
+    return [unit_config(n) for n in UNIT_CONFIG_NAMES] + [
+        random_config(rng) for _ in range(count)
+    ]
+
+
+def _fraction_metric(cfg, order):
+    """g = delta - (1/3) Riem x x - (1/6) (grad Riem) x x x, one Fraction
+    per ordered index tuple."""
+    riem0, driem0 = riemann_from_ricci(cfg)
+
+    def entry(a, b):
+        terms = [(1 if a == b else 0, ())]
+        terms += [
+            (Fraction(-riem0[a][m][b][n], 3), (m, n))
+            for m, n in product(range(3), repeat=2)
+        ]
+        terms += [
+            (Fraction(-driem0[s][a][m][b][n], 6), (s, m, n))
+            for s, m, n in product(range(3), repeat=3)
+        ]
+        return poly_from_monomials(order, terms)
+
+    return tensor(entry, 2)
+
+
+def _diff_chain_d2gamma0(mj):
+    """d_n d_r Gamma^a_{bc} at the origin by two formal derivatives."""
+    return tensor(
+        lambda a, b, c, n, r: poly_diff(
+            poly_diff(mj.gamma[a][b][c], n), r
+        ).constant_term(),
+        5,
+    )
 
 
 def mono(exps, num, den=1):
@@ -206,6 +247,17 @@ class TestMetricJet:
             assert mat_is_zero(mat_sub(prod, identity_mat(3)))
             assert poly_mul(mj.rho, mj.rho_inv) == TruncatedPoly.constant(1, 3)
             assert mj.g == mat_transpose(mj.g)
+
+    @pytest.mark.parametrize("order", (3, 4))
+    def test_metric_matches_fraction_formula(self, order):
+        for cfg in _oracle_configs(16):
+            assert build_metric_jet(cfg, order).g == _fraction_metric(cfg, order)
+
+    @pytest.mark.parametrize("order", (3, 4))
+    def test_d2gamma0_matches_derivative_chain(self, order):
+        for cfg in _oracle_configs(17):
+            mj = build_metric_jet(cfg, order)
+            assert mj.d2gamma0() == _diff_chain_d2gamma0(mj)
 
     def test_christoffel_symmetry_and_origin(self):
         rng = random.Random(15)
