@@ -98,9 +98,11 @@ def _json_pieces(payload: object) -> Iterator[str]:
 
 def cmd_project(args: argparse.Namespace) -> int:
     alephs = args.aleph.split(",")
-    for aleph in alephs:
+    for i, aleph in enumerate(alephs):
         if aleph not in LABELS:
             raise ValueError(f"unknown branch label {aleph!r}")
+        if aleph in alephs[:i]:
+            raise ValueError(f"branch label {aleph!r} given twice")
     cfg = _load_config(args.config)
     mj = build_metric_jet(cfg)
     payload = {"config": cfg.to_dict(), "accuracy": args.accuracy, "runs": []}

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from curlasym import cli
 from curlasym.cli import entry
 from curlasym.exactpoly import parse_rational
 
@@ -171,6 +172,18 @@ class TestUnusableConfigNumber:
         code = entry([*command, "--config", path])
         err = capsys.readouterr().err
         assert_one_line_usage_error(code, err, "entry '1/0' divides by zero")
+
+
+@pytest.mark.parametrize("aleph", ["+,+", "0,-,0", "+,0,-,-"])
+def test_duplicate_branch_label_is_usage_error(capsys, monkeypatch, aleph):
+    # "+,+" built, verified and printed the "+" family twice and exited 0.
+    def refuse(*_args):
+        raise AssertionError("work started before the label check")
+
+    for name in ("build_metric_jet", "run_algorithm"):
+        monkeypatch.setattr(cli, name, refuse)
+    code = entry(["project", "--config", "c11", "--aleph", aleph])
+    assert_one_line_usage_error(code, capsys.readouterr().err, "given twice")
 
 
 EXTREME = ["0", "-1", "1e-320", "5e-324", "1e-150", "1e150", "1e300", "1e308",
