@@ -15,6 +15,7 @@ asymmetry value can feel.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from .exactpoly import (
     GaussianRational,
     TruncatedPoly,
     X_VARS,
+    numerator_over,
     poly_diff,
     poly_from_monomials,
     poly_mul,
@@ -65,57 +67,87 @@ def hodge_symbol(mj: MetricJet) -> tuple:
     """
     if any(v != 0 for row in mj.config.ric0 for v in row):
         raise ValueError("requires vanishing Ricci tensor at the origin")
-    driem0 = mj.driem0
+    # Integer numerators over one common denominator: den times a
+    # Ricci-derivative entry is an integer, and so is den times a Riemann
+    # derivative entry (see riemann_from_ricci).  a_tensor and b_tensor
+    # return their entries times 12 den.
     dric = mj.config.dric0
-    order = _WORK_ORDER
+    den = 2 * math.lcm(*(v.denominator for m in dric for row in m for v in row))
+    dric = tensor(lambda s, a, b: numerator_over(dric[s][a][b], den), 3)
+    driem0 = tensor(
+        lambda s, a, b, c, d: numerator_over(mj.driem0[s][a][b][c][d], den), 5
+    )
+    den *= 12
 
     # a_al{}^{be ga}{}_{mu nu}; index raising at the origin is trivial.
     def a_tensor(al, be, ga, mu, nu):
-        val = Fraction(0)
-        if al == be:
-            val += Fraction(1, 2) * dric[mu][ga][nu]
-            val -= Fraction(1, 12) * dric[ga][mu][nu]
-        val -= (
+        val = 6 * dric[mu][ga][nu] - dric[ga][mu][nu] if al == be else 0
+        return val - 2 * (
             driem0[al][ga][mu][be][nu]
             - 3 * driem0[mu][ga][al][be][nu]
             + 5 * driem0[nu][ga][mu][be][al]
-        ) * Fraction(1, 6)
-        return val
-
-    def b_tensor(al, be, nu):
-        return (
-            -Fraction(1, 6) * dric[be][al][nu]
-            + Fraction(1, 2) * dric[al][be][nu]
-            + Fraction(1, 2) * dric[nu][al][be]
         )
 
+    def b_tensor(al, be, nu):
+        return -2 * dric[be][al][nu] + 6 * dric[al][be][nu] + 6 * dric[nu][al][be]
+
     def q1_entry(al, be):
-        # xi_ga x_mu x_nu with xi_ga = delta_{ga 3} + e_ga: two monomials.
+        # xi_ga x_mu x_nu with xi_ga = delta_{ga 3} + e_ga: two monomials,
+        # each of whose coefficients sums both orders of mu and nu.
         terms = []
-        for ga, mu, nu in itertools.product(range(3), repeat=3):
-            coeff = a_tensor(al, be, ga, mu, nu)
-            terms.append((coeff, (E1 + ga, mu, nu)))
-            if ga == 2:
-                terms.append((coeff, (mu, nu)))
-        return poly_from_monomials(order, terms).scale(GR_I)
+        pairs = itertools.combinations_with_replacement(range(3), 2)
+        for ga, (mu, nu) in itertools.product(range(3), pairs):
+            num = a_tensor(al, be, ga, mu, nu)
+            if mu != nu:
+                num += a_tensor(al, be, ga, nu, mu)
+            if num:
+                coeff = Fraction(num, den)
+                terms.append((coeff, (E1 + ga, mu, nu)))
+                if ga == 2:
+                    terms.append((coeff, (mu, nu)))
+        return poly_from_monomials(_WORK_ORDER, terms).scale(GR_I)
 
     def q0_entry(al, be):
-        return poly_from_monomials(order, [(b_tensor(al, be, nu), (nu,)) for nu in X_VARS])
+        terms = [(Fraction(b_tensor(al, be, nu), den), (nu,)) for nu in X_VARS]
+        return poly_from_monomials(_WORK_ORDER, terms)
 
     return tensor(q1_entry, 2), tensor(q0_entry, 2)
+
+
+def _sorted_partials(diff, base, rank: int) -> dict:
+    """d^I base for every sorted index tuple I of length 0 to rank.
+
+    Each is formed from its prefix by one diff(value, index) call, so rank 3
+    takes 3 + 6 + 10 calls.
+    """
+    out = {(): base}
+    for r in range(1, rank + 1):
+        for idx in itertools.combinations_with_replacement(range(3), r):
+            out[idx] = diff(out[idx[:-1]], idx[-1])
+    return out
+
+
+def _orderings(idx: tuple) -> int:
+    """The number of distinct orderings of an index tuple."""
+    count = math.factorial(len(idx))
+    for v in set(idx):
+        count //= math.factorial(idx.count(v))
+    return count
 
 
 def _derivative_term(
     m: Matrix, weight: TruncatedPoly, norm_derivs: dict, rank: int
 ) -> Matrix:
     """weight * sum over index tuples I of rank `rank` of the eta derivative
-    d^I |xi|, read from norm_derivs, times the x derivative d^I m."""
+    d^I |xi|, read from norm_derivs, times the x derivative d^I m.
+
+    Mixed partials commute, so the sum runs over sorted tuples only, each
+    term counted once per ordering of its tuple.
+    """
+    dm = _sorted_partials(mat_diff, m, rank)
     out = None
-    for idx in itertools.product(range(3), repeat=rank):
-        dm = m
-        for v in idx:
-            dm = mat_diff(dm, v)
-        term = mat_poly_scale(dm, norm_derivs[idx])
+    for idx in itertools.combinations_with_replacement(range(3), rank):
+        term = mat_poly_scale(dm[idx], norm_derivs[idx].scale(_orderings(idx)))
         out = term if out is None else mat_add(out, term)
     return mat_poly_scale(out, weight)
 
@@ -159,12 +191,7 @@ def sqrt_hierarchy(q1: Matrix, q0: Matrix, mj: MetricJet) -> HodgeHierarchy:
     inv_i = -GR_I  # 1/i
 
     # The eta derivatives d^I |xi|, formed once for the whole hierarchy.
-    norm_derivs = {}
-    for idx in itertools.chain(*(itertools.product(range(3), repeat=r) for r in (2, 3))):
-        p = eu1
-        for v in idx:
-            p = poly_diff(p, ETA_VARS[v])
-        norm_derivs[idx] = p
+    norm_derivs = _sorted_partials(lambda p, v: poly_diff(p, ETA_VARS[v]), eu1, 3)
 
     # xi^mu / |xi|^2, the weights of the transport term.
     eum2_xi = [poly_mul(eum2, x) for x in xi]
@@ -180,40 +207,45 @@ def sqrt_hierarchy(q1: Matrix, q0: Matrix, mj: MetricJet) -> HodgeHierarchy:
     def derivative_term(m: Matrix, weight: TruncatedPoly, rank: int) -> Matrix:
         return _derivative_term(m, weight, norm_derivs, rank)
 
-    rn_mat = mat_poly_scale(ident, rn1)
-    rnm1_mat = mat_poly_scale(ident, rnm1)
+    # The Riemannian norm powers enter as multiples of the identity: their
+    # terms are formed on 1x1 matrices and then put on the diagonal.
+    rn_scalar = ((rn1,),)
+    rnm1_scalar = ((rnm1,),)
+
+    def diag(m: Matrix) -> Matrix:
+        return mat_poly_scale(ident, m[0][0])
 
     half_eum1 = eum1.scale(half)
 
     r0 = mat_add(
         mat_poly_scale(q1, half_eum1),
-        mat_scale(transport_term(rn_mat), Fraction(-1, 2)),
+        mat_scale(diag(transport_term(rn_scalar)), Fraction(-1, 2)),
     )
     r_m1 = mat_add(
         mat_add(
             mat_poly_scale(q0, half_eum1),
             mat_scale(transport_term(r0), Fraction(-1, 2)),
         ),
-        derivative_term(rn_mat, eum1.scale(Fraction(1, 4)), 2),
+        diag(derivative_term(rn_scalar, eum1.scale(Fraction(1, 4)), 2)),
     )
     r_m2 = mat_add(
         mat_add(
             mat_scale(transport_term(r_m1), Fraction(-1, 2)),
             derivative_term(r0, eum1.scale(Fraction(1, 4)), 2),
         ),
-        mat_scale(derivative_term(rn_mat, eum1.scale(Fraction(1, 12)), 3), inv_i),
+        mat_scale(diag(derivative_term(rn_scalar, eum1.scale(Fraction(1, 12)), 3)), inv_i),
     )
 
     s_m2 = mat_add(
         mat_scale(mat_poly_scale(r0, eum2), Fraction(-1)),
-        mat_scale(transport_term(rnm1_mat), Fraction(-1)),
+        mat_scale(diag(transport_term(rnm1_scalar)), Fraction(-1)),
     )
     s_m3 = mat_add(
         mat_add(
             mat_scale(mat_poly_scale(r_m1, eum2), Fraction(-1)),
             mat_scale(transport_term(s_m2), Fraction(-1)),
         ),
-        derivative_term(rnm1_mat, eum1.scale(half), 2),
+        diag(derivative_term(rnm1_scalar, eum1.scale(half), 2)),
     )
     s_m4 = mat_add(
         mat_add(
@@ -223,7 +255,7 @@ def sqrt_hierarchy(q1: Matrix, q0: Matrix, mj: MetricJet) -> HodgeHierarchy:
             ),
             derivative_term(s_m2, eum1.scale(half), 2),
         ),
-        mat_scale(derivative_term(rnm1_mat, eum1.scale(Fraction(1, 6)), 3), inv_i),
+        mat_scale(diag(derivative_term(rnm1_scalar, eum1.scale(Fraction(1, 6)), 3)), inv_i),
     )
 
     return HodgeHierarchy(mj, q1, q0, r0, r_m1, r_m2, s_m2, s_m3, s_m4)

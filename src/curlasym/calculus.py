@@ -33,7 +33,7 @@ from .exactpoly import (
     MAX_ORDER,
     X_VARS,
     GaussianRational,
-    poly_diff,
+    monomial,
     poly_from_dict,
 )
 from .polymat import (
@@ -370,6 +370,8 @@ def transport_correction(q0: Matrix, mj, level: int, qm1: Matrix) -> GaussianRat
     """
     if level not in (2, 3):
         raise ValueError("level must be 2 or 3")
+    if any(p.order < level for row in q0 for p in row):
+        raise ValueError(f"q0 must have truncation order >= {level}")
     if not mat_is_zero(mat_restrict(qm1, X_VARS)):
         raise ValueError(
             "degree -1 component does not vanish at the anchor point"
@@ -380,15 +382,15 @@ def transport_correction(q0: Matrix, mj, level: int, qm1: Matrix) -> GaussianRat
     else:
         table, weight = mj.d2gamma0(), -GR_I * Fraction(1, 6)
     # Index tuples (a, v1, k, v2, ...): the entry q0[a][k] is differentiated
-    # in eta_{v1}, eta_{v2}, ...
+    # in eta_{v1}, eta_{v2}, ...  At the anchor that derivative is the
+    # coefficient of the eta monomial times the factorials of its exponents.
     total = GaussianRational(0)
     for idx in product(range(3), repeat=level + 2):
         coeff = reduce(getitem, idx, table)
         if coeff == 0:
             continue
         a, v1, k, *rest = idx
-        p = q0[a][k]
-        for v in (v1, *rest):
-            p = poly_diff(p, ETA_VARS[v])
-        total = total + p.constant_term() * coeff
+        exp = monomial(ETA_VARS[v] for v in (v1, *rest))
+        deriv = q0[a][k].coefficient(exp) * math.prod(map(math.factorial, exp))
+        total = total + deriv * coeff
     return total * weight

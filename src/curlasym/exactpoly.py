@@ -383,6 +383,11 @@ def _poly(order, den, num, out=None, reduce=True) -> TruncatedPoly:
     return p
 
 
+def numerator_over(value: Fraction, den: int) -> int:
+    """The integer value * den, for a den that value's denominator divides."""
+    return value.numerator * (den // value.denominator)
+
+
 def poly_from_monomials(order: int, terms: Iterable[tuple]) -> TruncatedPoly:
     """Sum of coeff * x_{v1} ... x_{vk} over (coeff, (v1, ..., vk)) pairs.
 
@@ -392,12 +397,17 @@ def poly_from_monomials(order: int, terms: Iterable[tuple]) -> TruncatedPoly:
     coeffs: dict = {}
     for coeff, variables in terms:
         if coeff:
-            exp = [0] * NUM_VARS
-            for v in variables:
-                exp[v] += 1
-            exp = tuple(exp)
+            exp = monomial(variables)
             coeffs[exp] = coeffs.get(exp, 0) + coeff
     return TruncatedPoly(order, coeffs)
+
+
+def monomial(variables: Iterable[int]) -> Exponent:
+    """The exponent tuple of x_{v1} ... x_{vk}; indices may repeat."""
+    exp = [0] * NUM_VARS
+    for v in variables:
+        exp[v] += 1
+    return tuple(exp)
 
 
 def poly_add(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+from math import lcm
 from typing import Mapping, Sequence
 
 from .calculus import SymbolJet
@@ -28,6 +29,8 @@ from .exactpoly import (
     GR_I,
     TruncatedPoly,
     binomial_power_jet,
+    monomial,
+    numerator_over,
     parse_rational,
     poly_add,
     poly_diff,
@@ -180,20 +183,24 @@ def riemann_from_ricci(cfg: CurvatureConfig):
     """
 
     def riemann(ric, scal):
-        half_scal = Fraction(scal, 2)
+        # Integer numerators over one common denominator: den times a Ricci
+        # entry, and den times half the scalar curvature, are integers.
+        den = 2 * lcm(*(v.denominator for row in ric for v in row))
+        num = tensor(lambda a, b: numerator_over(ric[a][b], den), 2)
+        half_scal = numerator_over(scal, den // 2)
 
         def entry(a, b, c, d):
             # Only the terms whose Kronecker deltas are 1.
-            value = Fraction(0)
+            value = 0
             if b == d:
-                value += ric[a][c] - (half_scal if a == c else 0)
+                value += num[a][c] - (half_scal if a == c else 0)
             if b == c:
-                value -= ric[a][d] - (half_scal if a == d else 0)
+                value -= num[a][d] - (half_scal if a == d else 0)
             if a == c:
-                value += ric[b][d]
+                value += num[b][d]
             if a == d:
-                value -= ric[b][c]
-            return value
+                value -= num[b][c]
+            return Fraction(value, den)
 
         return tensor(entry, 4)
 
@@ -234,12 +241,15 @@ class MetricJet:
         return tensor(entry, 3)
 
     def d2gamma0(self):
-        """Second coordinate derivatives of Christoffel symbols at the origin."""
+        """Second coordinate derivatives of Christoffel symbols at the origin:
+        the coefficient of x_n x_r, times 2! when n == r."""
         gamma = self.gamma
-        dgamma = tensor(lambda a, b, c, n: poly_diff(gamma[a][b][c], n), 4)
-        return tensor(
-            lambda a, b, c, n, r: poly_diff(dgamma[a][b][c][n], r).constant_term(), 5
-        )
+
+        def entry(a, b, c, n, r):
+            coeff = gamma[a][b][c].coefficient(monomial((n, r)))
+            return coeff * 2 if n == r else coeff
+
+        return tensor(entry, 5)
 
 
 def build_metric_jet(cfg: CurvatureConfig, order: int = 3) -> MetricJet:
@@ -253,13 +263,18 @@ def build_metric_jet(cfg: CurvatureConfig, order: int = 3) -> MetricJet:
         raise ValueError("metric jet needs truncation order >= 3")
     riem0, driem0 = riemann_from_ricci(cfg)
 
+    # Integer coefficients over the common denominator 6 * den: den times
+    # every Riemann entry is an integer (see riemann_from_ricci).
+    den = 2 * lcm(
+        *(v.denominator for m in (cfg.ric0, *cfg.dric0) for row in m for v in row)
+    )
     g = tensor(
         lambda a, b: _quadratic_cubic(
             order,
-            _delta(a, b),
-            lambda m, n: Fraction(-riem0[a][m][b][n], 3),
-            lambda s, m, n: Fraction(-driem0[s][a][m][b][n], 6),
-        ),
+            6 * den * _delta(a, b),
+            lambda m, n: -2 * numerator_over(riem0[a][m][b][n], den),
+            lambda s, m, n: -numerator_over(driem0[s][a][m][b][n], den),
+        ).scale(Fraction(1, 6 * den)),
         2,
     )
 

@@ -88,3 +88,22 @@ def test_hierarchy(counts):
         "riemann_from_ricci": 1,
         "raised_covector": 1,
     }
+
+
+def test_hierarchy_mat_diff_calls(monkeypatch):
+    """Each x derivative of a derivative term is formed once per sorted index
+    tuple, from its prefix: 3 + 6 calls at rank 2 and 3 + 6 + 10 at rank 3.
+    The hierarchy has four rank-2 and two rank-3 terms, so 74 calls (the sum
+    over every ordered tuple, each derivative from scratch, took 234)."""
+    from curlasym import altderiv
+
+    calls = []
+    real = altderiv.mat_diff
+
+    def counting(m, var):
+        calls.append(var)
+        return real(m, var)
+
+    monkeypatch.setattr(altderiv, "mat_diff", counting)
+    build_hierarchy(unit_config("c11"))
+    assert len(calls) == 4 * 9 + 2 * 19

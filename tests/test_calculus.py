@@ -428,6 +428,14 @@ class TestTransportCorrection:
                         nonzero.add(level)
         assert nonzero == {2, 3}
 
+    @pytest.mark.parametrize("name", ["flat", "c11"])
+    def test_order_below_level_refused(self, name):
+        # Three eta derivatives of an order-2 q0 are not determined; on the
+        # flat config the correction used to read them as 0.
+        mj = build_metric_jet(unit_config(name), order=3)
+        with pytest.raises(ValueError, match="order >= 3"):
+            transport_correction(identity_mat(2), mj, 3, qm1=zero_mat((3, 3), 1))
+
     def test_precondition_enforced(self):
         cfg = unit_config("c7")
         mj = build_metric_jet(cfg, order=3)
