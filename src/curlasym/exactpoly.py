@@ -76,6 +76,14 @@ def _pack(exp: Iterable[int]) -> int | None:
     return key
 
 
+def _exponent(exp: Iterable[int]) -> Exponent:
+    """exp as a tuple; ValueError unless it is six non-negative integers."""
+    exp = tuple(exp)
+    if len(exp) != NUM_VARS or not all(isinstance(e, int) and e >= 0 for e in exp):
+        raise ValueError(f"bad exponent tuple {exp!r}")
+    return exp
+
+
 def _unpack(key: int) -> Exponent:
     return tuple(key >> s & 7 for s in _SHIFTS)
 
@@ -258,9 +266,7 @@ class TruncatedPoly:
             coeff = _coerce(coeff)
             if coeff.is_zero():
                 continue
-            if len(exp) != NUM_VARS or any(e < 0 for e in exp):
-                raise ValueError(f"bad exponent tuple {exp!r}")
-            if sum(exp) <= order:
+            if sum(_exponent(exp)) <= order:
                 coeffs[_pack(exp)] = coeff
         den = lcm(*(c.den for c in coeffs.values()))
         num = {k: (c.x * den // c.den, c.y * den // c.den) for k, c in coeffs.items()}
@@ -296,7 +302,7 @@ class TruncatedPoly:
         return self.coefficient(_ZERO_EXP)
 
     def coefficient(self, exp: Iterable[int]) -> GaussianRational:
-        return self.terms.get(tuple(exp), GR_ZERO)
+        return self.terms.get(_exponent(exp), GR_ZERO)
 
     def restrict(self, zero_vars: Iterable[int]) -> "TruncatedPoly":
         """Set the given variables to zero, keeping the truncation order."""

@@ -3,6 +3,8 @@
 Matrices are plain nested tuples of TruncatedPoly, shape (rows, cols) with
 rows and cols in {1, 3}.  These back all 3x3 symbol components as well as the
 column and row symbols of the exterior derivative and codifferential.
+Products skip zero entries: ``mat_mul`` multiplies only pairs of non-zero
+entries, and each entry keeps the truncation order of the dense product.
 """
 
 from __future__ import annotations
@@ -74,20 +76,27 @@ def mat_poly_scale(a: Matrix, p: TruncatedPoly) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Row-wise sparse product (Gustavson 1978) of the non-zero entry pairs; an
+    entry's order is the least in its row of a and column of b, zeros included."""
     ra, ca = mat_shape(a)
     rb, cb = mat_shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch: {ra}x{ca} times {rb}x{cb}")
+    col_orders = [min(row[j].order for row in b) for j in range(cb)]
+    b_rows = [[(j, q) for j, q in enumerate(row) if not q.is_zero()] for row in b]
     out = []
-    for i in range(ra):
-        row = []
-        for j in range(cb):
-            acc = None
-            for k in range(ca):
-                term = poly_mul(a[i][k], b[k][j])
-                acc = term if acc is None else poly_add(acc, term)
-            row.append(acc)
-        out.append(tuple(row))
+    for row in a:
+        acc: dict = {}
+        for p, b_row in zip(row, b_rows):
+            if not p.is_zero():
+                for j, q in b_row:
+                    term = poly_mul(p, q)
+                    acc[j] = poly_add(acc[j], term) if j in acc else term
+        row_order = min(p.order for p in row)
+        for j, col_order in enumerate(col_orders):
+            order = min(row_order, col_order)
+            acc[j] = acc[j].truncate(order) if j in acc else TruncatedPoly.zero(order)
+        out.append(tuple(acc[j] for j in range(cb)))
     return tuple(out)
 
 

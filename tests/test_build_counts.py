@@ -1,4 +1,5 @@
-"""How often each pipeline builds its geometry.
+"""How often each pipeline builds its geometry, and how many polynomial
+products a matrix product makes.
 
 The metric jet is built once per configuration and command, and the Riemann
 tensor once per metric jet, also for the Hodge symbol of the square-root
@@ -6,6 +7,7 @@ hierarchy.  The curl symbol (one ``MetricJet.e_mixed`` each) and the raised
 covector are built once per ``run_algorithm``, and ``verify_projection``
 reuses what its family carries.  ``asymmetry_report`` runs the construction
 for the "+" branch only; ``project`` runs it for every requested branch.
+A matrix product multiplies only its pairs of non-zero entries.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from collections import Counter
 
 import pytest
 
-from curlasym import geometry, projections
+from curlasym import geometry, polymat, projections
 from curlasym.altderiv import build_hierarchy
 from curlasym.cli import entry
 from curlasym.configs import unit_config
+from curlasym.exactpoly import TruncatedPoly
 from curlasym.geometry import MetricJet, build_metric_jet
+from curlasym.polymat import mat_mul, zero_mat
 from curlasym.projections import asymmetry_report, run_algorithm, verify_projection
 
 
@@ -107,3 +111,43 @@ def test_hierarchy_mat_diff_calls(monkeypatch):
     monkeypatch.setattr(altderiv, "mat_diff", counting)
     build_hierarchy(unit_config("c11"))
     assert len(calls) == 4 * 9 + 2 * 19
+
+
+@pytest.fixture
+def poly_calls(monkeypatch) -> Counter:
+    """Counts the poly_mul and poly_add calls of the matrix layer."""
+    tally = Counter()
+    for name in ("poly_mul", "poly_add"):
+        real = getattr(polymat, name)
+
+        def counting(a, b, real=real, name=name):
+            tally[name] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(polymat, name, counting)
+    return tally
+
+
+def _entries(rows):
+    return tuple(tuple(TruncatedPoly.constant(v, 2) for v in row) for row in rows)
+
+
+def test_mat_mul_multiplies_only_nonzero_pairs(poly_calls):
+    """One poly_mul per (i, k, j) with A[i][k] and B[k][j] both non-zero, and
+    one poly_add fewer than that per entry; a zero factor costs no call."""
+    diagonal = _entries([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    column = _entries([[1], [2], [3]])
+    mat_mul(diagonal, column)
+    assert poly_calls == {"poly_mul": 3}
+
+    poly_calls.clear()
+    zero = zero_mat((3, 3), 2)
+    mat_mul(zero, diagonal)
+    mat_mul(diagonal, zero)
+    mat_mul(zero, column)
+    assert poly_calls == {}
+
+    poly_calls.clear()
+    full = _entries([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    mat_mul(full, full)
+    assert poly_calls == {"poly_mul": 27, "poly_add": 18}

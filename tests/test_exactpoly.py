@@ -222,6 +222,32 @@ class TestTruncatedPoly:
         p = poly_add(TruncatedPoly.variable(0, 2), TruncatedPoly.variable(0, 2, -1))
         assert p.terms == {}
 
+    @pytest.mark.parametrize(
+        "exp",
+        [
+            (1, 0, 0),
+            (1, 0, 0, 0, 0, 0, 0),
+            (),
+            (-1, 0, 0, 0, 0, 0),
+            (1.0, 0, 0, 0, 0, 0),
+        ],
+        ids=["three", "seven", "empty", "negative", "float"],
+    )
+    def test_coefficient_refuses_a_bad_exponent(self, exp):
+        """As the constructor does: a malformed exponent is an error, not 0."""
+        p = TruncatedPoly(3, {(1, 0, 0, 0, 0, 0): 5})
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            p.coefficient(exp)
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            TruncatedPoly(3, {exp: 5})
+
+    def test_coefficient_of_an_absent_term_is_zero(self):
+        p = TruncatedPoly(3, {(1, 0, 0, 0, 0, 0): 5})
+        assert p.coefficient([1, 0, 0, 0, 0, 0]) == GaussianRational(5)
+        assert p.coefficient((0, 1, 0, 0, 0, 0)) == GR_ZERO
+        assert p.coefficient((8, 0, 0, 0, 0, 0)) == GR_ZERO
+        assert p.coefficient((2, 2, 0, 0, 0, 0)) == GR_ZERO
+
 
 class TestBinomialPowerJet:
     def test_sqrt_of_square(self):
