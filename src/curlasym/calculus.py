@@ -38,7 +38,6 @@ from .exactpoly import (
 )
 from .polymat import (
     Matrix,
-    identity_mat,
     mat_add,
     mat_commutator,
     mat_conj,
@@ -181,14 +180,6 @@ def _mat_order(m: Matrix) -> int:
     return m[0][0].order
 
 
-def identity_jet(accuracy: int) -> SymbolJet:
-    return SymbolJet(0, accuracy, (3, 3), [identity_mat(accuracy)])
-
-
-def constant_jet(m: Matrix, accuracy: int) -> SymbolJet:
-    return SymbolJet(0, accuracy, mat_shape(m), [m])
-
-
 def compose(b: SymbolJet, a: SymbolJet) -> SymbolJet:
     """Symbol of the composition B A on the graded truncation schedule.
 
@@ -205,17 +196,22 @@ def compose(b: SymbolJet, a: SymbolJet) -> SymbolJet:
 
     cache: dict = {}
 
-    def deriv(side: int, level: int, m: tuple) -> Matrix:
-        """d_eta^m of b's level (side 0) or d_x^m of a's level (side 1)."""
+    def deriv(side: int, level: int, m: tuple) -> Matrix | None:
+        """d_eta^m of b's level (side 0) or d_x^m of a's level (side 1).
+
+        A zero derivative is recorded once, as None, and so are all of its
+        own derivatives.
+        """
         key = (side, level, m)
         if key not in cache:
             if not any(m):
-                cache[key] = (b, a)[side].components[level]
+                d = (b, a)[side].components[level]
             else:
                 i = next(j for j in range(3) if m[j] > 0)
-                prev = m[:i] + (m[i] - 1,) + m[i + 1 :]
+                prev = deriv(side, level, m[:i] + (m[i] - 1,) + m[i + 1 :])
                 var = (ETA_VARS, X_VARS)[side][i]
-                cache[key] = mat_diff(deriv(side, level, prev), var)
+                d = None if prev is None else mat_diff(prev, var)
+            cache[key] = None if d is None or mat_is_zero(d) else d
         return cache[key]
 
     # Order n is at or above every level's schedule, so each level sum takes
@@ -223,19 +219,19 @@ def compose(b: SymbolJet, a: SymbolJet) -> SymbolJet:
     out = [zero_mat(out_shape, n)] * (n + 1)
 
     for jb in range(n + 1):
-        if mat_is_zero(b.components[jb]):
+        if deriv(0, jb, (0, 0, 0)) is None:
             continue
         for ja in range(n + 1 - jb):
-            if mat_is_zero(a.components[ja]):
+            if deriv(1, ja, (0, 0, 0)) is None:
                 continue
             for k in range(n + 1 - jb - ja):
                 level = jb + ja + k
                 for m in _multi_indices(k):
                     bm = deriv(0, jb, m)
-                    if mat_is_zero(bm):
+                    if bm is None:
                         continue
                     am = deriv(1, ja, m)
-                    if mat_is_zero(am):
+                    if am is None:
                         continue
                     term = mat_scale(mat_mul(bm, am), _WEIGHT[m])
                     out[level] = mat_add(out[level], term)

@@ -15,17 +15,18 @@ the numerator pair (re, im) of each non-zero coefficient.  A key is the total
 degree followed by one base-8 digit per variable (packed exponent vectors,
 Monagan & Pearce 2007), so a monomial product is one integer addition and a
 degree bound one comparison.  Each operation ends in one gcd normalisation,
-so equal values have equal representations.  Values are immutable.
+so equal values have equal representations.  Values are immutable.  An
+operation with a zero operand returns at once, without that pass: a sum
+returns the other operand cut to the smaller order, a product or derivative
+the zero of its order, and a negation, conjugate or scaling the zero itself.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
@@ -239,7 +240,10 @@ class _Terms(Mapping):
         return map(_unpack, self._p._num)
 
     def __getitem__(self, exp: Exponent) -> GaussianRational:
-        re, im = self._p._num[_pack(exp)]
+        key = _pack(_exponent(exp))
+        if key not in self._p._num:
+            raise KeyError(exp)
+        re, im = self._p._num[key]
         return _gr(re, im, self._p.den)
 
 
@@ -302,7 +306,7 @@ class TruncatedPoly:
         return self.coefficient(_ZERO_EXP)
 
     def coefficient(self, exp: Iterable[int]) -> GaussianRational:
-        return self.terms.get(_exponent(exp), GR_ZERO)
+        return self.terms.get(exp, GR_ZERO)
 
     def restrict(self, zero_vars: Iterable[int]) -> "TruncatedPoly":
         """Set the given variables to zero, keeping the truncation order."""
@@ -329,11 +333,15 @@ class TruncatedPoly:
         return poly_add(self, other.__neg__())
 
     def __neg__(self) -> "TruncatedPoly":
+        if not self._num:
+            return self
         neg = {k: (-re, -im) for k, (re, im) in self._num.items()}
         return _poly(self.order, self.den, neg, reduce=False)
 
     def scale(self, value: object) -> "TruncatedPoly":
         c = _coerce(value)
+        if not self._num:
+            return self
         a, b, d = c.x, c.y, c.den
         if not (a or b):
             return TruncatedPoly(self.order)
@@ -341,6 +349,8 @@ class TruncatedPoly:
         return _poly(self.order, self.den * d, num)
 
     def conjugate(self) -> "TruncatedPoly":
+        if not self._num:
+            return self
         conj = {k: (re, -im) for k, (re, im) in self._num.items()}
         return _poly(self.order, self.den, conj, reduce=False)
 
@@ -419,6 +429,10 @@ def monomial(variables: Iterable[int]) -> Exponent:
 def poly_add(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
     """Exact sum; the result carries order min(a.order, b.order)."""
     order = min(a.order, b.order)
+    if not a._num:
+        return b.truncate(order)
+    if not b._num:
+        return a.truncate(order)
     limit = (order + 1) << _DEG_SHIFT
     den = lcm(a.den, b.den)
     fa, fb = den // a.den, den // b.den
@@ -439,6 +453,8 @@ def poly_mul(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
     the degree field, so such products are discarded all the same.
     """
     order = min(a.order, b.order)
+    if not (a._num and b._num):
+        return _poly(order, 1, {})
     limit = (order + 1) << _DEG_SHIFT
     # Sorted keys ascend in total degree, so each row stops at the first
     # product above the order.
@@ -468,6 +484,8 @@ def poly_diff(a: TruncatedPoly, var: int) -> TruncatedPoly:
         raise ValueError(f"variable index out of range: {var}")
     if a.order < 1:
         raise ValueError("cannot differentiate a poly of truncation order 0")
+    if not a._num:
+        return _poly(a.order - 1, 1, {})
     shift = _SHIFTS[var]
     step = (1 << _DEG_SHIFT) + (1 << shift)
     out = {}
@@ -525,18 +543,3 @@ def poly_from_dict(data: Mapping) -> TruncatedPoly:
         exp = tuple(int(e) for e in entry["exp"])
         terms[exp] = GaussianRational(entry["re"], entry["im"])
     return TruncatedPoly(int(data["order"]), terms)
-
-
-def poly_dumps(p: TruncatedPoly) -> str:
-    return json.dumps(poly_to_dict(p), separators=(",", ":"))
-
-
-def poly_loads(text: str) -> TruncatedPoly:
-    return poly_from_dict(json.loads(text))
-
-
-def iter_exponents(order: int) -> Iterator[Exponent]:
-    """All exponent tuples of total degree <= order, lexicographic order."""
-    for exp in product(range(order + 1), repeat=NUM_VARS):
-        if sum(exp) <= order:
-            yield exp

@@ -59,10 +59,6 @@ EPSILON = {
 }
 
 
-def epsilon(a: int, b: int, c: int) -> int:
-    return EPSILON.get((a, b, c), 0)
-
-
 def _delta(a: int, b: int) -> int:
     return 1 if a == b else 0
 
@@ -423,16 +419,6 @@ class TransportJet:
     endpoints: object
     z_vector: Matrix
     z_covector: Matrix
-
-
-def poly_scale_x(p: TruncatedPoly, factor: object) -> TruncatedPoly:
-    """Substitute x -> factor * x (all three base variables)."""
-    factor = Fraction(factor)
-    terms = {}
-    for exp, coeff in p.terms.items():
-        deg = exp[0] + exp[1] + exp[2]
-        terms[exp] = coeff * (factor**deg) if deg else coeff
-    return TruncatedPoly(p.order, terms)
 
 
 def transport_jet(mj: MetricJet, endpoints) -> TransportJet:

@@ -2,22 +2,65 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from itertools import product
 
 from curlasym.exactpoly import (
+    NUM_VARS,
     GaussianRational,
     TruncatedPoly,
-    iter_exponents,
+    poly_from_dict,
+    poly_to_dict,
 )
 from curlasym.calculus import SymbolJet
 from curlasym.configs import random_config, unit_config
-from curlasym.geometry import curl_symbol, norm_power_jet, raised_covector
+from curlasym.geometry import EPSILON, curl_symbol, norm_power_jet, raised_covector
+from curlasym.polymat import identity_mat, mat_shape
 from curlasym.projections import initial_symbols
 
 
 def gr(re, im=0):
     return GaussianRational(Fraction(re), Fraction(im))
+
+
+def iter_exponents(order: int):
+    """All exponent tuples of total degree <= order, lexicographic order."""
+    for exp in product(range(order + 1), repeat=NUM_VARS):
+        if sum(exp) <= order:
+            yield exp
+
+
+def poly_dumps(p: TruncatedPoly) -> str:
+    return json.dumps(poly_to_dict(p), separators=(",", ":"))
+
+
+def poly_loads(text: str) -> TruncatedPoly:
+    return poly_from_dict(json.loads(text))
+
+
+def epsilon(a: int, b: int, c: int) -> int:
+    """The totally antisymmetric symbol epsilon_{abc} (0-based indices)."""
+    return EPSILON.get((a, b, c), 0)
+
+
+def poly_scale_x(p: TruncatedPoly, factor) -> TruncatedPoly:
+    """Substitute x -> factor * x (all three base variables)."""
+    factor = Fraction(factor)
+    terms = {}
+    for exp, coeff in p.terms.items():
+        deg = exp[0] + exp[1] + exp[2]
+        terms[exp] = coeff * (factor**deg) if deg else coeff
+    return TruncatedPoly(p.order, terms)
+
+
+def identity_jet(accuracy: int) -> SymbolJet:
+    return SymbolJet(0, accuracy, (3, 3), [identity_mat(accuracy)])
+
+
+def constant_jet(m, accuracy: int) -> SymbolJet:
+    return SymbolJet(0, accuracy, mat_shape(m), [m])
 
 
 def const_mat(rows, order):

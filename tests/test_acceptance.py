@@ -24,7 +24,6 @@ from curlasym.berger import (
 )
 from curlasym.calculus import (
     compose,
-    identity_jet,
     poisson_bracket,
     subprincipal,
 )
@@ -39,7 +38,6 @@ from curlasym.geometry import (
     build_metric_jet,
     curl_symbol,
     d_delta_symbols,
-    poly_scale_x,
     transport_jet,
 )
 from curlasym.kernel import (
@@ -69,7 +67,7 @@ from curlasym.projections import (
     verify_projection,
 )
 
-from conftest import anchor_values, random_jet, random_poly
+from conftest import anchor_values, poly_scale_x, random_jet, random_poly
 
 
 def report(num: int, ok: bool, text: str) -> None:

@@ -16,7 +16,7 @@ from curlasym.altderiv import (
     hodge_symbol,
     sqrt_hierarchy,
 )
-from curlasym.calculus import SymbolJet, compose, identity_jet
+from curlasym.calculus import SymbolJet, compose
 from curlasym.configs import (
     UNIT_CONFIG_NAMES,
     random_bianchi_config,
@@ -54,7 +54,7 @@ from curlasym.polymat import (
 )
 from curlasym.projections import aprin_closed_form
 
-from conftest import random_matrix, random_poly
+from conftest import identity_jet, random_matrix, random_poly
 
 
 def _power_jets(h):

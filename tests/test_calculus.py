@@ -19,8 +19,6 @@ from curlasym.calculus import (
     adjoint_prin_sub,
     compose,
     conjugate_branch,
-    constant_jet,
-    identity_jet,
     poisson_bracket,
     subprincipal,
     trace_diag,
@@ -39,7 +37,6 @@ from curlasym.geometry import (
     build_metric_jet,
     curl_symbol,
     d_delta_symbols,
-    poly_scale_x,
     transport_jet,
 )
 from curlasym.polymat import (
@@ -54,7 +51,16 @@ from curlasym.polymat import (
     zero_mat,
 )
 
-from conftest import ORDER_CONFIGS, mat_pad, orders, random_jet, random_matrix
+from conftest import (
+    ORDER_CONFIGS,
+    constant_jet,
+    identity_jet,
+    mat_pad,
+    orders,
+    poly_scale_x,
+    random_jet,
+    random_matrix,
+)
 
 
 class TestSymbolJet:

@@ -16,16 +16,13 @@ from curlasym.exactpoly import (
     GaussianRational,
     TruncatedPoly,
     binomial_power_jet,
-    iter_exponents,
     poly_add,
     poly_diff,
-    poly_dumps,
     poly_from_monomials,
-    poly_loads,
     poly_mul,
 )
 
-from conftest import random_poly
+from conftest import iter_exponents, poly_dumps, poly_loads, random_poly
 
 
 def small_rationals():
@@ -65,6 +62,20 @@ def ref_str(re, im):
 
 def ref_repr(re, im):
     return f"GR({re})" if im == 0 else f"GR({re}, {im}i)"
+
+
+#: Malformed exponents: wrong length, negative or not an int.
+BAD_EXPONENTS = pytest.mark.parametrize(
+    "exp",
+    [
+        (1, 0, 0),
+        (1, 0, 0, 0, 0, 0, 0),
+        (),
+        (-1, 0, 0, 0, 0, 0),
+        (1.0, 0, 0, 0, 0, 0),
+    ],
+    ids=["three", "seven", "empty", "negative", "float"],
+)
 
 
 @st.composite
@@ -222,17 +233,7 @@ class TestTruncatedPoly:
         p = poly_add(TruncatedPoly.variable(0, 2), TruncatedPoly.variable(0, 2, -1))
         assert p.terms == {}
 
-    @pytest.mark.parametrize(
-        "exp",
-        [
-            (1, 0, 0),
-            (1, 0, 0, 0, 0, 0, 0),
-            (),
-            (-1, 0, 0, 0, 0, 0),
-            (1.0, 0, 0, 0, 0, 0),
-        ],
-        ids=["three", "seven", "empty", "negative", "float"],
-    )
+    @BAD_EXPONENTS
     def test_coefficient_refuses_a_bad_exponent(self, exp):
         """As the constructor does: a malformed exponent is an error, not 0."""
         p = TruncatedPoly(3, {(1, 0, 0, 0, 0, 0): 5})
@@ -247,6 +248,26 @@ class TestTruncatedPoly:
         assert p.coefficient((0, 1, 0, 0, 0, 0)) == GR_ZERO
         assert p.coefficient((8, 0, 0, 0, 0, 0)) == GR_ZERO
         assert p.coefficient((2, 2, 0, 0, 0, 0)) == GR_ZERO
+
+    @BAD_EXPONENTS
+    def test_terms_view_refuses_a_bad_exponent(self, exp):
+        """Indexing and get name the exponent, as coefficient does."""
+        p = TruncatedPoly(3, {(1, 0, 0, 0, 0, 0): 5})
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            p.terms[exp]
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            p.terms.get(exp)
+
+    @pytest.mark.parametrize(
+        "exp", [(0, 1, 0, 0, 0, 0), (8, 0, 0, 0, 0, 0)], ids=["no_term", "above_max"]
+    )
+    def test_terms_view_of_an_absent_term(self, exp):
+        p = TruncatedPoly(3, {(1, 0, 0, 0, 0, 0): 5})
+        assert p.terms[[1, 0, 0, 0, 0, 0]] == GaussianRational(5)
+        with pytest.raises(KeyError) as info:
+            p.terms[exp]
+        assert info.value.args == (exp,)
+        assert p.terms.get(exp) is None
 
 
 class TestBinomialPowerJet:
@@ -433,6 +454,58 @@ class TestCanonicalForm:
             return
         back = a.scale(c).scale(GR_ONE / c)
         assert back == a and hash(back) == hash(a) and back.den == a.den
+
+
+def canonical(p):
+    """What equality compares: the order, the denominator, the numerators."""
+    return p.order, p.den, p._num
+
+
+def ref_poly(order, terms):
+    """The constructor's poly of reference (re, im) terms."""
+    return TruncatedPoly(
+        order, {e: GaussianRational(re, im) for e, (re, im) in terms.items()}
+    )
+
+
+zeros = st.builds(TruncatedPoly.zero, st.integers(0, 4))
+
+
+class TestZeroOperands:
+    """An operation with a zero operand returns at once, in canonical form."""
+
+    @given(zeros, polys(max_order=4), st.booleans())
+    @settings(max_examples=150)
+    def test_sum_and_product(self, z, p, zero_first):
+        a, b = (z, p) if zero_first else (p, z)
+        order = min(a.order, b.order)
+        assert canonical(poly_add(a, b)) == canonical(ref_poly(order, ref_add(a, b)))
+        assert canonical(poly_mul(a, b)) == canonical(ref_poly(order, ref_mul(a, b)))
+        assert canonical(poly_add(z, z)) == canonical(ref_poly(z.order, {}))
+
+    @given(
+        zeros,
+        st.integers(0, 5),
+        st.one_of(gaussian_rationals(), small_rationals(), st.integers(-5, 5)),
+    )
+    def test_diff_neg_conjugate_scale(self, z, var, c):
+        expected = canonical(ref_poly(z.order, {}))
+        assert canonical(-z) == expected
+        assert canonical(z.conjugate()) == expected
+        assert canonical(z.scale(c)) == expected
+        if z.order:
+            d = poly_diff(z, var)
+            assert canonical(d) == canonical(ref_poly(z.order - 1, ref_diff(z, var)))
+
+    def test_zero_operands_are_still_validated(self):
+        z = TruncatedPoly.zero(2)
+        with pytest.raises(TypeError, match="float"):
+            z.scale(0.5)
+        with pytest.raises(ValueError, match="order 0"):
+            poly_diff(TruncatedPoly.zero(0), 0)
+        for var in (-1, 6):
+            with pytest.raises(ValueError, match="out of range"):
+                poly_diff(z, var)
 
 
 class TestStorageLimits:

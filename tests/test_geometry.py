@@ -8,8 +8,12 @@ from itertools import product
 
 import pytest
 
-from curlasym.calculus import identity_jet
-from curlasym.configs import UNIT_CONFIG_NAMES, random_config, unit_config
+from curlasym.configs import (
+    UNIT_CONFIG_NAMES,
+    random_bianchi_config,
+    random_config,
+    unit_config,
+)
 from curlasym.exactpoly import (
     GR_I,
     TruncatedPoly,
@@ -23,7 +27,6 @@ from curlasym.geometry import (
     build_metric_jet,
     curl_symbol,
     d_delta_symbols,
-    epsilon,
     euclid_norm_power_jet,
     norm_power_jet,
     raised_covector,
@@ -40,7 +43,7 @@ from curlasym.polymat import (
     tensor,
 )
 
-from conftest import ORDER_CONFIGS, gr, orders
+from conftest import ORDER_CONFIGS, epsilon, gr, identity_jet, orders
 
 
 def _oracle_configs(seed: int, count: int = 8) -> list:
@@ -150,6 +153,23 @@ class TestCurvatureConfig:
             for name in ("foo", type(record).__slots__[0]):
                 with pytest.raises(AttributeError):
                     setattr(record, name, 1)
+
+    def test_contracted_bianchi_selects_the_geometric_unit_configs(self):
+        """The nine sweep configs that a metric can have, as the docs name them."""
+
+        def obeys(cfg):
+            # sum_a grad_a Ric_ab = (1/2) grad_b Sc at the origin, for every b.
+            d = cfg.dric0
+            return all(
+                2 * sum(d[a][a][b] for a in range(3)) == sum(d[b][a][a] for a in range(3))
+                for b in range(3)
+            )
+
+        geometric = [name for name in UNIT_CONFIG_NAMES if obeys(unit_config(name))]
+        assert geometric == ["c1", "c2", "c3", "c4", "c5", "c6", "c11", "c15", "c20"]
+        rng = random.Random(7)
+        assert all(obeys(random_bianchi_config(rng)) for _ in range(5))
+        assert not any(obeys(random_config(random.Random(s))) for s in range(5))
 
 
 class TestRiemannFromRicci:

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from curlasym.exactpoly import (
     GaussianRational,
     TruncatedPoly,
-    iter_exponents,
     poly_add,
     poly_mul,
 )
 from curlasym.polymat import mat_commutator, mat_mul, mat_shape, tensor
+
+from conftest import iter_exponents
 
 
 def _flatten(value, depth):
