@@ -180,18 +180,22 @@ def _mat_order(m: Matrix) -> int:
     return m[0][0].order
 
 
-def compose(b: SymbolJet, a: SymbolJet) -> SymbolJet:
+def compose(b: SymbolJet, a: SymbolJet, levels=None) -> SymbolJet:
     """Symbol of the composition B A on the graded truncation schedule.
 
     Output level L collects (1 / (i^k m!)) (d_eta^m b_jb) (d_x^m a_ja) over
     all jb + ja + |m| = L; the SymbolJet constructor truncates each level sum
-    to order accuracy - L.
+    to order accuracy - L.  Only the given ``levels`` (default: all) are
+    built, and no derivative that only other levels need; the rest are zero.
     """
     if b.accuracy != a.accuracy:
         raise ValueError("accuracy mismatch")
     if b.shape[1] != a.shape[0]:
         raise ValueError("shape mismatch")
     n = b.accuracy
+    wanted = set(range(n + 1) if levels is None else levels)
+    if not wanted <= set(range(n + 1)):
+        raise ValueError(f"levels {sorted(wanted)} outside 0..{n}")
     out_shape = (b.shape[0], a.shape[1])
 
     cache: dict = {}
@@ -224,9 +228,8 @@ def compose(b: SymbolJet, a: SymbolJet) -> SymbolJet:
         for ja in range(n + 1 - jb):
             if deriv(1, ja, (0, 0, 0)) is None:
                 continue
-            for k in range(n + 1 - jb - ja):
-                level = jb + ja + k
-                for m in _multi_indices(k):
+            for level in wanted.intersection(range(jb + ja, n + 1)):
+                for m in _multi_indices(level - jb - ja):
                     bm = deriv(0, jb, m)
                     if bm is None:
                         continue

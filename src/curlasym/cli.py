@@ -152,7 +152,11 @@ def _parse_a(text: str):
     except ZeroDivisionError:
         raise ValueError(f"parameter a {text!r} divides by zero") from None
     except ValueError:
+        pass
+    try:
         return float(text)
+    except ValueError:
+        raise ValueError(f"parameter a {text!r} is not a number") from None
 
 
 def cmd_berger(args: argparse.Namespace) -> int:

@@ -7,7 +7,8 @@ hierarchy.  The curl symbol (one ``MetricJet.e_mixed`` each) and the raised
 covector are built once per ``run_algorithm``, and ``verify_projection``
 reuses what its family carries.  ``asymmetry_report`` runs the construction
 for the "+" branch only; ``project`` runs it for every requested branch.
-A matrix product multiplies only its pairs of non-zero entries.
+A matrix product multiplies only its pairs of non-zero entries, and each
+construction step composes only the idempotency levels it reads.
 """
 
 from __future__ import annotations
@@ -111,6 +112,26 @@ def test_hierarchy_mat_diff_calls(monkeypatch):
     monkeypatch.setattr(altderiv, "mat_diff", counting)
     build_hierarchy(unit_config("c11"))
     assert len(calls) == 4 * 9 + 2 * 19
+
+
+def test_run_algorithm_mat_mul_calls(monkeypatch):
+    """Every matrix product of one accuracy-3 construction on c11, counted in
+    every module that calls ``mat_mul``: one in the metric jet's Neumann
+    series, 139 in ``run_algorithm``.  Step k composes P P at levels k - 1
+    and k only; composing it at every level made 163 products in all."""
+    calls = []
+    real = polymat.mat_mul
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    for module in list(sys.modules.values()):
+        if module and module.__name__.startswith("curlasym"):
+            if getattr(module, "mat_mul", None) is real:
+                monkeypatch.setattr(module, "mat_mul", counting)
+    run_algorithm(build_metric_jet(unit_config("c11")), "+", 3)
+    assert len(calls) == 140
 
 
 @pytest.fixture

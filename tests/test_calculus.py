@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from operator import getitem
 
 import pytest
@@ -141,6 +141,40 @@ class TestCompose:
         b = random_jet(rng, 2)
         shifted = SymbolJet(1, 2, (3, 3), list(b.components))
         assert compose(a, shifted).top_degree == a.top_degree + 1
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [((3, 3), (3, 3)), ((1, 3), (3, 3)), ((3, 3), (3, 1))],
+        ids=["3x3.3x3", "1x3.3x3", "3x3.3x1"],
+    )
+    def test_selected_levels(self, shapes):
+        """Each listed level equals that level of the full composition, with
+        its schedule order; every other level is the zero of its order."""
+        rng = random.Random(46)
+        for accuracy in (1, 2, 3):
+            b = random_jet(rng, accuracy, shapes[0], density=0.2)
+            a = random_jet(rng, accuracy, shapes[1], density=0.2)
+            full = compose(b, a)
+            assert not any(mat_is_zero(m) for m in full.components)
+            for size in range(accuracy + 2):
+                for levels in combinations(range(accuracy + 1), size):
+                    part = compose(b, a, levels)
+                    assert part.top_degree == full.top_degree
+                    assert part.shape == full.shape
+                    for k, m in enumerate(part.components):
+                        assert orders(m) == {accuracy - k}
+                        if k in levels:
+                            assert m == full.components[k]
+                        else:
+                            assert mat_is_zero(m)
+
+    def test_level_outside_schedule_is_refused(self):
+        rng = random.Random(47)
+        for accuracy in (1, 2, 3):
+            a = random_jet(rng, accuracy, density=0.1)
+            for levels in ((accuracy + 1,), (-1,), (0, accuracy + 1)):
+                with pytest.raises(ValueError, match="outside"):
+                    compose(a, a, levels)
 
 
 class TestConjugateBranch:

@@ -86,6 +86,16 @@ class TestBergerOverflow:
         assert_one_line_usage_error(code, err, "not a finite float")
 
 
+@pytest.mark.parametrize("command", ["spectrum", "eta", "weyl"])
+@pytest.mark.parametrize("text", ["abc", "1/x", ""])
+def test_non_numeric_a_names_the_parameter(capsys, command, text):
+    # float() raised "could not convert string to float: 'abc'", which named
+    # neither the option nor the value.
+    code = entry(["berger", command, f"--a={text}"])
+    err = capsys.readouterr().err
+    assert_one_line_usage_error(code, err, f"parameter a {text!r} is not a number")
+
+
 class TestBoundedExponent:
     BIG = "1e10000000"  # Fraction would build a 10**7-digit integer
 

@@ -7,17 +7,23 @@ norm power jets: each jet is compared with the series of the same function
 computed by sympy from the exact inputs.  A jet truncated at joint order N
 is the t-series of f(t x, t eta) truncated at t^N, so every variable is
 scaled by one extra ring generator t and sympy truncates in t.
+
+The curvature oracle starts from the metric jet alone: sympy forms the
+Christoffel symbols and the Ricci tensor of that metric to first order in x
+and recovers the configuration's Ric(0) and, where the data obey the
+contracted Bianchi identity that every metric obeys, its derivative dRic(0).
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from curlasym.configs import random_config, unit_config
+from curlasym.configs import random_bianchi_config, random_config, unit_config
 from curlasym.exactpoly import VAR_NAMES, TruncatedPoly, binomial_power_jet
 from curlasym.geometry import build_metric_jet, euclid_norm_power_jet, norm_power_jet
 from curlasym.kernel import bessel_k1
@@ -120,3 +126,89 @@ def test_norm_power_jet_against_sympy(cfg):
             assert to_ring(norm_power_jet(mj, r, order)) == expected
             expected = rational_power(euclid, Fraction(r, 2), order + 1)
             assert to_ring(euclid_norm_power_jet(r, order)) == expected
+
+
+XR, *XS = sympy.polys.rings.ring(VAR_NAMES[:3], sympy.QQ)
+
+
+def to_x_ring(p):
+    """A t-graded ring element free of eta as a polynomial in x alone."""
+    assert all(not any(m[4:]) for m in p.keys())
+    return XR.from_dict({m[1:4]: c for m, c in p.items()})
+
+
+def truncated(p, degree: int):
+    return XR.from_dict({m: c for m, c in p.items() if sum(m) <= degree})
+
+
+def ricci_to_first_order(mj):
+    """Ric_bd = R^a_bad of the metric mj.g, with
+    R^a_bcd = d_c G^a_db - d_d G^a_cb + G^a_ce G^e_db - G^a_de G^e_cb, to
+    first order in x.  The Christoffel symbols G need second order, so the
+    metric and its inverse need third."""
+    g = [[to_x_ring(to_ring(mj.g[a][b])) for b in range(3)] for a in range(3)]
+    g_inv = [[to_x_ring(p) for p in row] for row in inverse_metric(mj)]
+    # dg[c][a][b] = d_c g_ab
+    dg = [[[p.diff(x) for p in row] for row in g] for x in XS]
+
+    def christoffel(a, b, c):
+        lowered = [dg[b][d][c] + dg[c][d][b] - dg[d][b][c] for d in range(3)]
+        return truncated(sum(map(operator.mul, g_inv[a], lowered)) / 2, 2)
+
+    gamma = [
+        [[christoffel(a, b, c) for c in range(3)] for b in range(3)] for a in range(3)
+    ]
+
+    def ricci(b, d):
+        total = XR(0)
+        for a in range(3):
+            total += gamma[a][d][b].diff(XS[a]) - gamma[a][a][b].diff(XS[d])
+            for e in range(3):
+                total += gamma[a][a][e] * gamma[e][d][b]
+                total -= gamma[a][d][e] * gamma[e][a][b]
+        return truncated(total, 1)
+
+    return [[ricci(b, d) for d in range(3)] for b in range(3)]
+
+
+def as_qq(v: Fraction):
+    return sympy.QQ(v.numerator, v.denominator)
+
+
+#: The nine unit configs that obey the contracted Bianchi identity, and two
+#: random draws that are made to.
+BIANCHI = {
+    name: unit_config(name)
+    for name in ("c1", "c2", "c3", "c4", "c5", "c6", "c11", "c15", "c20")
+}
+BIANCHI.update(
+    {f"bianchi{s}": random_bianchi_config(random.Random(s)) for s in (1, 2)}
+)
+
+
+@pytest.mark.parametrize("name", BIANCHI)
+def test_metric_curvature_recovers_the_config(name):
+    cfg = BIANCHI[name]
+    ric = ricci_to_first_order(build_metric_jet(cfg))
+    for b in range(3):
+        for d in range(3):
+            assert ric[b][d].coeff(XR(1)) == as_qq(cfg.ric0[b][d])
+            for s in range(3):
+                assert ric[b][d].coeff(XS[s]) == as_qq(cfg.dric0[s][b][d])
+
+
+def test_metric_curvature_without_bianchi_identity():
+    """A dense random config breaks the contracted Bianchi identity: the
+    metric built from it still has Ric(0) = ric0, but no metric has dRic(0)
+    = dric0, so the metric's own derivative differs."""
+    cfg = random_config(random.Random(1))
+    ric = ricci_to_first_order(build_metric_jet(cfg))
+    assert [[p.coeff(XR(1)) for p in row] for row in ric] == [
+        [as_qq(v) for v in row] for row in cfg.ric0
+    ]
+    assert any(
+        ric[b][d].coeff(XS[s]) != as_qq(cfg.dric0[s][b][d])
+        for s in range(3)
+        for b in range(3)
+        for d in range(3)
+    )

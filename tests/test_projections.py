@@ -165,6 +165,38 @@ class TestRunAlgorithm:
         with pytest.raises(ValueError):
             run_algorithm(build_metric_jet(cfg), "+", 7)
 
+    def test_wrong_initial_symbol_fails_at_level_zero(self, monkeypatch):
+        """Twice the eigenprojection is no projection: (2P)(2P) - 2P = 2P."""
+        from curlasym import projections
+
+        real = projections.initial_symbols
+
+        def doubled(*args):
+            prin = real(*args)
+            return {**prin, "+": mat_add(prin["+"], prin["+"])}
+
+        monkeypatch.setattr(projections, "initial_symbols", doubled)
+        mj = build_metric_jet(unit_config("c11"))
+        with pytest.raises(AssertionError, match="level 0 before step 1"):
+            run_algorithm(mj, "+", 3)
+
+    def test_wrong_first_correction_fails_at_level_one(self, monkeypatch):
+        """A first correction built from +R instead of -R leaves the level-1
+        defect of P P - P at twice its value, which step 2 must catch."""
+        from curlasym import projections
+
+        calls = []
+
+        def first_unnegated(m):
+            calls.append(m)
+            return m if len(calls) == 1 else mat_neg(m)
+
+        monkeypatch.setattr(projections, "mat_neg", first_unnegated)
+        mj = build_metric_jet(unit_config("c11"))
+        with pytest.raises(AssertionError, match="level 1 before step 2"):
+            run_algorithm(mj, "+", 3)
+        assert not mat_is_zero(calls[0])
+
     def test_c1_step2_intermediates(self):
         """Frozen second-step audit matrices for the pure-Ricci unit config."""
         for sign, aleph in ((1, "+"), (-1, "-")):
