@@ -2,10 +2,11 @@
 
 Assembles the subleading symbol parts of the Hodge Laplacian on 1-forms
 directly from curvature-derivative tensors, runs the square-root symbol
-hierarchy for the half and inverse-half powers, and extracts the principal
-asymmetry value from the two deepest components.  This path shares only the
-polynomial and geometry layers with the projection construction, so exact
-agreement of the two results is a strong cross-check.
+hierarchy for the half and inverse-half powers at the order of the given
+metric jet, and extracts the principal asymmetry value from the two deepest
+components.  This path shares only the polynomial layer and the metric jet
+with the projection construction, so exact agreement of the two results is
+a strong cross-check.
 
 All of this assumes the Ricci tensor itself vanishes at the origin; only its
 covariant derivative enters, which still covers every curvature direction the
@@ -33,9 +34,7 @@ from .exactpoly import (
 )
 from .geometry import (
     EPSILON,
-    CurvatureConfig,
     MetricJet,
-    build_metric_jet,
     covector_norm_sq,
     euclid_norm_power_jet,
     norm_power,
@@ -53,17 +52,15 @@ from .polymat import (
     tensor,
 )
 
-_WORK_ORDER = 4
-
 
 def hodge_symbol(mj: MetricJet) -> tuple:
     """Degree-1 and degree-0 symbol parts of the Hodge Laplacian on 1-forms.
 
-    Returns (q1, q0) as matrices of truncated polynomials: q1 is linear in
-    the covector and quadratic in x, q0 linear in x, both assembled from the
-    covariant derivatives of Ricci and Riemann at the origin, read from the
-    metric jet's configuration and its Riemann derivative.  Accurate up to
-    the stated higher-order-in-x remainders.
+    Returns (q1, q0) as matrices of polynomials truncated at the jet's order:
+    q1 is linear in the covector and quadratic in x, q0 linear in x, both
+    assembled from the covariant derivatives of Ricci and Riemann at the
+    origin, read from the metric jet's configuration and its Riemann
+    derivative.  Accurate up to the stated higher-order-in-x remainders.
     """
     if any(v != 0 for row in mj.config.ric0 for v in row):
         raise ValueError("requires vanishing Ricci tensor at the origin")
@@ -105,11 +102,11 @@ def hodge_symbol(mj: MetricJet) -> tuple:
                 terms.append((coeff, (E1 + ga, mu, nu)))
                 if ga == 2:
                     terms.append((coeff, (mu, nu)))
-        return poly_from_monomials(_WORK_ORDER, terms).scale(GR_I)
+        return poly_from_monomials(mj.order, terms).scale(GR_I)
 
     def q0_entry(al, be):
         terms = [(Fraction(b_tensor(al, be, nu), den), (nu,)) for nu in X_VARS]
-        return poly_from_monomials(_WORK_ORDER, terms)
+        return poly_from_monomials(mj.order, terms)
 
     return tensor(q1_entry, 2), tensor(q0_entry, 2)
 
@@ -167,16 +164,19 @@ class HodgeHierarchy:
     s_m4: Matrix
 
 
-def sqrt_hierarchy(q1: Matrix, q0: Matrix, mj: MetricJet) -> HodgeHierarchy:
-    """Solve the symbol hierarchy for the square-root powers.
+def build_hierarchy(mj: MetricJet) -> HodgeHierarchy:
+    """Solve the square-root symbol hierarchy at the metric jet's order.
 
     r0, r_m1, r_m2 are the components of the half power below the Riemannian
     norm; s_m2, s_m3, s_m4 those of the inverse-half power below the inverse
     norm.  Each identity mixes the Euclidean norm jet (covector derivatives)
     with Riemannian norm jets (base derivatives), exactly as the hierarchy is
-    stated, and each result is reliable only up to its stated remainder.
+    stated, and each result is reliable only up to its stated remainder.  On
+    an order-3 jet q1 and q0 have order 3, r0 and s_m2 order 2, r_m1 and s_m3
+    order 1, r_m2 and s_m4 order 0: all that aprin_alternative reads.
     """
-    order = _WORK_ORDER
+    q1, q0 = hodge_symbol(mj)
+    order = mj.order
     ident = identity_mat(order)
     xi = xi_polys(order)
 
@@ -259,12 +259,6 @@ def sqrt_hierarchy(q1: Matrix, q0: Matrix, mj: MetricJet) -> HodgeHierarchy:
     )
 
     return HodgeHierarchy(mj, q1, q0, r0, r_m1, r_m2, s_m2, s_m3, s_m4)
-
-
-def build_hierarchy(cfg: CurvatureConfig) -> HodgeHierarchy:
-    mj = build_metric_jet(cfg, order=_WORK_ORDER)
-    q1, q0 = hodge_symbol(mj)
-    return sqrt_hierarchy(q1, q0, mj)
 
 
 def aprin_alternative(h: HodgeHierarchy) -> GaussianRational:

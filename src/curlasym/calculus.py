@@ -33,6 +33,7 @@ from .exactpoly import (
     MAX_ORDER,
     X_VARS,
     GaussianRational,
+    coefficient_reader,
     monomial,
     poly_from_dict,
 )
@@ -380,16 +381,15 @@ def transport_correction(q0: Matrix, mj, level: int, qm1: Matrix) -> GaussianRat
         table, weight = mj.riem0, Fraction(1, 6)
     else:
         table, weight = mj.d2gamma0(), -GR_I * Fraction(1, 6)
-    # Index tuples (a, v1, k, v2, ...): the entry q0[a][k] is differentiated
-    # in eta_{v1}, eta_{v2}, ...  At the anchor that derivative is the
-    # coefficient of the eta monomial times the factorials of its exponents.
+    # Index tuples (a, v1, k, v2, ...): q0[a][k] is differentiated in eta_{v1},
+    # eta_{v2}, ...; at the anchor, that is the coefficient of the eta monomial
+    # (one packed key per eta tuple) times the factorials of its exponents.
     total = GaussianRational(0)
-    for idx in product(range(3), repeat=level + 2):
-        coeff = reduce(getitem, idx, table)
-        if coeff == 0:
-            continue
-        a, v1, k, *rest = idx
+    for v1, *rest in product(range(3), repeat=level):
         exp = monomial(ETA_VARS[v] for v in (v1, *rest))
-        deriv = q0[a][k].coefficient(exp) * math.prod(map(math.factorial, exp))
-        total = total + deriv * coeff
+        read, factor = coefficient_reader(exp), math.prod(map(math.factorial, exp))
+        for a, k in product(range(3), repeat=2):
+            coeff = reduce(getitem, (a, v1, k, *rest), table)
+            if coeff and (deriv := read(q0[a][k])):
+                total = total + deriv * (factor * coeff)
     return total * weight

@@ -129,7 +129,7 @@ def cmd_asym(args: argparse.Namespace) -> int:
             entry = {"name": name, "report": rep.to_dict()}
             ok = rep.passed
             if all(v == 0 for row in cfg.ric0 for v in row):
-                alt = aprin_alternative(build_hierarchy(cfg))
+                alt = aprin_alternative(build_hierarchy(rep.mj))
                 entry["alt_a_prin"] = str(alt)
                 ok = ok and alt == rep.a_prin_value
             entry["pass"] = ok

@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 def parse_rational(text: str) -> Fraction:
@@ -240,11 +240,10 @@ class _Terms(Mapping):
         return map(_unpack, self._p._num)
 
     def __getitem__(self, exp: Exponent) -> GaussianRational:
-        key = _pack(_exponent(exp))
-        if key not in self._p._num:
+        coeff = coefficient_reader(exp)(self._p)
+        if coeff.is_zero():  # no stored coefficient is zero
             raise KeyError(exp)
-        re, im = self._p._num[key]
-        return _gr(re, im, self._p.den)
+        return coeff
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -306,7 +305,7 @@ class TruncatedPoly:
         return self.coefficient(_ZERO_EXP)
 
     def coefficient(self, exp: Iterable[int]) -> GaussianRational:
-        return self.terms.get(exp, GR_ZERO)
+        return coefficient_reader(exp)(self)
 
     def restrict(self, zero_vars: Iterable[int]) -> "TruncatedPoly":
         """Set the given variables to zero, keeping the truncation order."""
@@ -397,6 +396,12 @@ def _poly(order, den, num, out=None, reduce=True) -> TruncatedPoly:
     _set(p, "den", den)
     _set(p, "_num", num)
     return p
+
+
+def coefficient_reader(exp: Iterable[int]) -> Callable:
+    """p -> p.coefficient(exp), with exp checked and packed once."""
+    key = _pack(_exponent(exp))
+    return lambda p: _gr(*p._num[key], p.den) if key in p._num else GR_ZERO
 
 
 def numerator_over(value: Fraction, den: int) -> int:

@@ -29,6 +29,7 @@ from .exactpoly import (
     GR_I,
     TruncatedPoly,
     binomial_power_jet,
+    coefficient_reader,
     monomial,
     numerator_over,
     parse_rational,
@@ -239,10 +240,10 @@ class MetricJet:
     def d2gamma0(self):
         """Second coordinate derivatives of Christoffel symbols at the origin:
         the coefficient of x_n x_r, times 2! when n == r."""
-        gamma = self.gamma
+        read = tensor(lambda n, r: coefficient_reader(monomial((n, r))), 2)
 
         def entry(a, b, c, n, r):
-            coeff = gamma[a][b][c].coefficient(monomial((n, r)))
+            coeff = read[n][r](self.gamma[a][b][c])
             return coeff * 2 if n == r else coeff
 
         return tensor(entry, 5)

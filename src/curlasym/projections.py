@@ -222,9 +222,9 @@ def subprincipal_check(fam: ProjectionFamily) -> Matrix:
 
 @dataclass(frozen=True)
 class AsymmetryReport:
-    """Trace data of the difference of the two nonzero projections."""
+    """Trace data of the difference of the nonzero projections, and its metric jet."""
 
-    config: CurvatureConfig
+    mj: MetricJet
     diag_traces: tuple
     pt_corrections: tuple
     a_prin_value: GaussianRational
@@ -241,7 +241,7 @@ class AsymmetryReport:
 
     def to_dict(self) -> dict:
         return {
-            "config": self.config.to_dict(),
+            "config": self.mj.config.to_dict(),
             "diag_traces": [str(z) for z in self.diag_traces],
             "pt_corrections": [str(z) for z in self.pt_corrections],
             "a_prin": str(self.a_prin_value),
@@ -256,11 +256,11 @@ class AsymmetryReport:
 def asymmetry_report(cfg: CurvatureConfig) -> AsymmetryReport:
     """Full order and principal-value check for one curvature configuration.
 
-    Runs the construction at accuracy 3 for the "+" branch only and forms
-    the difference P+ - P- as P+ - J(P+) (see the module docstring).  Takes
-    the diagonal trace of the difference per degree at the anchor point, the
-    two parallel-transport corrections, and compares the degree -3 value
-    against the curvature-derivative closed form.
+    Runs the construction on the order-3 metric jet, which the report keeps,
+    at accuracy 3 for the "+" branch only and forms the difference P+ - P-
+    as P+ - J(P+) (see the module docstring).  Takes the diagonal trace of
+    the difference per degree at the anchor point, the two parallel-transport
+    corrections, and compares the degree -3 value against the closed form.
     """
     mj = build_metric_jet(cfg)
     plus = run_algorithm(mj, "+", 3).jet
@@ -271,7 +271,7 @@ def asymmetry_report(cfg: CurvatureConfig) -> AsymmetryReport:
     pt = tuple(transport_correction(q0, mj, level, qm1) for level in (2, 3))
     a_prin = diag_traces[3]
     closed = aprin_closed_form(cfg, (Fraction(0), Fraction(0), Fraction(1)))
-    return AsymmetryReport(cfg, diag_traces, pt, a_prin, closed)
+    return AsymmetryReport(mj, diag_traces, pt, a_prin, closed)
 
 
 def _rational_sqrt(q):

@@ -158,7 +158,7 @@ def test_criterion_03_full_sweep():
 
 
 def test_criterion_04_cross_pipeline_oracle():
-    h = build_hierarchy(unit_config("c11"))
+    h = build_hierarchy(build_metric_jet(unit_config("c11")))
     ok = True
     # Deepest inverse-half component at the anchor: a single entry -i/2.
     for a in range(3):
@@ -190,8 +190,8 @@ def test_criterion_04_cross_pipeline_oracle():
                 ok = ok and lin == {want[0]: want[1] + 0 * GR_I}
     for name in UNIT_CONFIG_NAMES[6:]:
         cfg = unit_config(name)
-        alt = aprin_alternative(build_hierarchy(cfg))
-        ok = ok and alt == asymmetry_report(cfg).a_prin_value
+        rep = asymmetry_report(cfg)
+        ok = ok and aprin_alternative(build_hierarchy(rep.mj)) == rep.a_prin_value
     report(4, ok, "hierarchy route matches pinned matrices and A_prin, exact")
 
 

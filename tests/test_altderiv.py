@@ -9,12 +9,10 @@ from fractions import Fraction
 import pytest
 
 from curlasym.altderiv import (
-    _WORK_ORDER,
     _derivative_term,
     aprin_alternative,
     build_hierarchy,
     hodge_symbol,
-    sqrt_hierarchy,
 )
 from curlasym.calculus import SymbolJet, compose
 from curlasym.configs import (
@@ -52,7 +50,7 @@ from curlasym.polymat import (
     mat_truncate,
     tensor,
 )
-from curlasym.projections import aprin_closed_form
+from curlasym.projections import aprin_closed_form, asymmetry_report
 
 from conftest import identity_jet, random_matrix, random_poly
 
@@ -120,11 +118,11 @@ def _fraction_hodge_symbol(mj):
             terms.append((coeff, (E1 + ga, mu, nu)))
             if ga == 2:
                 terms.append((coeff, (mu, nu)))
-        return poly_from_monomials(_WORK_ORDER, terms).scale(GR_I)
+        return poly_from_monomials(mj.order, terms).scale(GR_I)
 
     def q0_entry(al, be):
         terms = [(b_tensor(al, be, nu), (nu,)) for nu in X_VARS]
-        return poly_from_monomials(_WORK_ORDER, terms)
+        return poly_from_monomials(mj.order, terms)
 
     return tensor(q1_entry, 2), tensor(q0_entry, 2)
 
@@ -150,7 +148,7 @@ class TestHodgeSymbol:
         cfgs = [unit_config(name) for name in UNIT_CONFIG_NAMES[6:]]
         cfgs += [random_bianchi_config(rng) for _ in range(6)]
         for cfg in cfgs:
-            mj = build_metric_jet(cfg, order=_WORK_ORDER)
+            mj = build_metric_jet(cfg, order=4)
             assert hodge_symbol(mj) == _fraction_hodge_symbol(mj)
 
     def test_requires_ricci_flat_origin(self):
@@ -183,14 +181,31 @@ class TestHodgeSymbol:
 
 
 class TestSqrtHierarchy:
+    #: The order of each component on an order-3 metric jet: the accuracy-3
+    #: graded schedule that _power_jets truncates to.
+    ORDERS = dict(q1=3, q0=3, r0=2, s_m2=2, r_m1=1, s_m3=1, r_m2=0, s_m4=0)
+
+    def test_order_three_jet_gives_the_order_four_components_truncated(self):
+        """On the 18 Ricci-flat unit configs and seeded Bianchi configs."""
+        rng = random.Random(124)
+        cfgs = [unit_config(name) for name in UNIT_CONFIG_NAMES[6:]]
+        cfgs += [random_bianchi_config(rng) for _ in range(3)]
+        for cfg in cfgs:
+            h3 = build_hierarchy(build_metric_jet(cfg, 3))
+            h4 = build_hierarchy(build_metric_jet(cfg, 4))
+            for field, order in self.ORDERS.items():
+                m3 = getattr(h3, field)
+                assert {p.order for row in m3 for p in row} == {order}, field
+                assert m3 == mat_truncate(getattr(h4, field), order), field
+
     @pytest.mark.parametrize("rank", (1, 2, 3))
     def test_derivative_term_matches_ordered_sum(self, rank):
         """On seeded random order-4 matrices, weights and eta polynomials."""
         rng = random.Random(130 + rank)
         for _ in range(3):
-            m = random_matrix(rng, _WORK_ORDER)
-            weight = random_poly(rng, _WORK_ORDER)
-            p = random_poly(rng, _WORK_ORDER)
+            m = random_matrix(rng, 4)
+            weight = random_poly(rng, 4)
+            p = random_poly(rng, 4)
             derivs = {}
             for idx in itertools.product(range(3), repeat=rank):
                 dp = p
@@ -201,7 +216,7 @@ class TestSqrtHierarchy:
             assert _derivative_term(m, weight, derivs, rank) == expected
 
     def test_flat_subleading_components_vanish(self):
-        h = build_hierarchy(CurvatureConfig.flat())
+        h = build_hierarchy(build_metric_jet(CurvatureConfig.flat()))
         for m in (h.r0, h.r_m1, h.r_m2, h.s_m2, h.s_m3, h.s_m4):
             assert mat_is_zero(m)
         assert aprin_alternative(h).is_zero()
@@ -210,7 +225,7 @@ class TestSqrtHierarchy:
         """Composing the half and inverse-half power jets gives the identity
         symbol through every retained degree, in both orders."""
         for name in ("c11", "c7", "c20"):
-            h = build_hierarchy(unit_config(name))
+            h = build_hierarchy(build_metric_jet(unit_config(name)))
             r_jet, s_jet = _power_jets(h)
             ident = identity_jet(3)
             assert compose(r_jet, s_jet) == ident
@@ -221,10 +236,9 @@ class TestSqrtHierarchy:
         the operator it is a square root of."""
         rng = random.Random(121)
         cfg = random_bianchi_config(rng)
-        h = build_hierarchy(cfg)
-        r_jet, _ = _power_jets(h)
+        mj = build_metric_jet(cfg)
+        r_jet, _ = _power_jets(build_hierarchy(mj))
         square = compose(r_jet, r_jet)
-        mj = build_metric_jet(cfg, order=3)
         curl = curl_symbol(mj, accuracy=3)
         d_sym, delta_sym = d_delta_symbols(mj, accuracy=3)
         lap = compose(curl, curl) + compose(d_sym, delta_sym)
@@ -233,7 +247,7 @@ class TestSqrtHierarchy:
     def test_c11_deep_component_goldens(self):
         """Frozen anchor data of the two deepest inverse-half components for
         the Ricci-derivative unit config."""
-        h = build_hierarchy(unit_config("c11"))
+        h = build_hierarchy(build_metric_jet(unit_config("c11")))
         expected_lin = {
             (0, 1): {2: Fraction(-1, 4)},
             (0, 2): {1: Fraction(-1, 4)},
@@ -265,39 +279,43 @@ class TestSqrtHierarchy:
 
 class TestAlternativeValue:
     def test_c11(self):
-        assert aprin_alternative(build_hierarchy(unit_config("c11"))) == Fraction(
-            -1, 2
-        )
+        mj = build_metric_jet(unit_config("c11"))
+        assert aprin_alternative(build_hierarchy(mj)) == Fraction(-1, 2)
 
     def test_all_derivative_unit_configs_match_both_pipelines(self):
         """For the 18 Ricci-derivative unit configs the hierarchy route, the
         projection route, and the closed form agree exactly."""
-        from curlasym.projections import asymmetry_report
-
         xi0 = (0, 0, 1)
         for name in UNIT_CONFIG_NAMES[6:]:
             cfg = unit_config(name)
-            alt = aprin_alternative(build_hierarchy(cfg))
-            closed = aprin_closed_form(cfg, xi0)
             rep = asymmetry_report(cfg)
+            alt = aprin_alternative(build_hierarchy(rep.mj))
+            closed = aprin_closed_form(cfg, xi0)
             assert alt == closed, name
             assert rep.a_prin_value == alt, name
 
     def test_bianchi_configs_match_closed_form(self):
+        """On seeded Bianchi configs the asymmetry report passes, and its
+        value equals the hierarchy route's and the closed form."""
         rng = random.Random(122)
         xi0 = (0, 0, 1)
         for _ in range(5):
             cfg = random_bianchi_config(rng)
-            alt = aprin_alternative(build_hierarchy(cfg))
+            rep = asymmetry_report(cfg)
+            assert rep.passed
+            alt = aprin_alternative(build_hierarchy(rep.mj))
             assert alt == aprin_closed_form(cfg, xi0)
+            assert rep.a_prin_value == alt
 
 
 def test_transport_weights_formed_once_per_mu(monkeypatch):
-    """sqrt_hierarchy forms |xi|^-2 xi_mu once per mu, not per matrix entry."""
+    """build_hierarchy forms |xi|^-2 xi_mu once per mu, not per matrix entry,
+    at the order of the metric jet it is given."""
     from curlasym import altderiv
 
-    eum2 = euclid_norm_power_jet(-2, 4)
-    xi = xi_polys(4)
+    mj = build_metric_jet(unit_config("c11"))
+    eum2 = euclid_norm_power_jet(-2, mj.order)
+    xi = xi_polys(mj.order)
     weights = []
     real = altderiv.poly_mul
 
@@ -307,5 +325,5 @@ def test_transport_weights_formed_once_per_mu(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(altderiv, "poly_mul", counting)
-    altderiv.build_hierarchy(unit_config("c11"))
+    altderiv.build_hierarchy(mj)
     assert len(weights) == 3

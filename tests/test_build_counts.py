@@ -2,11 +2,12 @@
 products a matrix product makes.
 
 The metric jet is built once per configuration and command, and the Riemann
-tensor once per metric jet, also for the Hodge symbol of the square-root
-hierarchy.  The curl symbol (one ``MetricJet.e_mixed`` each) and the raised
-covector are built once per ``run_algorithm``, and ``verify_projection``
-reuses what its family carries.  ``asymmetry_report`` runs the construction
-for the "+" branch only; ``project`` runs it for every requested branch.
+tensor once per metric jet; the square-root hierarchy takes the metric jet it
+is given, so ``asym --sweep`` builds one per configuration.  The curl symbol
+(one ``MetricJet.e_mixed`` each) and the raised covector are built once per
+``run_algorithm``, and ``verify_projection`` reuses what its family carries.
+``asymmetry_report`` runs the construction for the "+" branch only;
+``project`` runs it for every requested branch.
 A matrix product multiplies only its pairs of non-zero entries, and each
 construction step composes only the idempotency levels it reads.
 """
@@ -87,11 +88,23 @@ def test_verify_projection_builds_nothing(counts):
 
 
 def test_hierarchy(counts):
-    build_hierarchy(unit_config("c11"))
+    """Given a metric jet, the hierarchy builds none and raises the covector once."""
+    mj = build_metric_jet(unit_config("c11"))
+    counts.clear()
+    build_hierarchy(mj)
+    assert counts == {"raised_covector": 1}
+
+
+def test_sweep(counts, tmp_path):
+    """One metric jet per config: the 18 hierarchies take the jets of their
+    asymmetry reports (each config was built twice, 42 builds in all)."""
+    assert entry(["asym", "--sweep", "--output", str(tmp_path / "out.json")]) == 0
     assert counts == {
-        "build_metric_jet": 1,
-        "riemann_from_ricci": 1,
-        "raised_covector": 1,
+        "build_metric_jet": 24,
+        "riemann_from_ricci": 24,
+        "e_mixed": 24,
+        "raised_covector": 42,
+        "run_algorithm": 24,
     }
 
 
@@ -110,7 +123,7 @@ def test_hierarchy_mat_diff_calls(monkeypatch):
         return real(m, var)
 
     monkeypatch.setattr(altderiv, "mat_diff", counting)
-    build_hierarchy(unit_config("c11"))
+    build_hierarchy(build_metric_jet(unit_config("c11")))
     assert len(calls) == 4 * 9 + 2 * 19
 
 

@@ -86,10 +86,14 @@ class TestAsym:
         assert run(["asym", "--config", "flat"], out) == 0
         assert json.loads(out.read_text())["a_prin"] == "0"
 
-    def test_sweep(self, tmp_path):
-        out = tmp_path / "sweep.json"
-        assert run(["asym", "--sweep"], out) == 0
-        data = json.loads(out.read_text())
+    #: SHA-256 of the printed sweep, as the benchmark pins it.
+    SWEEP_SHA256 = "7699dec2282873d56b1c28abc05ca19159cc95d9a7a1aa5926d034ffe28ea895"
+
+    def test_sweep(self, capsys):
+        assert run(["asym", "--sweep"]) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SWEEP_SHA256
+        data = json.loads(text)
         assert data["pass"] is True
         assert len(data["sweep"]) == 24
         by_name = {e["name"]: e for e in data["sweep"]}

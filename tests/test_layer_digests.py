@@ -12,7 +12,9 @@ scalars, so the digests do not depend on how a scalar renders itself.
 The projection-layer digests (every ``run_algorithm`` step, the
 ``verify_projection`` dicts, the asymmetry report and the square-root
 hierarchy) were taken while each layer still rebuilt the metric jet, the curl
-symbol and the covector norm that its caller already held.  The accuracy 1
+symbol and the covector norm that its caller already held, and while the
+Hodge symbol and the hierarchy worked at order 4 whatever jet they were
+given: both are now built on an order-4 metric jet here.  The accuracy 1
 and 2 steps and the ``compose`` digests were taken while ``run_algorithm``
 and ``compose`` still truncated their own results to the graded schedule.
 """
@@ -106,7 +108,7 @@ def layer_digests(name: str) -> dict:
     out["d_delta"] = _digest((d_sym, delta_sym))
     out["curl"] = _digest(curl_symbol(mj, 3))
     if name != "c1":
-        hodge_mj = build_metric_jet(_hodge_config(name))
+        hodge_mj = build_metric_jet(_hodge_config(name), 4)
         out["hodge"] = _digest(hodge_symbol(hodge_mj))
     return out
 
@@ -379,7 +381,7 @@ def projection_digests(name: str) -> dict:
             json.dumps(verify_projection(fam), sort_keys=True)
         )
     out["asymmetry_report"] = _text_digest(asymmetry_report(cfg).dumps())
-    h = build_hierarchy(_hodge_config(name))
+    h = build_hierarchy(build_metric_jet(_hodge_config(name), 4))
     for field in HIERARCHY_FIELDS:
         out[f"hierarchy.{field}"] = _digest(getattr(h, field))
     return out
