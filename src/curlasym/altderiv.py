@@ -149,6 +149,25 @@ def _derivative_term(
     return mat_poly_scale(out, weight)
 
 
+#: Per order, the Euclidean jets of the hierarchy, which do not depend on
+#: the metric: |xi|^-1, |xi|^-2, the eta derivatives d^I |xi| of rank 0 to 3
+#: and the transport weights xi^mu / |xi|^2.  Filled on first use.
+_EUCLID: dict[int, tuple] = {}
+
+
+def _euclid_jets(order: int) -> tuple:
+    if order not in _EUCLID:
+        eu1 = euclid_norm_power_jet(1, order)
+        eum2 = euclid_norm_power_jet(-2, order)
+        _EUCLID[order] = (
+            euclid_norm_power_jet(-1, order),
+            eum2,
+            _sorted_partials(lambda p, v: poly_diff(p, ETA_VARS[v]), eu1, 3),
+            tuple(poly_mul(eum2, x) for x in xi_polys(order)),
+        )
+    return _EUCLID[order]
+
+
 @dataclass(frozen=True)
 class HodgeHierarchy:
     """Symbol components of the half and inverse-half Laplacian powers."""
@@ -178,23 +197,14 @@ def build_hierarchy(mj: MetricJet) -> HodgeHierarchy:
     q1, q0 = hodge_symbol(mj)
     order = mj.order
     ident = identity_mat(order)
-    xi = xi_polys(order)
-
-    eu1 = euclid_norm_power_jet(1, order)
-    eum1 = euclid_norm_power_jet(-1, order)
-    eum2 = euclid_norm_power_jet(-2, order)
+    # norm_derivs[I] is d^I |xi|; eum2_xi are the transport weights.
+    eum1, eum2, norm_derivs, eum2_xi = _euclid_jets(order)
     quad = covector_norm_sq(raised_covector(mj, order))
     rn1 = norm_power(quad, 1)
     rnm1 = norm_power(quad, -1)
 
     half = Fraction(1, 2)
     inv_i = -GR_I  # 1/i
-
-    # The eta derivatives d^I |xi|, formed once for the whole hierarchy.
-    norm_derivs = _sorted_partials(lambda p, v: poly_diff(p, ETA_VARS[v]), eu1, 3)
-
-    # xi^mu / |xi|^2, the weights of the transport term.
-    eum2_xi = [poly_mul(eum2, x) for x in xi]
 
     def transport_term(m: Matrix) -> Matrix:
         """(1/(i |xi|^2)) xi^mu d_x^mu applied to a matrix symbol."""

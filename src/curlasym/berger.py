@@ -12,9 +12,11 @@ chunks of eigenvalues and multiplicities, each a run of whole quantum numbers
 of at most CHUNK_ROWS rows built in one numpy pass, so memory is bounded by
 the chunk size.  A Laplacian row (n, l >= 1) with eigenvalue mu gives the
 curl pair a +- sqrt(a^2 + mu): the eta identity reads each row once.  Sums
-are exact (an integer accumulator over the binary exponents of the terms,
-rounded once): correctly rounded whatever the order or chunking of their
-terms.  The eta identity's rounding bound, a float sum of chunk sums, is not.
+are exact: error-free extraction splits each chunk's terms into a few
+levels whose float sums are exact, and one Python-integer accumulator of
+the levels is rounded once, so a sum is correctly rounded whatever the order
+or chunking of its terms.  The eta identity's rounding bound, a float sum of
+chunk sums, is not.
 
 numpy is imported on the first Berger call, so that the exact pipelines
 start without it.
@@ -39,10 +41,12 @@ MAX_NMAX = 10_000
 #: Most rows in one chunk, unless a single quantum number has more (up to
 #: 2 + MAX_NMAX rows of curl).  It bounds the memory of every reduction.
 CHUNK_ROWS = 8192
-#: frexp exponent of the smallest subnormal; 53 - _EMIN scales every
-#: finite double to an integer.
-_EMIN = -1073
-_EXPONENTS = 1024 - _EMIN + 1
+#: Every finite double is an integer times 2**-_TINY.
+_TINY = 1074
+#: An array whose extraction would overflow has its terms of at least 1
+#: extracted times 2**-_SHIFT: below 2**(1024 - _SHIFT) <= 2**(1023 - m) for
+#: every array of fewer than 2**62 terms (2**m >= size + 2).
+_SHIFT = 64
 
 
 @dataclass(frozen=True)
@@ -120,21 +124,23 @@ def _laplacian_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray
 def _pair_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, ...]:
     """Laplacian rows of 1 <= n0 <= n < n1 and their curl pairs a + w, a - w.
 
-    Returns mu, its multiplicities, w = sqrt(a^2 + mu), the mask of the
-    rows l >= 1 (whose pairs are series III and IV) and, one row per n >= 2,
-    the series I and II values and multiplicities that replace pair l = 0.
+    Returns mu, its multiplicities, w = sqrt(a^2 + mu), the multiplicities
+    of the pairs (those of mu, zero on the rows l = 0, whose pairs are not
+    curl eigenvalues) and, one per n >= 2, the row l = 0 and the series I
+    and II values and multiplicities that take its place.
     """
     import numpy as np
 
     mu, mults = _laplacian_block(a, n0, n1)
     n = np.arange(n0, n1)
-    pair = np.ones(mu.size, bool)
-    pair[np.cumsum(n // 2 + 1) - n // 2 - 1] = False
-    n = n[n >= 2]
+    first = np.cumsum(n // 2 + 1) - n // 2 - 1  # the row l = 0 of each n
+    pair_mults = mults.copy()
+    pair_mults[first] = 0
+    first, n = first[n >= 2], n[n >= 2]
     # Series II has multiplicity 1 at n = 2.
     one_two_mults = np.stack((2 * n - 2, np.where(n == 2, 1, 2 * n - 2)), axis=1)
     one_two = (n[:, None] + [0.0, 2 * (a**2 - 1)]) / a
-    return mu, mults, np.sqrt(a**2 + mu), pair, one_two, one_two_mults
+    return mu, mults, np.sqrt(a**2 + mu), pair_mults, first, one_two, one_two_mults
 
 
 def _curl_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,11 +151,11 @@ def _curl_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
     """
     import numpy as np
 
-    _, lap_mults, w, pair, one_two, one_two_mults = _pair_block(a, n0, n1)
+    _, _, w, pair_mults, first, one_two, one_two_mults = _pair_block(a, n0, n1)
     values = np.stack((a + w, a - w), axis=1)
-    values[~pair] = one_two
-    mults = np.stack((lap_mults, lap_mults), axis=1)
-    mults[~pair] = one_two_mults
+    values[first] = one_two
+    mults = np.stack((pair_mults, pair_mults), axis=1)
+    mults[first] = one_two_mults
     return values.ravel(), mults.ravel()
 
 
@@ -278,11 +284,10 @@ def _counts(t: SpectrumTable, lam: float) -> tuple[int, int]:
         )
     plus = minus = 0
     for n0, n1 in _runs("laplacian", 2, t.n_max):
-        _, mults, w, pair, one_two, one_two_mults = _pair_block(t.a, n0, n1)
-        mults, w = mults[pair], w[pair]
+        _, _, w, pair_mults, _, one_two, one_two_mults = _pair_block(t.a, n0, n1)
         plus += int(one_two_mults[(0 < one_two) & (one_two < lam)].sum())
-        plus += int(mults[t.a + w < lam].sum())
-        minus += int(mults[(t.a < w) & (w - t.a < lam)].sum())
+        plus += int(pair_mults[t.a + w < lam].sum())
+        minus += int(pair_mults[(t.a < w) & (w - t.a < lam)].sum())
     return plus, minus
 
 
@@ -332,47 +337,71 @@ def _check_s(s: float, lower: int, what: str) -> None:
         raise ValueError(f"s must be finite and > {lower} for {what}, got {s}")
 
 
+def _extracted(r: np.ndarray, top: float) -> int:
+    """The sum of the finite terms r, with top = max |r|, times 2**_TINY.
+
+    Error-free extraction: with 2**m >= r.size + 2 and 2**e > top, the
+    terms q = (r + sigma) - sigma for sigma = 2**(e + m) are multiples of
+    2**(e + m - 53) at most 2**e in absolute value, so the float sum of q
+    and each of its partial sums is exact in any order, and so is r - q,
+    whose terms are at most 2**(e + m - 53).  Each level extracts the next
+    bits until r is zero.
+    """
+    import numpy as np
+
+    m = (r.size + 1).bit_length()
+    total = 0
+    if top >= 2.0 ** (1023 - m):
+        # sigma would overflow: the terms of at least 1 are extracted
+        # scaled by 2**-_SHIFT, which is exact for them.
+        big = np.abs(r) >= 1.0
+        total += _extracted(r[big] * 2.0**-_SHIFT, top * 2.0**-_SHIFT) << _SHIFT
+        r = np.where(big, 0.0, r)
+        top = float(np.abs(r).max())
+    q = np.empty_like(r)
+    rest = None  # r - q, written over itself after the first level
+    while top:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        num, den = float(q.sum()).as_integer_ratio()  # den divides 2**_TINY
+        total += (num << _TINY) // den
+        r = rest = np.subtract(r, q, out=rest)
+        top = max(float(r.max()), -float(r.min()))
+    return total
+
+
 def _exact_sums(chunks: Iterable[tuple], *whats: str) -> list[tuple[float, float]]:
     """Per ``whats`` entry i, in one pass over the chunks (tuples of term
     arrays): the correctly rounded sum of the terms i (the float
     ``math.fsum`` returns) and the float sum of the chunks' sums of their
     absolute values, whose last bits depend on the chunking.
 
-    Each finite double is m * 2**(e - 53) with an integer |m| < 2**53 and
-    frexp exponent e; with m = hi * 2**27 + lo, 0 <= lo < 2**27, bincount
-    sums hi and lo per e exactly, because a float64 bin stays below 2**53
-    while a chunk has fewer than 2**26 terms (int64 running bins: fewer than
-    2**36 terms in all).  The bins are combined in one Python integer and
-    divided once.  ValueError for the first sum whose terms or total are
-    not all finite.
+    Each term array is split by error-free extraction (``_extracted``) into
+    a few levels whose float sums are exact; the levels of every chunk are
+    added in one Python integer, the sum times 2**_TINY, which is divided
+    once.  ValueError for the first sum whose terms or total are not all
+    finite.
     """
     import numpy as np
 
-    bins = np.zeros((len(whats), 2, _EXPONENTS), np.int64)
+    totals = [0] * len(whats)
     sizes = [0.0] * len(whats)
     with np.errstate(all="ignore"):
         for terms in chunks:
             for i, x in enumerate(terms):
-                size = float(np.abs(x).sum())
+                magnitudes = np.abs(x)
+                size = float(magnitudes.sum())
                 # A non-finite term makes size non-finite; so can an overflow.
                 if not math.isfinite(size) and not np.isfinite(x).all():
                     size = math.nan  # marks the sum as not finite
                 sizes[i] += size
-                m, e = np.frexp(x)
-                e -= _EMIN
-                m *= 2.0**26
-                hi = np.floor(m)
-                lo = np.subtract(m, hi, out=m)
-                lo *= 2.0**27
-                bins[i, 0] += np.bincount(e, hi, _EXPONENTS).astype(np.int64)
-                bins[i, 1] += np.bincount(e, lo, _EXPONENTS).astype(np.int64)
+                if not math.isnan(sizes[i]):
+                    totals[i] += _extracted(x, float(magnitudes.max(initial=0.0)))
     sums = []
-    for (hi_bins, lo_bins), size, what in zip(bins, sizes, whats):
-        scaled = 0  # the sum times 2**(53 - _EMIN)
-        for k in np.flatnonzero(hi_bins | lo_bins).tolist():
-            scaled += ((int(hi_bins[k]) << 27) + int(lo_bins[k])) << k
+    for total, size, what in zip(totals, sizes, whats):
         try:
-            sums.append((scaled / (1 << (53 - _EMIN)), size))
+            sums.append((total / (1 << _TINY), size))
         except OverflowError:
             size = math.nan
         if math.isnan(size):
@@ -383,17 +412,25 @@ def _exact_sums(chunks: Iterable[tuple], *whats: str) -> list[tuple[float, float
 def _powers(a: float, s: float, n_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     """Per run of the Laplacian rows 1 <= n <= n_max (mu > 0): mu, w, the
     multiplicities m, the theta brackets x - y of x = (w + a)^-s and
-    y = (w - a)^-s, and the run's curl terms sign(v) m |v|^-s: m x and -m y
-    of the pairs a + w, a - w of the rows l >= 1, then series I and II."""
+    y = (w - a)^-s, and the run's curl terms sign(v) m |v|^-s in one array:
+    m x, then -m y, of the pairs a + w, a - w of the rows of n >= 2, where
+    series I and II take the places of the pairs of the rows l = 0."""
     import numpy as np
 
     _check_nmax(n_max, 0)
     for n0, n1 in _runs("laplacian", 1, n_max):
-        mu, mults, w, pair, one_two, one_two_mults = _pair_block(a, n0, n1)
+        mu, mults, w, pair_mults, first, one_two, one_two_mults = _pair_block(a, n0, n1)
         x, y = (w + a) ** -s, (w - a) ** -s
-        m = mults[pair]
-        curl = (m * x[pair], -(m * y[pair]), (one_two_mults * one_two**-s).ravel())
-        yield mu, w, mults, x - y, np.concatenate(curl)
+        bracket = x - y
+        skip = int(n0 == 1)  # n = 1 has one row, l = 0, and no curl terms
+        curl = np.empty((2, mu.size - skip))
+        np.multiply(pair_mults[skip:], x[skip:], out=curl[0])
+        np.negative(y, out=y)
+        np.multiply(pair_mults[skip:], y[skip:], out=curl[1])
+        one_two **= -s
+        one_two *= one_two_mults
+        curl[:, first - skip] = one_two.T
+        yield mu, w, mults, bracket, curl.ravel()
 
 
 def eta_partial(t: SpectrumTable, s: float) -> float:

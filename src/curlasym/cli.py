@@ -3,9 +3,12 @@
 Exit codes: 0 all assertions pass, 1 a mathematical verification failed,
 2 usage or IO error.  Reports are deterministic byte-for-byte for identical
 arguments: the symbolic pipelines are exact, and the Berger spectra are
-summed chunk by chunk into an exact integer accumulator and rounded once,
-so every floating-point sum is correctly rounded and does not depend on
-summation order or on the chunk size, which bounds the memory.  The
+summed chunk by chunk, each chunk split by error-free extraction into a few
+levels with exact float sums, into one integer accumulator that is rounded
+once, so every floating-point sum is correctly rounded and does not depend
+on summation order or on the chunk size, which bounds the memory (the eta
+identity's rounding bound, a float sum of chunk sums, may differ in its last
+bits).  The
 spectrum CSV is written one chunk at a time, and the ~1 MB JSON of
 ``project`` in pieces of 4096 encoder chunks.
 """

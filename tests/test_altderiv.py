@@ -310,9 +310,11 @@ class TestAlternativeValue:
 
 def test_transport_weights_formed_once_per_mu(monkeypatch):
     """build_hierarchy forms |xi|^-2 xi_mu once per mu, not per matrix entry,
-    at the order of the metric jet it is given."""
+    at the order of the metric jet it is given, and only on the first call
+    at that order."""
     from curlasym import altderiv
 
+    monkeypatch.setattr(altderiv, "_EUCLID", {})
     mj = build_metric_jet(unit_config("c11"))
     eum2 = euclid_norm_power_jet(-2, mj.order)
     xi = xi_polys(mj.order)
@@ -326,4 +328,6 @@ def test_transport_weights_formed_once_per_mu(monkeypatch):
 
     monkeypatch.setattr(altderiv, "poly_mul", counting)
     altderiv.build_hierarchy(mj)
+    assert len(weights) == 3
+    altderiv.build_hierarchy(build_metric_jet(unit_config("c7")))
     assert len(weights) == 3

@@ -460,6 +460,18 @@ class TestChunks:
         0.37: ("0x1.852da1ed28a29p+2", "0x1.852da1ed61032p+2", 948, 1025),
     }
 
+    #: eta_identity(p, 6, 3000) as float.hex, at the north-star truncation.
+    PINNED_3000 = {
+        Fraction(1, 2): ("0x1.fa18cc39aac1cp-1", "0x1.fa18cc39aac1ep-1"),
+        1: ("0x1.bb519a3f76cd9p-46", "0x1.5000000000000p-45"),
+        2: ("0x1.0e9442064f273p+1", "0x1.0e9442064f980p+1"),
+    }
+
+    @pytest.mark.parametrize("a", PINNED_3000)
+    def test_identity_at_nmax_3000(self, a):
+        sides = eta_identity(BergerParams(a), 6.0, 3000)[:2]
+        assert sides == tuple(map(float.fromhex, self.PINNED_3000[a]))
+
     @pytest.mark.parametrize("chunk_rows", [1, 7, 100, berger.CHUNK_ROWS])
     def test_identity_and_counts_for_any_chunk_size(self, monkeypatch, chunk_rows):
         monkeypatch.setattr(berger, "CHUNK_ROWS", chunk_rows)
@@ -505,12 +517,22 @@ FINITE = st.one_of(
     st.floats(1e-300, 1e300).flatmap(lambda x: st.sampled_from([x, -x])),
     st.sampled_from(SPECIAL),
 )
+#: Terms of at least 2**1000, near where a chunk's extraction would overflow.
+HUGE = st.one_of(
+    st.floats(2.0**1000, 1.7976931348623157e308),
+    st.sampled_from([2.0**1000, 2.0**1016, 2.0**1020, 1.7976931348623157e308]),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+SUBNORMAL = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
 
 
 @st.composite
 def term_chunks(draw):
-    """Chunks of finite terms; some cancel exactly, leaving a small rest."""
+    """Chunks of finite terms, some with terms of at least 2**1000 beside
+    subnormals; some cancel exactly, leaving a small rest."""
     terms = draw(st.lists(FINITE, max_size=60))
+    if draw(st.booleans()):
+        terms += draw(st.lists(HUGE, min_size=1, max_size=4))
+        terms += draw(st.lists(SUBNORMAL, min_size=1, max_size=4))
     if draw(st.booleans()):
         terms += [-x for x in terms] + draw(st.lists(FINITE, max_size=2))
         terms = draw(st.permutations(terms))
@@ -519,8 +541,26 @@ def term_chunks(draw):
     return [terms[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
+@st.composite
+def sized_chunks(draw):
+    """A chunk of 2**m - 3 .. 2**m + 1 terms of one sign near the top of one
+    binade, where the bits kept by an extraction level change with the size
+    and the level sums come nearest the limit of exact float sums; then a
+    chunk of the negatives of all but the first."""
+    m = draw(st.integers(1, 10))
+    size = max(1, 2**m + draw(st.integers(-3, 1)))
+    exponent = draw(st.integers(-1074, 1023))
+    sign = draw(st.sampled_from([1, -1]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    terms = [
+        sign * math.ldexp(rng.randrange(2**53 - 2**49, 2**53), exponent - 53)
+        for _ in range(size)
+    ]
+    return [terms, [-x for x in terms[1:]]]
+
+
 class TestExactSum:
-    @given(term_chunks())
+    @given(st.one_of(term_chunks(), sized_chunks()))
     def test_equals_correctly_rounded_sum(self, chunks):
         terms = [x for chunk in chunks for x in chunk]
         arrays = ((np.array(chunk, dtype=np.float64),) for chunk in chunks)
