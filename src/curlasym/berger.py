@@ -409,12 +409,16 @@ def _exact_sums(chunks: Iterable[tuple], *whats: str) -> list[tuple[float, float
     return sums
 
 
-def _powers(a: float, s: float, n_max: int) -> Iterator[tuple[np.ndarray, ...]]:
+def _powers(
+    a: float, s: float, n_max: int, with_curl: bool = True
+) -> Iterator[tuple[np.ndarray, ...]]:
     """Per run of the Laplacian rows 1 <= n <= n_max (mu > 0): mu, w, the
     multiplicities m, the theta brackets x - y of x = (w + a)^-s and
     y = (w - a)^-s, and the run's curl terms sign(v) m |v|^-s in one array:
     m x, then -m y, of the pairs a + w, a - w of the rows of n >= 2, where
-    series I and II take the places of the pairs of the rows l = 0."""
+    series I and II take the places of the pairs of the rows l = 0.  With
+    with_curl false, None stands in place of the curl terms, which are not
+    built."""
     import numpy as np
 
     _check_nmax(n_max, 0)
@@ -422,6 +426,9 @@ def _powers(a: float, s: float, n_max: int) -> Iterator[tuple[np.ndarray, ...]]:
         mu, mults, w, pair_mults, first, one_two, one_two_mults = _pair_block(a, n0, n1)
         x, y = (w + a) ** -s, (w - a) ** -s
         bracket = x - y
+        if not with_curl:
+            yield mu, w, mults, bracket, None
+            continue
         skip = int(n0 == 1)  # n = 1 has one row, l = 0, and no curl terms
         curl = np.empty((2, mu.size - skip))
         np.multiply(pair_mults[skip:], x[skip:], out=curl[0])
@@ -462,7 +469,8 @@ def zeta(s: float) -> float:
 def theta_partial(p: BergerParams, s: float, n_max: int) -> float:
     """The Laplacian-indexed series of the eta decomposition."""
     a = p.a_float
-    brackets = ((m * bracket,) for _, _, m, bracket, _ in _powers(a, s, n_max))
+    runs = _powers(a, s, n_max, with_curl=False)
+    brackets = ((m * bracket,) for _, _, m, bracket, _ in runs)
     return _exact_sums(brackets, f"the theta sum at a={a}, s={s}")[0][0]
 
 
@@ -535,7 +543,7 @@ def hitchin_remainder(p: BergerParams, s: float, n_max: int) -> float:
     """
     a = p.a_float
     worst = 0.0
-    for mu, w, _, bracket, _ in _powers(a, s, n_max):
+    for mu, w, _, bracket, _ in _powers(a, s, n_max, with_curl=False):
         expansion = -2 * s * a * w ** -(s + 1)
         expansion -= s * (s + 1) * (s + 2) / 3 * a**3 * w ** -(s + 3)
         scaled = abs(bracket - expansion) * mu**2

@@ -105,6 +105,9 @@ def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_truncate(a: Matrix, order: int) -> Matrix:
+    """a cut to ``order``; a itself when every entry already has that order."""
+    if all(p.order == order for row in a for p in row):
+        return a
     return mat_map(lambda p: p.truncate(order), a)
 
 

@@ -9,7 +9,8 @@ is given, so ``asym --sweep`` builds one per configuration.  The curl symbol
 ``asymmetry_report`` runs the construction for the "+" branch only;
 ``project`` runs it for every requested branch.
 A matrix product multiplies only its pairs of non-zero entries, and each
-construction step composes only the idempotency levels it reads.
+construction step composes only the idempotency levels it reads.  The
+composes of one construction share one derivative table.
 """
 
 from __future__ import annotations
@@ -127,24 +128,46 @@ def test_hierarchy_mat_diff_calls(monkeypatch):
     assert len(calls) == 4 * 9 + 2 * 19
 
 
+def _polymat_calls(monkeypatch, name: str) -> list:
+    """Records each call of ``polymat.<name>`` from every curlasym module
+    that calls it; returns the record."""
+    calls = []
+    real = getattr(polymat, name)
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    for module in list(sys.modules.values()):
+        if module and module.__name__.startswith("curlasym"):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_run_algorithm_mat_mul_calls(monkeypatch):
     """Every matrix product of one accuracy-3 construction on c11, counted in
     every module that calls ``mat_mul``: one in the metric jet's Neumann
     series, 139 in ``run_algorithm``.  Step k composes P P at levels k - 1
     and k only; composing it at every level made 163 products in all."""
-    calls = []
-    real = polymat.mat_mul
-
-    def counting(a, b):
-        calls.append(None)
-        return real(a, b)
-
-    for module in list(sys.modules.values()):
-        if module and module.__name__.startswith("curlasym"):
-            if getattr(module, "mat_mul", None) is real:
-                monkeypatch.setattr(module, "mat_mul", counting)
+    calls = _polymat_calls(monkeypatch, "mat_mul")
     run_algorithm(build_metric_jet(unit_config("c11")), "+", 3)
     assert len(calls) == 140
+
+
+def test_run_algorithm_mat_diff_calls(monkeypatch):
+    """Matrix derivatives of one accuracy-3 construction on c11, counted in
+    every module that calls ``mat_diff``.  The composes of ``run_algorithm``
+    share one derivative table, so each derivative of a curl level or a
+    finished P level is formed once: 74 calls (234 when each compose
+    differentiated afresh).  ``verify_projection`` composes without a table,
+    the independent check, and still makes its 108."""
+    calls = _polymat_calls(monkeypatch, "mat_diff")
+    fam = run_algorithm(build_metric_jet(unit_config("c11")), "+", 3)
+    assert len(calls) == 74
+    calls.clear()
+    assert verify_projection(fam)["pass"]
+    assert len(calls) == 108
 
 
 @pytest.fixture
