@@ -6,13 +6,18 @@ This module verifies the scalar machinery numerically (the Basset integral
 representation 2 y K_1(y), the t^2 ln t coefficient 1/(12 pi^2)) and the
 tensorial cancellation exactly (trace-freeness, vanishing sphere averages).
 All checks live on the Euclidean model of the tangent space at the anchor.
+
+The quadratures need numpy alone: K_1's large-argument nodes solve the
+Golub-Welsch eigenproblem, and Basset's integral runs over the whole half
+line by double-exponential rules (Ooura-Mori for y > 0, exp-sinh at y = 0).
+numpy is imported on first use, as in ``berger``, so that the exact commands
+(project, asym) start without it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
@@ -21,21 +26,31 @@ from .geometry import EPSILON, CurvatureConfig
 from .polymat import tensor
 
 _EULER_GAMMA = 0.5772156649015328606
-#: Upper limit of Basset's integral; the tail beyond it is below
-#: 1/(2 cutoff^2) <= 1e-9.
-_BASSET_CUTOFF = 2.5e4
-
-# scipy is imported on first use, not with the package: it costs about 50 MB
-# of memory and half a second of start-up, and the exact commands (project,
-# asym) never call it.
+#: Basset's check is defined for 0 <= y <= BASSET_Y_MAX and refused above.
+#: Past y ~ 745 the closed form 2 y K_1(y) ~ sqrt(2 pi y) e^-y rounds to 0,
+#: so the check there tests only the quadrature's cancellation; the bound, a
+#: round figure, caps that range.
+BASSET_Y_MAX = 1e72
 
 
 @functools.cache
 def _gauss_laguerre() -> tuple:
-    """Quadrature nodes and weights for the large-argument K_1 integral."""
-    from scipy.special import roots_genlaguerre
+    """Nodes and weights of the 70-point Gauss rule for the weight
+    x^(1/2) e^-x on [0, inf), for the large-argument K_1 integral.
 
-    return roots_genlaguerre(70, 0.5)
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    generalized Laguerre polynomials (alpha = 1/2), the weights Gamma(3/2)
+    times the squared first components of its unit eigenvectors.
+    """
+    import numpy as np
+
+    n = 70
+    k = np.arange(1, n)
+    off = np.sqrt(k * (k + 0.5))
+    jacobi = np.diag(2 * np.arange(n) + 1.5) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    weights = math.gamma(1.5) * vectors[0] ** 2
+    return tuple(nodes.tolist()), tuple(weights.tolist())
 
 
 def bessel_k1(t: float) -> float:
@@ -43,9 +58,9 @@ def bessel_k1(t: float) -> float:
 
     Ascending series for t <= 2; for larger t the integral representation
     K_1(z) = (e^-z / z) Int_0^inf e^-u sqrt(u) sqrt(u + 2z) du evaluated by
-    generalized Gauss-Laguerre quadrature.  Relative accuracy better than
-    1e-12 on [1e-4, 50].  K_1(t) ~ 1/t is not a finite float below about
-    5.6e-309; such t raise ValueError.
+    the generalized Gauss-Laguerre rule of ``_gauss_laguerre``.  Relative
+    accuracy better than 1e-12 on [1e-4, 50].  K_1(t) ~ 1/t is not a finite
+    float below about 5.6e-309; such t raise ValueError.
     """
     if not (t > 0 and math.isfinite(t)):
         raise ValueError(f"argument must be positive and finite, got {t}")
@@ -55,11 +70,8 @@ def bessel_k1(t: float) -> float:
             raise ValueError(f"K_1({t}) overflows a float")
         return value
     nodes, weights = _gauss_laguerre()
-    return (
-        math.exp(-t)
-        / t
-        * float(sum(w * math.sqrt(x + 2 * t) for x, w in zip(nodes, weights)))
-    )
+    total = sum(w * math.sqrt(x + 2 * t) for x, w in zip(nodes, weights))
+    return math.exp(-t) / t * total
 
 
 def _k1_series(z: float) -> float:
@@ -102,33 +114,71 @@ def k1_small_argument(t: float) -> float:
 def basset_check(y: float) -> tuple:
     """Basset's integral against its closed form 2 y K_1(y).
 
-    Integrates cos(y t) (1 + t^2)^{-3/2} over the real line by adaptive
-    quadrature on [0, _BASSET_CUTOFF] and compares with the Bessel closed
-    form (value 2 at y = 0).
+    Integrates cos(y t) (1 + t^2)^{-3/2} over the real line with no cutoff:
+    by the Ooura-Mori formula for y > 0 and by an exp-sinh rule at y = 0
+    (``_half_line_integral``).  Compares with the Bessel closed form (value
+    2 at y = 0).  Defined for 0 <= y <= BASSET_Y_MAX.
     """
-    from scipy.integrate import IntegrationWarning, quad
-
     if not (math.isfinite(y) and y >= 0):
         raise ValueError(f"y must be finite and >= 0, got {y}")
-
-    def f(t: float) -> float:
-        return (1 + t * t) ** -1.5
-
-    # A quadrature that reports failure (a NaN at y >~ 1e75) checks nothing.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            if y == 0:
-                val, _ = quad(f, 0, _BASSET_CUTOFF, limit=400)
-            else:
-                val, _ = quad(f, 0, _BASSET_CUTOFF, weight="cos", wvar=y, limit=400)
-        except IntegrationWarning:
-            val = math.nan
-    quadrature = 2 * val
+    if y > BASSET_Y_MAX:
+        raise ValueError(
+            f"Basset's integral is not a finite float above 0 at y={y}, "
+            f"and its check stops at y={BASSET_Y_MAX:g}"
+        )
     reference = 2.0 if y == 0 else 2 * y * bessel_k1(y)
-    if not (math.isfinite(quadrature) and math.isfinite(reference)):
-        raise ValueError(f"Basset's integral is not a finite float at y={y}")
+    quadrature = 2 * _half_line_integral(y)
     return quadrature, reference, abs(quadrature - reference)
+
+
+def _half_line_integral(omega: float) -> float:
+    """Int_0^inf cos(omega x) (1 + x^2)^{-3/2} dx = omega K_1(omega).
+
+    For omega > 0 the Ooura-Mori formula (J. Comput. Appl. Math. 112, 1999):
+    x = M phi(t) / omega with phi(t) = t / (1 - e^-u(t)),
+    u(t) = 2t + alpha (1 - e^-t) + beta (e^t - 1), and M h = pi, summed at
+    t = (n - 1/2) h.  As t grows, M phi(t) tends double-exponentially to the
+    zeros (n - 1/2) pi of the cosine, and as t falls, phi(t) to 0.  The
+    integrand varies on the unit scale while the cosine's first zero sits
+    at pi / (2 omega), so h shrinks like 1 / ln(1 / omega) as omega falls.
+    Nodes and weights are formed as logarithms, so nothing overflows at any
+    omega that K_1 accepts, and the terms are summed with one rounding.
+
+    At omega = 0 the exp-sinh rule x = exp((pi/2) sinh s), step 1/8 on
+    s in [-4, 4], whose terms decay double-exponentially at both ends.
+    """
+    import numpy as np
+
+    with np.errstate(under="ignore"):
+        if omega == 0:
+            s = np.arange(-32, 33) / 8
+            lx = (math.pi / 2) * np.sinh(s)
+            terms = np.exp(lx - 1.5 * np.logaddexp(0, 2 * lx)) * np.cosh(s)
+            return math.fsum(terms.tolist()) * (math.pi / 2) / 8
+        lw = math.log(omega)
+        h = 0.25 / (3 + max(0.0, -lw))
+        m = math.pi / h
+        beta = 0.25
+        alpha = beta / math.sqrt(1 + m * math.log1p(m) / (4 * math.pi))
+        # Below t_lo the weights fall under e^-55 of the sum, above t_hi the
+        # cosine factor under e^-45 / M.
+        t_lo = math.log((55 + max(0.0, -lw)) / alpha)
+        t_hi = math.log((45 + math.log(m)) / beta)
+        n = np.arange(-math.ceil(t_lo / h), math.ceil(t_hi / h) + 1)
+        t = (n - 0.5) * h
+        u = 2 * t - alpha * np.expm1(-t) + beta * np.expm1(t)
+        du = 2 + alpha * np.exp(-t) + beta * np.exp(t)
+        em = np.expm1(u)
+        log_phi = np.log(t / em) + u
+        log_dphi = u + np.log(em - t * du) - 2 * np.log(np.abs(em))
+        # cos(M phi): for t > 0, M phi = (n - 1/2) pi + M t / em exactly.
+        cos = np.where(
+            t < 0, np.cos(m * np.exp(log_phi)), (1 - 2 * (n % 2)) * np.sin(m * t / em)
+        )
+        log_x = math.log(m) - lw + log_phi
+        log_f = -1.5 * np.logaddexp(0, 2 * log_x)
+        terms = np.exp(math.log(math.pi) - lw + log_dphi + log_f) * cos
+    return math.fsum(terms.tolist())
 
 
 def log_coefficient_check(t: float = 1e-3) -> float:

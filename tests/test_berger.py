@@ -467,6 +467,11 @@ class TestChunks:
         2: ("0x1.0e9442064f273p+1", "0x1.0e9442064f980p+1"),
     }
 
+    def test_rounding_bound_pinned(self):
+        """2^-52 times the larger sum of absolute values, as float.hex."""
+        bound = eta_identity(BergerParams(2), 6.0, 60)[2]
+        assert bound == float.fromhex("0x1.08659488b29e2p-43")
+
     @pytest.mark.parametrize("a", PINNED_3000)
     def test_identity_at_nmax_3000(self, a):
         sides = eta_identity(BergerParams(a), 6.0, 3000)[:2]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -240,6 +241,93 @@ class TestKernel:
         assert run(["kernel", "--config", "c11", "--sphere"], out) == 0
         assert json.loads(out.read_text())["pass"] is True
 
+    def test_basset_at_y_1000(self, tmp_path):
+        """Basset's integral runs to infinity: truncated at t = 2.5e4 it
+        would miss by 3e-8 here, above the 1e-8 tolerance."""
+        out = tmp_path / "k.json"
+        assert run(["kernel", "--y", "1000"], out) == 0
+        (check,) = json.loads(out.read_text())["checks"]
+        assert check["residual"] <= 1e-12
+
+    #: Exit code of ``kernel --y`` across its domain [0, 1e72] and past it.
+    Y_CODES = {
+        "0": 0, "1e-300": 0, "1e-6": 0, "0.1": 0, "30": 0, "100": 0, "700": 0,
+        "746": 0, "1000": 0, "1e5": 0, "1e20": 0, "1e60": 0, "1e74": 2, "1e300": 2,
+    }
+
+    @pytest.mark.parametrize("y, code", Y_CODES.items())
+    def test_exit_code_across_y(self, capsys, tmp_path, y, code):
+        assert run(["kernel", "--y", y], tmp_path / "k.json") == code
+        if code == 2:
+            err = capsys.readouterr().err
+            assert "not a finite float" in err
+            assert len(err.strip().splitlines()) == 1
+
+    #: The stated tolerance of each default check, as float.hex: 1e-8,
+    #: |t^3 ln t| at t = 0.01, 1e-2 / (12 pi^2), 1e-10 * 4 pi / 3 and 1e-10.
+    TOLERANCES = {
+        "basset": "0x1.5798ee2308c3ap-27",
+        "small_argument": "0x1.350c38ab65ff0p-18",
+        "log_coefficient": "0x1.6224a912ebe67p-14",
+        "second_moment_diag": "0x1.cc8ff6689d97cp-32",
+        "sphere_average_sweep": "0x1.b7cdfd9d7bdbbp-34",
+    }
+
+    def test_default_tolerances_are_pinned(self, tmp_path):
+        out = tmp_path / "k.json"
+        assert run(["kernel"], out) == 0
+        checks = json.loads(out.read_text())["checks"]
+        stated = [(c["name"], c["tolerance"]) for c in checks]
+        names = ["basset"] * 5 + list(self.TOLERANCES)[1:]
+        assert stated == [(n, float.fromhex(self.TOLERANCES[n])) for n in names]
+
+    @staticmethod
+    def patches(name, value):
+        """cli functions replaced so that check ``name`` reports ``value``,
+        with the reference of ``REFERENCES``."""
+        diag = [[value, 0.0, 0.0], [0.0, value, 0.0], [0.0, 0.0, value]]
+        return {
+            "basset": {"basset_check": lambda y: (value, 0.0, None)},
+            "small_argument": {
+                "bessel_k1": lambda t: value,
+                "k1_small_argument": lambda t: 0.0,
+            },
+            "log_coefficient": {"log_coefficient_check": lambda t: value},
+            "second_moment_diag": {"second_moment": lambda r: diag},
+            "sphere_average_sweep": {"sphere_average_check": lambda sc: value},
+        }[name]
+
+    REFERENCES = {
+        "basset": 0.0,
+        "small_argument": 0.0,
+        "log_coefficient": cli.LOG_COEFF_TARGET,
+        "second_moment_diag": 4 * math.pi / 3,
+        "sphere_average_sweep": 0.0,
+    }
+
+    @pytest.mark.parametrize("name", TOLERANCES)
+    def test_residual_just_above_tolerance_fails(self, monkeypatch, tmp_path, name):
+        """At its tolerance a check passes; one float further it fails, and
+        the run exits 1 with every other check passing."""
+        reference = self.REFERENCES[name]
+        tol = float.fromhex(self.TOLERANCES[name])
+        above = reference + tol
+        while abs(above - reference) > tol:
+            above = math.nextafter(above, -math.inf)
+        while abs(above - reference) <= tol:
+            above = math.nextafter(above, math.inf)
+        at = math.nextafter(above, -math.inf)
+        for value, code in ((at, 0), (above, 1)):
+            with monkeypatch.context() as m:
+                for attr, fake in self.patches(name, value).items():
+                    m.setattr(cli, attr, fake)
+                out = tmp_path / "k.json"
+                assert run(["kernel"], out) == code
+            checks = json.loads(out.read_text())["checks"]
+            assert {c["name"] for c in checks if not c["pass"]} == (
+                set() if code == 0 else {name}
+            )
+
 
 class TestUsageErrorBeforeWork:
     """Options that cannot go together are refused before any computation."""
@@ -295,9 +383,32 @@ def test_exact_commands_start_without_numpy():
         "import contextlib, io, sys\n"
         "import curlasym.cli as cli\n"
         "assert 'curlasym.berger' in sys.modules\n"
+        "assert 'curlasym.kernel' in sys.modules\n"
+        "loaded = {'numpy', 'scipy'} & set(sys.modules)\n"
+        "assert not loaded, f'import curlasym.cli loaded {loaded}'\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.entry(['asym', '--config', 'c1']) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_kernel_runs_without_scipy():
+    """scipy is test-only: the default kernel checks pass with it blocked."""
+    code = (
+        "import contextlib, io, sys\n"
+        "class BlockScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, BlockScipy())\n"
+        "from curlasym.cli import entry\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert entry(['kernel']) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120

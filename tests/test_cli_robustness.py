@@ -42,7 +42,7 @@ class TestNoHang:
             # K_1 series: both sides of its stopping test underflowed to 0.
             (["kernel", "--y", "1e-320"], "overflows"),
             (["kernel", "--y", "5e-309"], "overflows"),
-            # The quadrature of cos(y t) fails and returned NaN.
+            # Above kernel.BASSET_Y_MAX = 1e72 Basset's check is refused.
             (["kernel", "--y", "1e300"], "not a finite float"),
             # weyl sizes its spectrum as n_max ~ a * lambda, at O(n_max^2) work.
             (["berger", "weyl", "--a", "1e6", "--lambda", "1"], "n_max"),

@@ -11,6 +11,7 @@ import pytest
 from curlasym.configs import UNIT_CONFIG_NAMES, random_config, unit_config
 from curlasym.geometry import CurvatureConfig
 from curlasym.kernel import (
+    BASSET_Y_MAX,
     LOG_COEFF_TARGET,
     basset_check,
     bessel_k1,
@@ -87,6 +88,12 @@ class TestBasset:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             basset_check(-1.0)
+
+    def test_domain_ends_at_named_bound(self):
+        _, _, residual = basset_check(BASSET_Y_MAX)
+        assert residual <= 1e-8
+        with pytest.raises(ValueError, match="not a finite float"):
+            basset_check(math.nextafter(BASSET_Y_MAX, math.inf))
 
 
 class TestLogCoefficient:

@@ -1,7 +1,9 @@
 """Independent oracles for the hand-rolled numerics and series.
 
-scipy's K_1 backs ``bessel_k1``.  sympy's truncated power series
-(``sympy.polys.ring_series``) back the binomial series of
+scipy's K_1 and Gauss-Laguerre nodes back ``bessel_k1``, and scipy's
+adaptive quadrature and mpmath's 2 y K_1(y) back Basset's quadrature in
+``basset_check``; scipy is a test-only dependency.  sympy's truncated power
+series (``sympy.polys.ring_series``) back the binomial series of
 ``binomial_power_jet``, the Neumann series of the inverse metric and the
 norm power jets: each jet is compared with the series of the same function
 computed by sympy from the exact inputs.  A jet truncated at joint order N
@@ -16,6 +18,7 @@ contracted Bianchi identity that every metric obeys, its derivative dRic(0).
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -26,7 +29,7 @@ import pytest
 from curlasym.configs import random_bianchi_config, random_config, unit_config
 from curlasym.exactpoly import VAR_NAMES, TruncatedPoly, binomial_power_jet
 from curlasym.geometry import build_metric_jet, euclid_norm_power_jet, norm_power_jet
-from curlasym.kernel import bessel_k1
+from curlasym.kernel import _gauss_laguerre, basset_check, bessel_k1
 
 from conftest import random_poly
 
@@ -36,6 +39,44 @@ def test_bessel_k1_against_scipy():
     for t in np.geomspace(1e-4, 50, 200):
         ref = float(special.k1(t))
         assert abs(bessel_k1(float(t)) - ref) <= 1e-12 * ref, t
+
+
+def test_golub_welsch_k1_against_scipy_nodes():
+    """K_1 from the Golub-Welsch nodes and from scipy's, on the integral branch."""
+    special = pytest.importorskip("scipy.special")
+    scipy_rule = special.roots_genlaguerre(70, 0.5)
+
+    def k1(t, rule):
+        return math.exp(-t) / t * sum(w * math.sqrt(x + 2 * t) for x, w in zip(*rule))
+
+    for t in np.geomspace(2, 50, 100):
+        t = float(t)
+        ref = k1(t, scipy_rule)
+        assert k1(t, _gauss_laguerre()) == pytest.approx(ref, rel=2e-15, abs=0), t
+
+
+def test_basset_against_scipy_quad_and_mpmath():
+    """Basset's quadrature against mpmath's closed form to rounding, and
+    against scipy's adaptive quadrature over [0, inf) to that quadrature's
+    own accuracy: QAWF (weight cos) from y = 1e-4, where it converges, QAGI
+    on cos(y t) (1 + t^2)^{-3/2} below."""
+    integrate = pytest.importorskip("scipy.integrate")
+    mpmath = pytest.importorskip("mpmath")
+
+    def f(t):
+        return (1 + t * t) ** -1.5
+
+    for y in np.geomspace(1e-6, 1e3, 19):
+        y = float(y)
+        quadrature, _, _ = basset_check(y)
+        assert abs(quadrature - float(2 * y * mpmath.besselk(1, y))) <= 1e-14, y
+        if y >= 1e-4:
+            half, _ = integrate.quad(f, 0, np.inf, weight="cos", wvar=y)
+            tol = 1e-9
+        else:
+            half, _ = integrate.quad(lambda t: math.cos(y * t) * f(t), 0, np.inf)
+            tol = 1e-8
+        assert abs(quadrature - 2 * half) <= tol, y
 
 
 sympy = pytest.importorskip("sympy")

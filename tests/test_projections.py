@@ -461,6 +461,26 @@ class TestSubprincipalCheck:
 
 
 class TestAsymmetryReport:
+    @pytest.fixture(scope="class")
+    def c7(self):
+        """A report whose every trace, correction and value is zero."""
+        rep = asymmetry_report(unit_config("c7"))
+        assert rep.passed
+        assert all(z.is_zero() for z in rep.diag_traces + rep.pt_corrections)
+        return rep
+
+    @pytest.mark.parametrize("degree", [0, -1, -2])
+    def test_nonzero_diag_trace_fails(self, c7, degree):
+        traces = list(c7.diag_traces)
+        traces[-degree] = GaussianRational(Fraction(1, 7))
+        assert not dataclasses.replace(c7, diag_traces=tuple(traces)).passed
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_nonzero_transport_correction_fails(self, c7, index):
+        corrections = list(c7.pt_corrections)
+        corrections[index] = GaussianRational(Fraction(1, 7))
+        assert not dataclasses.replace(c7, pt_corrections=tuple(corrections)).passed
+
     def test_c11(self):
         rep = asymmetry_report(unit_config("c11"))
         assert rep.passed

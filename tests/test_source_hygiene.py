@@ -57,6 +57,38 @@ def test_detector_flags_an_unused_import():
     assert unused_imports(source) == ["line 1: mat_truncate"]
 
 
+def scipy_imports(source: str) -> list:
+    """Lines that import scipy or one of its modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        if any(m.partition(".")[0] == "scipy" for m in modules):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    """scipy is a test-only dependency."""
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detector_flags_a_scipy_import():
+    source = (
+        "import numpy as np\n"
+        "def f():\n"
+        "    from scipy.special import k1\n"
+        "    import os, scipy.integrate as si\n"
+        "from .scipy import x\n"
+    )
+    assert scipy_imports(source) == ["line 3", "line 4"]
+
+
 #: Public functions that only tests call, kept because each is the subject of
 #: a check of the paper: the Poisson bracket, adjoint, transport and
 #: subprincipal identities, the norm power and d/delta symbols, the Berger
