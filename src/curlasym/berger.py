@@ -233,9 +233,6 @@ class SpectrumTable:
                 f"{series},{n},{l},{v!r},{m}\n" for (series, n, l), v, m in rows
             )
 
-    def to_csv(self) -> str:
-        return "".join(self.csv_chunks())
-
 
 def _check_nmax(n_max: int, low: int) -> None:
     if not low <= n_max <= MAX_NMAX:

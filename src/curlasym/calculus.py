@@ -15,11 +15,8 @@ conjugation J of graded jets, (JQ)_k = (-1)^k conj(Q_k), which respects
 composition.
 
 Composing B A differentiates the levels of B in eta and those of A in x.
-A caller that composes the same levels several times may pass ``compose`` a
-derivative table, a plain dict that it owns: each derivative of a level
-object is then formed once for as long as the caller keeps the table
-(``projections.run_algorithm`` keeps one per call).  Without a table, each
-compose forms its own and drops it on return.
+Each compose forms every derivative it needs once and drops them on return:
+no derivative state is shared between calls.
 """
 
 from __future__ import annotations
@@ -188,20 +185,13 @@ def _mat_order(m: Matrix) -> int:
     return m[0][0].order
 
 
-def compose(b: SymbolJet, a: SymbolJet, levels=None, table=None) -> SymbolJet:
+def compose(b: SymbolJet, a: SymbolJet, levels=None) -> SymbolJet:
     """Symbol of the composition B A on the graded truncation schedule.
 
     Output level L collects (1 / (i^k m!)) (d_eta^m b_jb) (d_x^m a_ja) over
     all jb + ja + |m| = L; the SymbolJet constructor truncates each level sum
     to order accuracy - L.  Only the given ``levels`` (default: all) are
     built, and no derivative that only other levels need; the rest are zero.
-
-    Each derivative is formed once per ``table``, a dict that several
-    composes may share (default: a fresh one for this call).  It maps
-    (id(level), side, m) to the level matrix and its d_eta^m (side 0) or
-    d_x^m (side 1), None when zero.  Holding the level keeps its id from
-    being reused, so an entry stays valid for as long as the table lives,
-    and it serves every jet that carries that same level object.
     """
     if b.accuracy != a.accuracy:
         raise ValueError("accuracy mismatch")
@@ -212,45 +202,44 @@ def compose(b: SymbolJet, a: SymbolJet, levels=None, table=None) -> SymbolJet:
     if not wanted <= set(range(n + 1)):
         raise ValueError(f"levels {sorted(wanted)} outside 0..{n}")
     out_shape = (b.shape[0], a.shape[1])
-    if table is None:
-        table = {}
 
-    def deriv(side: int, level: Matrix, m: tuple) -> Matrix | None:
-        """d_eta^m (side 0) or d_x^m (side 1) of a level, formed from the
-        derivative one order below it.
+    cache: dict = {}
+
+    def deriv(side: int, level: int, m: tuple) -> Matrix | None:
+        """d_eta^m of b's level (side 0) or d_x^m of a's level (side 1),
+        formed from the derivative one order below it.
 
         A zero derivative is recorded once, as None, and so are all of its
         own derivatives.
         """
-        key = (id(level), side, m)
-        entry = table.get(key)
-        if entry is None:
+        key = (side, level, m)
+        if key not in cache:
             if not any(m):
-                d = level
+                d = (b, a)[side].components[level]
             else:
                 i = next(j for j in range(3) if m[j] > 0)
                 prev = deriv(side, level, m[:i] + (m[i] - 1,) + m[i + 1 :])
                 var = (ETA_VARS, X_VARS)[side][i]
                 d = None if prev is None else mat_diff(prev, var)
-            entry = table[key] = (level, None if d is None or mat_is_zero(d) else d)
-        return entry[1]
+            cache[key] = None if d is None or mat_is_zero(d) else d
+        return cache[key]
 
     # Order n is at or above every level's schedule, so each level sum takes
     # the order of its terms.
     out = [zero_mat(out_shape, n)] * (n + 1)
 
-    for jb, b_level in enumerate(b.components):
-        if deriv(0, b_level, (0, 0, 0)) is None:
+    for jb in range(n + 1):
+        if deriv(0, jb, (0, 0, 0)) is None:
             continue
-        for ja, a_level in enumerate(a.components[: n + 1 - jb]):
-            if deriv(1, a_level, (0, 0, 0)) is None:
+        for ja in range(n + 1 - jb):
+            if deriv(1, ja, (0, 0, 0)) is None:
                 continue
             for level in wanted.intersection(range(jb + ja, n + 1)):
                 for m in _multi_indices(level - jb - ja):
-                    bm = deriv(0, b_level, m)
+                    bm = deriv(0, jb, m)
                     if bm is None:
                         continue
-                    am = deriv(1, a_level, m)
+                    am = deriv(1, ja, m)
                     if am is None:
                         continue
                     term = mat_scale(mat_mul(bm, am), _WEIGHT[m])

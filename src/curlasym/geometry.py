@@ -103,11 +103,6 @@ class CurvatureConfig:
         z = ((0, 0, 0),) * 3
         return CurvatureConfig(z, (z, z, z))
 
-    def is_flat(self) -> bool:
-        return all(v == 0 for row in self.ric0 for v in row) and all(
-            v == 0 for m in self.dric0 for row in m for v in row
-        )
-
     def scalar0(self) -> object:
         return sum(self.ric0[i][i] for i in range(3))
 
@@ -210,15 +205,12 @@ def riemann_from_ricci(cfg: CurvatureConfig):
 class MetricJet:
     """All geometric jets derived from one curvature configuration."""
 
-    __slots__ = (
-        "config", "order", "g", "g_inv", "rho", "rho_inv", "gamma", "riem0", "driem0"
-    )
+    __slots__ = ("config", "order", "g", "g_inv", "rho", "gamma", "riem0", "driem0")
     config: CurvatureConfig
     order: int
     g: Matrix
     g_inv: Matrix
     rho: TruncatedPoly
-    rho_inv: TruncatedPoly
     gamma: tuple
     riem0: tuple
     driem0: tuple
@@ -286,7 +278,7 @@ def build_metric_jet(cfg: CurvatureConfig, order: int = 3) -> MetricJet:
         power = mat_mul(power, h)
         sign = -sign
 
-    # Riemannian density rho = sqrt(det g) and its inverse.
+    # Riemannian density rho = sqrt(det g).
     det = reduce(
         poly_add,
         (
@@ -296,7 +288,6 @@ def build_metric_jet(cfg: CurvatureConfig, order: int = 3) -> MetricJet:
     )
     u = det - TruncatedPoly.constant(1, order)
     rho = binomial_power_jet(u, Fraction(1, 2))
-    rho_inv = binomial_power_jet(u, Fraction(-1, 2))
 
     # Christoffel symbols from the first-derivative formula; one order lower.
     dg = tensor(lambda a, b, c: poly_diff(g[a][b], c), 3)
@@ -311,7 +302,7 @@ def build_metric_jet(cfg: CurvatureConfig, order: int = 3) -> MetricJet:
         3,
     )
 
-    return MetricJet(cfg, order, g, g_inv, rho, rho_inv, gamma, riem0, driem0)
+    return MetricJet(cfg, order, g, g_inv, rho, gamma, riem0, driem0)
 
 
 def _quadratic_cubic(order: int, constant, quadratic, cubic) -> TruncatedPoly:

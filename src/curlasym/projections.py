@@ -124,11 +124,9 @@ def run_algorithm(mj: MetricJet, aleph: str, accuracy: int) -> ProjectionFamily:
     iteration repeats.  All intermediates (R, S, T, X) are recorded for audit.
     Step k composes P P at levels k - 1 and k only: level j depends on the
     components 0..j of P alone, final from step j on, so each level below the
-    top is asserted zero once, at the step after it is set.  The composes of
-    one call share one derivative table (see ``compose``), which lives as
-    long as the call.  The SymbolJet constructor keeps a level already at its
-    order as the same object, so each derivative of a curl level or of a
-    finished P level is formed once per call.
+    top is asserted zero once, at the step after it is set.  The step reads
+    only level k of the commutation defect P curl - curl P, so it composes
+    both commutators at level k alone.
     """
     if aleph not in LABELS:
         raise ValueError(f"unknown branch label {aleph!r}")
@@ -143,10 +141,9 @@ def run_algorithm(mj: MetricJet, aleph: str, accuracy: int) -> ProjectionFamily:
 
     comps = [prin[aleph]]
     p = SymbolJet(0, n, (3, 3), comps)
-    table: dict = {}
     steps = []
     for k in range(1, n + 1):
-        idem = compose(p, p, (k - 1, k), table) - p
+        idem = compose(p, p, (k - 1, k)) - p
         if not mat_is_zero(idem.components[k - 1]):
             raise AssertionError(f"idempotency defect at level {k - 1} before step {k}")
         r_mat = mat_neg(idem.components[k])
@@ -154,7 +151,7 @@ def run_algorithm(mj: MetricJet, aleph: str, accuracy: int) -> ProjectionFamily:
             mat_add(mat_mul(prin[aleph], r_mat), mat_mul(r_mat, prin[aleph])),
             r_mat,
         )
-        comm = compose(p, curl_jet, table=table) - compose(curl_jet, p, table=table)
+        comm = compose(p, curl_jet, (k,)) - compose(curl_jet, p, (k,))
         t_mat = mat_add(comm.components[k], mat_commutator(s_mat, curl_prin))
         x_mat = s_mat
         for beth in LABELS:
@@ -179,9 +176,8 @@ def verify_projection(fam: ProjectionFamily) -> dict:
     Idempotency must hold exactly at every graded level 0..N; commutation
     with the curl symbol at levels 0..N-1.  The level-N commutation residual
     is reported informationally.  The compositions are the full ones, with
-    the curl symbol the family was built from, and share no derivative
-    table.  Both checks always run; first_failure names the idempotency
-    failure when there is one.
+    the curl symbol the family was built from.  Both checks always run;
+    first_failure names the idempotency failure when there is one.
     """
     n = fam.jet.accuracy
     idem = compose(fam.jet, fam.jet) - fam.jet

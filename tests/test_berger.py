@@ -110,7 +110,7 @@ class TestCurlSpectrum:
 
     def test_csv_format(self):
         t = curl_spectrum(BergerParams(1), 3)
-        lines = t.to_csv().splitlines()
+        lines = "".join(t.csv_chunks()).splitlines()
         assert lines[0] == "series,n,l,value,multiplicity"
         assert len(lines) == len(t.entries) + 1
 

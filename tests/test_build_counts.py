@@ -9,8 +9,9 @@ is given, so ``asym --sweep`` builds one per configuration.  The curl symbol
 ``asymmetry_report`` runs the construction for the "+" branch only;
 ``project`` runs it for every requested branch.
 A matrix product multiplies only its pairs of non-zero entries, and each
-construction step composes only the idempotency levels it reads.  The
-composes of one construction share one derivative table.
+construction step composes only the levels it reads: levels k - 1 and k of
+P P, and level k of both commutators with curl.  Each compose forms its own
+derivatives.
 """
 
 from __future__ import annotations
@@ -148,23 +149,23 @@ def _polymat_calls(monkeypatch, name: str) -> list:
 def test_run_algorithm_mat_mul_calls(monkeypatch):
     """Every matrix product of one accuracy-3 construction on c11, counted in
     every module that calls ``mat_mul``: one in the metric jet's Neumann
-    series, 139 in ``run_algorithm``.  Step k composes P P at levels k - 1
-    and k only; composing it at every level made 163 products in all."""
+    series, 96 in ``run_algorithm``.  Step k composes P P at levels k - 1
+    and k and the commutators at level k only; composing the commutators at
+    every level made 140 products in all, and P P too, 163."""
     calls = _polymat_calls(monkeypatch, "mat_mul")
     run_algorithm(build_metric_jet(unit_config("c11")), "+", 3)
-    assert len(calls) == 140
+    assert len(calls) == 97
 
 
 def test_run_algorithm_mat_diff_calls(monkeypatch):
     """Matrix derivatives of one accuracy-3 construction on c11, counted in
-    every module that calls ``mat_diff``.  The composes of ``run_algorithm``
-    share one derivative table, so each derivative of a curl level or a
-    finished P level is formed once: 74 calls (234 when each compose
-    differentiated afresh).  ``verify_projection`` composes without a table,
-    the independent check, and still makes its 108."""
+    every module that calls ``mat_diff``.  Each compose of ``run_algorithm``
+    forms the derivatives its levels need: 177 calls (234 with the
+    commutators composed at every level).  ``verify_projection`` composes
+    the full jets, the independent check, and makes 108."""
     calls = _polymat_calls(monkeypatch, "mat_diff")
     fam = run_algorithm(build_metric_jet(unit_config("c11")), "+", 3)
-    assert len(calls) == 74
+    assert len(calls) == 177
     calls.clear()
     assert verify_projection(fam)["pass"]
     assert len(calls) == 108

@@ -13,8 +13,6 @@ from itertools import combinations, product
 from operator import getitem
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from curlasym.calculus import (
     SymbolJet,
@@ -181,40 +179,6 @@ class TestCompose:
                             assert m == full.components[k]
                         else:
                             assert mat_is_zero(m)
-
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        accuracy=st.integers(1, 3),
-        levels=st.none() | st.sets(st.integers(0, 3)),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_shared_derivative_table(self, seed, accuracy, levels):
-        """Composes that share one derivative table equal composes without
-        one, level by level.  The table serves the levels that a rebuilt jet
-        keeps; the one level it replaces, and the levels of jets dropped
-        between composes (whose ids may be reused), are not read from it."""
-        rng = random.Random(seed)
-        if levels is not None:
-            levels = sorted(k for k in levels if k <= accuracy)
-        table: dict = {}
-
-        def check(b, a):
-            shared = compose(b, a, levels, table)
-            assert shared.components == compose(b, a, levels).components
-
-        a = random_jet(rng, accuracy, density=0.2)
-        b = random_jet(rng, accuracy, density=0.2)
-        for left, right in ((a, b), (b, a), (a, a)):
-            check(left, right)
-        for _ in range(3):
-            check(random_jet(rng, accuracy, density=0.2), a)
-        k = rng.randrange(accuracy + 1)
-        comps = list(a.components)
-        comps[k] = random_matrix(rng, accuracy - k, density=0.2)
-        rebuilt = SymbolJet(0, accuracy, (3, 3), comps)
-        for left, right in ((rebuilt, b), (b, rebuilt), (rebuilt, a), (a, rebuilt)):
-            check(left, right)
-        check(rebuilt, rebuilt)
 
     def test_level_outside_schedule_is_refused(self):
         rng = random.Random(47)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -92,7 +92,7 @@ def mono(exps, num, den=1):
 class TestCurvatureConfig:
     def test_flat(self):
         cfg = CurvatureConfig.flat()
-        assert cfg.is_flat()
+        assert cfg == CurvatureConfig(((0, 0, 0),) * 3, (((0, 0, 0),) * 3,) * 3)
         assert cfg.scalar0() == 0
 
     def test_scalar_contractions(self):
@@ -265,7 +265,16 @@ class TestMetricJet:
             mj = build_metric_jet(cfg, order=3)
             prod = mat_mul(mj.g, mj.g_inv)
             assert mat_is_zero(mat_sub(prod, identity_mat(3)))
-            assert poly_mul(mj.rho, mj.rho_inv) == TruncatedPoly.constant(1, 3)
+            det = sum(
+                (
+                    poly_mul(poly_mul(mj.g[0][i], mj.g[1][j]), mj.g[2][k]).scale(
+                        epsilon(i, j, k)
+                    )
+                    for i, j, k in permutations(range(3))
+                ),
+                TruncatedPoly.zero(3),
+            )
+            assert poly_mul(mj.rho, mj.rho) == det
             assert mj.g == mat_transpose(mj.g)
 
     @pytest.mark.parametrize("order", (3, 4))

@@ -13,6 +13,7 @@ from curlasym.geometry import CurvatureConfig
 from curlasym.kernel import (
     BASSET_Y_MAX,
     LOG_COEFF_TARGET,
+    SingularCoefficient,
     basset_check,
     bessel_k1,
     k1_small_argument,
@@ -180,6 +181,16 @@ class TestSphereQuadrature:
             sc = singular_coefficient(random_config(rng))
             for r in (0.5, 1.0, 3.0):
                 assert abs(sphere_average_check(sc, r=r)) <= 1e-10
+
+    def test_non_trace_free_average_at_radius_two(self):
+        """Positive control: a coefficient of trace 3 averages to exactly
+        tr(C) / (3 pi^2) at every radius, off-diagonal entries included; a
+        division by r instead of r^2 would double it at r = 2."""
+        rows = ((1, 2, 0), (2, -3, 1), (0, 1, 5))
+        sc = SingularCoefficient(tuple(tuple(map(Fraction, row)) for row in rows))
+        assert sc.trace() == 3
+        expect = 3 / (3 * math.pi**2)
+        assert sphere_average_check(sc, r=2.0) == pytest.approx(expect, rel=1e-14)
 
     def test_radius_validation(self):
         sc = singular_coefficient(unit_config("c11"))

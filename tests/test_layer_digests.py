@@ -52,7 +52,7 @@ from conftest import eigenprojections, random_jet
 
 CONFIGS = ("c1", "c11", "c17", "seed1", "seed2")
 TRANSPORT_TAGS = ("origin_to_y", "y_to_origin", ("y_to_tau_y", Fraction(1, 2)))
-MJ_FIELDS = ("g", "g_inv", "rho", "rho_inv", "gamma", "riem0", "driem0")
+MJ_FIELDS = ("g", "g_inv", "rho", "gamma", "riem0", "driem0")
 
 
 def _config(name: str):
@@ -139,7 +139,6 @@ PINNED = {
         "mj3.g_inv": "d1075b704d2925fd628a381773f523b75867f28017af33385c647169dbb301c1",
         "mj3.gamma": "1388217042f1798ece1b5daeb024dc3a39bf322c18af8455332b06e6d4c06529",
         "mj3.rho": "be92185620c631cfd1d792a647a2277c68c6c4623f24456b49e68a0a4e7d9d73",
-        "mj3.rho_inv": "d579ad68ec8efb3bafe01ac49e67a2c853d0a3a98ed59370bf8bb98b036259c6",
         "mj3.riem0": "9d8bf3adea6da20585096fbf12ef920e3f511a8df7b1af5873302ea30d133ff8",
         "mj4.d2gamma0": "9d322e12711f75f33030b618293f7e6f5b536fc9f22077a81988daeac678a42f",
         "mj4.driem0": "822e08fb724691937a7e83aeb464afd7246036104d4691c88c32626838e025e3",
@@ -148,7 +147,6 @@ PINNED = {
         "mj4.g_inv": "3cd8b85c16684de455357ebfb70bdab3abffc1198bfe1e0258be59d396a60167",
         "mj4.gamma": "5f00388918efd2344a3decb2fd3d80525438d98518e2207b42a81d70f8a39987",
         "mj4.rho": "d916604e46815b0be5ea13de656f2b8b3c73e310b028f0bfd6aa896d63aab119",
-        "mj4.rho_inv": "f73d6e42a2bd9f866cdd7e41ce0acd4f075c5df0bcd04310c8d9bf5ee8def744",
         "mj4.riem0": "9d8bf3adea6da20585096fbf12ef920e3f511a8df7b1af5873302ea30d133ff8",
         "transport.('y_to_tau_y', Fraction(1, 2))": "db4fc6af122e2a3be70bbc8ba80dde1b5e623f3a1801b0815b69c87f243d3d98",
         "transport.origin_to_y": "60a5997687bbb29de4e18f63d985d9f85c2348a5265fb8ae0fd0c1d6801e6833",
@@ -165,7 +163,6 @@ PINNED = {
         "mj3.g_inv": "3147165112b4953d47d231af2ccb3a235c3448d34f9dd6a17a4d8063cee2c879",
         "mj3.gamma": "df0fd421016d4315bdbcc1216ec5d727b42af2ec54133d9ef9f381a0cba5de9d",
         "mj3.rho": "784703fcb9ffb3857d6be8d6af24f3280afa6cae70becb9126387e2336ae2632",
-        "mj3.rho_inv": "9f6ebd4cf13bce14fdf77dec97876f5a3856ded74880f40f58eb40f5d17f6e6e",
         "mj3.riem0": "771a75daa31314af4c566a6cf821a72eaba02f28897cb58bfb99a0fe404b6319",
         "mj4.d2gamma0": "ba57a97ebf097e2cf6ce7fa74454573fb229897e7fb0d1b2e8b49186e0136c5c",
         "mj4.driem0": "18aa276ff3ae97305484543cd0fa9526d08f6f994c7c3eae72fc5d8e661b2027",
@@ -174,7 +171,6 @@ PINNED = {
         "mj4.g_inv": "b30619aea31aefe155776fbf85be57f45554c53a753038a3c01edb89409cfb65",
         "mj4.gamma": "57c3f877ebfc3178747de70b06909ff4346a53e00dc86240a0f2e8278e5785d5",
         "mj4.rho": "c7c31c4855f577ab59dfe032e540a8b0c250fe09bb8e8cfaa40dfe4a3310f933",
-        "mj4.rho_inv": "594967fe2971ae5d574c95b3eafd44e837ffcc05f495cf55d3403c4849719ef7",
         "mj4.riem0": "771a75daa31314af4c566a6cf821a72eaba02f28897cb58bfb99a0fe404b6319",
         "transport.('y_to_tau_y', Fraction(1, 2))": "cc76d8a24e79ee2160d245572e005b7e8f938b284a2eb50017ad8265a10648e6",
         "transport.origin_to_y": "429350f8805a67e69aebf6f7ffb4c3f05ea2c2d0fa0a39ed9e3c03a0aa47bcc0",
@@ -191,7 +187,6 @@ PINNED = {
         "mj3.g_inv": "56f2a75b4e3129da7627e75e24975630c8500af7279ccaaa19b988330ef7e89b",
         "mj3.gamma": "ada60865415baaedd33dc52d53a3ff237802d8d03307794b66df03f5b3143042",
         "mj3.rho": "b4373f8ba3c68520d0f3296d8ee01e5a9e053db722cc84bc142d121d21afa518",
-        "mj3.rho_inv": "69be9cc38fa6bb1156a60d1acdf34a1334370c48f02f28dfbe46ee37a5ac2c2d",
         "mj3.riem0": "771a75daa31314af4c566a6cf821a72eaba02f28897cb58bfb99a0fe404b6319",
         "mj4.d2gamma0": "b1690ca6dbe3b67f8aa3b1889bee53c530388a318bf9dbc9c48f533afb2ad753",
         "mj4.driem0": "86841edfcb4cc1bd7d5a26ec86e7bbd8862230d1f2c8c954367b06df65287b9a",
@@ -200,7 +195,6 @@ PINNED = {
         "mj4.g_inv": "cde1051aa556260895a50b7c4ef6867d32726cd5de096ecb95fda344f2b6f3db",
         "mj4.gamma": "060a2cf3ac46e149ca28d41c022ea24baafa201b30175e2ae8e0195355eaa134",
         "mj4.rho": "fc4bc917f827a20b79e7d6d92dc114ebed35c83cb74e229cb9dc5a90146bb143",
-        "mj4.rho_inv": "1b5d67d5da2f50857852724b3e45d94cb27ff65c92d8911921c16fea1e5f5195",
         "mj4.riem0": "771a75daa31314af4c566a6cf821a72eaba02f28897cb58bfb99a0fe404b6319",
         "transport.('y_to_tau_y', Fraction(1, 2))": "234c423b759b09958aa6a50307c02caaa8fc42773bb1a673db4c197f8de47eec",
         "transport.origin_to_y": "4dba20f5cf4d3ee203f1f5c3abf1404affad146567c95ead5b3a3ebe5daa5435",
@@ -217,7 +211,6 @@ PINNED = {
         "mj3.g_inv": "ad1f714f3caee32d3830b44c53200ae16673351aa2f2be56177319c5df612292",
         "mj3.gamma": "7c70193c57322a83c2899ce6c8a2ed993522d992876d8b218ee843de2737504b",
         "mj3.rho": "8cd6ffffb643ef319966f57cefa87101c14dcb099cc48606014a23bf94355be8",
-        "mj3.rho_inv": "54d29d979d2ed2279e94fa35448793b8085b348570976d5601d776b59d314623",
         "mj3.riem0": "67177b5242535ed90dca3070dd799d5cd120ecb241e1c6bda5dfd70f10c09b9f",
         "mj4.d2gamma0": "b9b846967b65e0c07ba67af8c55e589040a3e98fdc9e25eb447aaf121d8d2a2c",
         "mj4.driem0": "fbc8c8c8a9d83e15b300aca6b8725d6ac594159769796e517d33c4516600dad7",
@@ -226,7 +219,6 @@ PINNED = {
         "mj4.g_inv": "5e1b9d48d8a83101bd9cd8a55b66dfb4a5a980b407d9c331aa9a76d1cfacae83",
         "mj4.gamma": "c26c4522ad0879d46d590254a066b11f4f73a1cd63d794c3abb4d0c333c73de0",
         "mj4.rho": "2df545a5f4957247a870bf5a0b92860400102b1b3ad93b994aefb519ee5a951b",
-        "mj4.rho_inv": "44707eea692f47a0a65e41e15cb2b01297a4c282cc01afab60e6c18118409b2f",
         "mj4.riem0": "67177b5242535ed90dca3070dd799d5cd120ecb241e1c6bda5dfd70f10c09b9f",
         "transport.('y_to_tau_y', Fraction(1, 2))": "29810988becaea2b712e371904c4e57ca4a73d8b5fa0a772ffee08b8a693464f",
         "transport.origin_to_y": "d347b380910244f43e185753f7af5f1984b4761dcf7f780a424871699f6bbe54",
@@ -243,7 +235,6 @@ PINNED = {
         "mj3.g_inv": "503be43e239f30965fab916e804a0f69c085569d12648611c84b47f9bf3e20e0",
         "mj3.gamma": "33eea0b05ac06f48a8bbfcfce4ef8d23dbae000d20bf9345612e321ebdb147ea",
         "mj3.rho": "234d719ff45e97a3c8e5989da2ba62d9feb00df53e8c56b51c76240a29b114aa",
-        "mj3.rho_inv": "30d26cb6d738b98c5c9d3d18bc4ff0c7b875e95433ae94abfee89eae5cf79ef3",
         "mj3.riem0": "e4e19c379a453d78bc63b41dca000b2edffe330899cda5e0fc566962ac6e9651",
         "mj4.d2gamma0": "74ce562acd630bec4863ccb98561abd5bee158a29d39cf18b6aac20451b09064",
         "mj4.driem0": "4109ed12d43b3d8135d077a25506cd820ebea7cca235347326260daf4d64e173",
@@ -252,7 +243,6 @@ PINNED = {
         "mj4.g_inv": "1ef3a307a1a71aaf56e5847ddf17eccca3f61e2c2e46e21edeb722864b9096d1",
         "mj4.gamma": "8f06a7b9cfe7aa89929f4236731dc63998a88d491cb5d5a8018ae0bb3e7282d8",
         "mj4.rho": "49074b38b9cf0faa4ef57ac1053c6b47c77c7ceb8023e19e656c5cc5367a2a82",
-        "mj4.rho_inv": "e8c8e076366bfef76872a47999b07cf08500a05d75a0721bbf435e6bae7892ce",
         "mj4.riem0": "e4e19c379a453d78bc63b41dca000b2edffe330899cda5e0fc566962ac6e9651",
         "transport.('y_to_tau_y', Fraction(1, 2))": "ac7f5c06a63c1cd9ff24a9cb5ea74442c7609c6af6b6fd4e29713244980490c9",
         "transport.origin_to_y": "8c28745d7eef91c87bd8c3ec669ca8439e93f9793a75b976b0f73cc2c893bfae",

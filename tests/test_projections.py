@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from curlasym.calculus import SymbolJet, compose
+from curlasym import projections
+from curlasym.calculus import SymbolJet, compose, subprincipal
 from curlasym.configs import UNIT_CONFIG_NAMES, random_config, unit_config
 from curlasym.exactpoly import (
     GaussianRational,
@@ -26,6 +27,7 @@ from curlasym.geometry import (
 from curlasym.polymat import (
     identity_mat,
     mat_add,
+    mat_commutator,
     mat_conj,
     mat_is_zero,
     mat_mul,
@@ -421,6 +423,24 @@ class TestVerifyProjection:
         assert report["first_failure"]["kind"] == "idempotency"
         assert report["first_failure"]["degree"] == -1
 
+    @pytest.mark.parametrize("accuracy", [1, 2, 3])
+    def test_curl_perturbed_at_last_checked_level_fails(self, accuracy):
+        """A constant that does not commute with P_0, added to the curl
+        symbol at level n - 1 only, leaves the family idempotent; commutation
+        must fail at that level, degree 2 - n, the last one it checks."""
+        n = accuracy
+        fam = _grid_family("c11", "+", n)
+        e = _gmat({(0, 2): {(0,) * 6: ((1, 1), (0, 1))}}, 1)
+        assert not mat_is_zero(mat_commutator(fam.jet.principal(), e))
+        comps = list(fam.curl_jet.components)
+        comps[n - 1] = mat_add(comps[n - 1], e)
+        curl = dataclasses.replace(fam.curl_jet, components=comps)
+        report = verify_projection(dataclasses.replace(fam, curl_jet=curl))
+        assert report["idempotency_pass"] is True
+        assert report["commutation_pass"] is False
+        assert report["first_failure"]["kind"] == "commutation"
+        assert report["first_failure"]["degree"] == 2 - n
+
     def test_family_report_is_json_serializable(self):
         fam = run_algorithm(build_metric_jet(unit_config("c1")), "+", 2)
         text = json.dumps(
@@ -459,6 +479,19 @@ class TestSubprincipalCheck:
         bad_fam = dataclasses.replace(fam, mj=bad_mj)
         assert not mat_is_zero(subprincipal_check(bad_fam))
 
+    @pytest.mark.parametrize("var", [X1, X2, X3], ids=["x1", "x2", "x3"])
+    def test_base_variable_terms_are_restricted(self, var):
+        """A term linear in one base variable, added to level 1, reaches the
+        subprincipal symbol but vanishes at x = 0, so the check still
+        passes."""
+        fam = _grid_family("c11", "+", 3)
+        comps = list(fam.jet.components)
+        comps[1] = mat_add(comps[1], _gmat({(0, 1): {var: ((1, 1), (0, 1))}}, 2))
+        jet = dataclasses.replace(fam.jet, components=comps)
+        added = mat_sub(subprincipal(jet, fam.mj), subprincipal(fam.jet, fam.mj))
+        assert not mat_is_zero(added)
+        assert mat_is_zero(subprincipal_check(dataclasses.replace(fam, jet=jet)))
+
 
 class TestAsymmetryReport:
     @pytest.fixture(scope="class")
@@ -480,6 +513,21 @@ class TestAsymmetryReport:
         corrections = list(c7.pt_corrections)
         corrections[index] = GaussianRational(Fraction(1, 7))
         assert not dataclasses.replace(c7, pt_corrections=tuple(corrections)).passed
+
+    def test_transport_corrections_at_levels_two_and_three(self, monkeypatch):
+        """The report takes the corrections at levels 2 and 3: a stand-in
+        that is non-zero at level 3 alone must make it fail."""
+        levels = []
+
+        def stand_in(q0, mj, level, qm1):
+            levels.append(level)
+            return GaussianRational(level - 2)
+
+        monkeypatch.setattr(projections, "transport_correction", stand_in)
+        rep = asymmetry_report(unit_config("c7"))
+        assert levels == [2, 3]
+        assert rep.pt_corrections == (GaussianRational(0), GaussianRational(1))
+        assert not rep.passed
 
     def test_c11(self):
         rep = asymmetry_report(unit_config("c11"))
