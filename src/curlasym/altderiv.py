@@ -15,6 +15,7 @@ asymmetry value can feel.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -149,23 +150,20 @@ def _derivative_term(
     return mat_poly_scale(out, weight)
 
 
-#: Per order, the Euclidean jets of the hierarchy, which do not depend on
-#: the metric: |xi|^-1, |xi|^-2, the eta derivatives d^I |xi| of rank 0 to 3
-#: and the transport weights xi^mu / |xi|^2.  Filled on first use.
-_EUCLID: dict[int, tuple] = {}
-
-
+@functools.cache
 def _euclid_jets(order: int) -> tuple:
-    if order not in _EUCLID:
-        eu1 = euclid_norm_power_jet(1, order)
-        eum2 = euclid_norm_power_jet(-2, order)
-        _EUCLID[order] = (
-            euclid_norm_power_jet(-1, order),
-            eum2,
-            _sorted_partials(lambda p, v: poly_diff(p, ETA_VARS[v]), eu1, 3),
-            tuple(poly_mul(eum2, x) for x in xi_polys(order)),
-        )
-    return _EUCLID[order]
+    """The Euclidean jets of the hierarchy at one order, which do not depend
+    on the metric: |xi|^-1, |xi|^-2, the eta derivatives d^I |xi| of rank 0
+    to 3 and the transport weights xi^mu / |xi|^2.  Formed once per order
+    and process."""
+    eu1 = euclid_norm_power_jet(1, order)
+    eum2 = euclid_norm_power_jet(-2, order)
+    return (
+        euclid_norm_power_jet(-1, order),
+        eum2,
+        _sorted_partials(lambda p, v: poly_diff(p, ETA_VARS[v]), eu1, 3),
+        tuple(poly_mul(eum2, x) for x in xi_polys(order)),
+    )
 
 
 @dataclass(frozen=True)

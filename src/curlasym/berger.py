@@ -406,16 +406,13 @@ def _exact_sums(chunks: Iterable[tuple], *whats: str) -> list[tuple[float, float
     return sums
 
 
-def _powers(
-    a: float, s: float, n_max: int, with_curl: bool = True
-) -> Iterator[tuple[np.ndarray, ...]]:
+def _powers(a: float, s: float, n_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     """Per run of the Laplacian rows 1 <= n <= n_max (mu > 0): mu, w, the
     multiplicities m, the theta brackets x - y of x = (w + a)^-s and
     y = (w - a)^-s, and the run's curl terms sign(v) m |v|^-s in one array:
     m x, then -m y, of the pairs a + w, a - w of the rows of n >= 2, where
-    series I and II take the places of the pairs of the rows l = 0.  With
-    with_curl false, None stands in place of the curl terms, which are not
-    built."""
+    series I and II take the places of the pairs of the rows l = 0.  Every
+    caller gets the curl terms; the theta-only ones ignore them."""
     import numpy as np
 
     _check_nmax(n_max, 0)
@@ -423,9 +420,6 @@ def _powers(
         mu, mults, w, pair_mults, first, one_two, one_two_mults = _pair_block(a, n0, n1)
         x, y = (w + a) ** -s, (w - a) ** -s
         bracket = x - y
-        if not with_curl:
-            yield mu, w, mults, bracket, None
-            continue
         skip = int(n0 == 1)  # n = 1 has one row, l = 0, and no curl terms
         curl = np.empty((2, mu.size - skip))
         np.multiply(pair_mults[skip:], x[skip:], out=curl[0])
@@ -466,7 +460,7 @@ def zeta(s: float) -> float:
 def theta_partial(p: BergerParams, s: float, n_max: int) -> float:
     """The Laplacian-indexed series of the eta decomposition."""
     a = p.a_float
-    runs = _powers(a, s, n_max, with_curl=False)
+    runs = _powers(a, s, n_max)
     brackets = ((m * bracket,) for _, _, m, bracket, _ in runs)
     return _exact_sums(brackets, f"the theta sum at a={a}, s={s}")[0][0]
 
@@ -540,7 +534,7 @@ def hitchin_remainder(p: BergerParams, s: float, n_max: int) -> float:
     """
     a = p.a_float
     worst = 0.0
-    for mu, w, _, bracket, _ in _powers(a, s, n_max, with_curl=False):
+    for mu, w, _, bracket, _ in _powers(a, s, n_max):
         expansion = -2 * s * a * w ** -(s + 1)
         expansion -= s * (s + 1) * (s + 2) / 3 * a**3 * w ** -(s + 3)
         scaled = abs(bracket - expansion) * mu**2

@@ -21,14 +21,13 @@ no derivative state is shared between calls.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import getitem
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .exactpoly import (
     ETA_VARS,
@@ -39,7 +38,6 @@ from .exactpoly import (
     GaussianRational,
     coefficient_reader,
     monomial,
-    poly_from_dict,
 )
 from .polymat import (
     Matrix,
@@ -159,26 +157,6 @@ class SymbolJet:
             "shape": list(self.shape),
             "components": [mat_to_dict(m) for m in self.components],
         }
-
-    @staticmethod
-    def from_dict(data: Mapping) -> "SymbolJet":
-        comps = [
-            tuple(tuple(poly_from_dict(p) for p in row) for row in m)
-            for m in data["components"]
-        ]
-        return SymbolJet(
-            int(data["top_degree"]),
-            int(data["accuracy"]),
-            tuple(data["shape"]),
-            comps,
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
-
-    @staticmethod
-    def loads(text: str) -> "SymbolJet":
-        return SymbolJet.from_dict(json.loads(text))
 
 
 def _mat_order(m: Matrix) -> int:

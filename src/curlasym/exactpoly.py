@@ -540,11 +540,3 @@ def poly_to_dict(p: TruncatedPoly) -> dict:
             for k, (re, im) in terms
         ],
     }
-
-
-def poly_from_dict(data: Mapping) -> TruncatedPoly:
-    terms = {}
-    for entry in data["terms"]:
-        exp = tuple(int(e) for e in entry["exp"])
-        terms[exp] = GaussianRational(entry["re"], entry["im"])
-    return TruncatedPoly(int(data["order"]), terms)

@@ -20,7 +20,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
 
 from .geometry import EPSILON, CurvatureConfig
 from .polymat import tensor
@@ -201,13 +200,14 @@ LOG_COEFF_TARGET = 1 / (12 * math.pi**2)
 class SingularCoefficient:
     """Trace-free curvature matrix weighting the log-singular kernel part.
 
-    The rational matrix carries the contraction of the alternating symbol
-    with the covariant Ricci derivative; the 1/(12 pi^2) prefactor is kept
-    symbolic via the unit tag, so the exact part stays rational.
+    The rational matrix C = (1/12) eps grad Ric carries the contraction of
+    the alternating symbol with the covariant Ricci derivative.  The kernel
+    coefficient is C in units of pi^-2, a factor kept out of the exact part
+    so that it stays rational; ``as_float`` applies it.  The same C gives the
+    principal asymmetry value (``projections.aprin_closed_form``).
     """
 
     c_rational: tuple
-    unit: ClassVar[str] = "pi**-2"
 
     def trace(self):
         return sum(self.c_rational[i][i] for i in range(3))
@@ -218,12 +218,6 @@ class SingularCoefficient:
             return [[float(v) * scale for v in row] for row in self.c_rational]
         except OverflowError:
             raise ValueError("a singular coefficient entry overflows a float") from None
-
-    def to_dict(self) -> dict:
-        return {
-            "c": [[str(v) for v in row] for row in self.c_rational],
-            "unit": self.unit,
-        }
 
 
 def singular_coefficient(cfg: CurvatureConfig) -> SingularCoefficient:

@@ -33,7 +33,6 @@ from .calculus import (
 )
 from .exactpoly import X_VARS, GaussianRational, TruncatedPoly, poly_mul
 from .geometry import (
-    EPSILON,
     CurvatureConfig,
     MetricJet,
     build_metric_jet,
@@ -43,6 +42,7 @@ from .geometry import (
     raised_covector,
     xi_polys,
 )
+from .kernel import singular_coefficient
 from .polymat import (
     Matrix,
     identity_mat,
@@ -126,7 +126,8 @@ def run_algorithm(mj: MetricJet, aleph: str, accuracy: int) -> ProjectionFamily:
     components 0..j of P alone, final from step j on, so each level below the
     top is asserted zero once, at the step after it is set.  The step reads
     only level k of the commutation defect P curl - curl P, so it composes
-    both commutators at level k alone.
+    both commutators at level k alone.  P_aleph T and T P_aleph are formed
+    once per step and serve both other branches.
     """
     if aleph not in LABELS:
         raise ValueError(f"unknown branch label {aleph!r}")
@@ -154,13 +155,11 @@ def run_algorithm(mj: MetricJet, aleph: str, accuracy: int) -> ProjectionFamily:
         comm = compose(p, curl_jet, (k,)) - compose(curl_jet, p, (k,))
         t_mat = mat_add(comm.components[k], mat_commutator(s_mat, curl_prin))
         x_mat = s_mat
+        pt, tp = mat_mul(prin[aleph], t_mat), mat_mul(t_mat, prin[aleph])
         for beth in LABELS:
             if beth == aleph:
                 continue
-            mixed = mat_sub(
-                mat_mul(mat_mul(prin[aleph], t_mat), prin[beth]),
-                mat_mul(mat_mul(prin[beth], t_mat), prin[aleph]),
-            )
+            mixed = mat_sub(mat_mul(pt, prin[beth]), mat_mul(prin[beth], tp))
             denom = inv1.scale(Fraction(1, EIGENVALUE[aleph] - EIGENVALUE[beth]))
             x_mat = mat_add(x_mat, mat_poly_scale(mixed, denom))
         comps.append(x_mat)
@@ -287,19 +286,17 @@ def _rational_sqrt(q):
 def aprin_closed_form(cfg: CurvatureConfig, xi: Sequence) -> object:
     """Closed-form principal asymmetry value at the origin.
 
-    -(1 / (2 norm^5)) * sum of epsilon_{a b g} times the covariant Ricci
-    derivative (nabla_a Ric)_{b r} contracted with xi_g xi_r; index raising
-    at the origin is trivial.  Requires a nonzero covector with rational
-    Euclidean norm.
+    -(1 / (2 norm^5)) eps^{a b g} (grad_a Ric)_{b r} xi_g xi_r, which is
+    -6 xi^T C xi / norm^5 with C the singular coefficient (1/12) eps grad Ric
+    of the kernel (``kernel.singular_coefficient``); index raising at the
+    origin is trivial.  Requires a nonzero covector with rational Euclidean
+    norm.
     """
     xs = [Fraction(v) for v in xi]
     n2 = xs[0] * xs[0] + xs[1] * xs[1] + xs[2] * xs[2]
     if n2 == 0:
         raise ValueError("zero covector")
     norm = _rational_sqrt(n2)
-    total = sum(
-        sign * cfg.dric0[a][b][r] * xs[g] * xs[r]
-        for (a, b, g), sign in EPSILON.items()
-        for r in range(3)
-    )
-    return total * Fraction(-1, 2) / (norm**5)
+    c = singular_coefficient(cfg).c_rational
+    paired = sum(xs[g] * c[g][r] * xs[r] for g in range(3) for r in range(3))
+    return -6 * paired / norm**5

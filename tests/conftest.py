@@ -11,7 +11,6 @@ from curlasym.exactpoly import (
     NUM_VARS,
     GaussianRational,
     TruncatedPoly,
-    poly_from_dict,
     poly_to_dict,
 )
 from curlasym.calculus import SymbolJet
@@ -36,8 +35,30 @@ def poly_dumps(p: TruncatedPoly) -> str:
     return json.dumps(poly_to_dict(p), separators=(",", ":"))
 
 
+def poly_from_json(data: dict) -> TruncatedPoly:
+    """Inverse of ``poly_to_dict``."""
+    terms = {
+        tuple(t["exp"]): GaussianRational(t["re"], t["im"]) for t in data["terms"]
+    }
+    return TruncatedPoly(data["order"], terms)
+
+
 def poly_loads(text: str) -> TruncatedPoly:
-    return poly_from_dict(json.loads(text))
+    return poly_from_json(json.loads(text))
+
+
+def jet_dumps(jet: SymbolJet) -> str:
+    return json.dumps(jet.to_dict(), separators=(",", ":"))
+
+
+def jet_loads(text: str) -> SymbolJet:
+    """Inverse of ``jet_dumps``."""
+    data = json.loads(text)
+    comps = [
+        tuple(tuple(poly_from_json(p) for p in row) for row in m)
+        for m in data["components"]
+    ]
+    return SymbolJet(data["top_degree"], data["accuracy"], tuple(data["shape"]), comps)
 
 
 def epsilon(a: int, b: int, c: int) -> int:

@@ -30,7 +30,6 @@ from curlasym.calculus import (
 from curlasym.configs import UNIT_CONFIG_NAMES, random_config, unit_config
 from curlasym.exactpoly import (
     GR_I,
-    TruncatedPoly,
     poly_add,
     poly_mul,
 )
@@ -56,7 +55,6 @@ from curlasym.polymat import (
     mat_mul,
     mat_scale,
     mat_sub,
-    mat_trace,
 )
 from curlasym.projections import (
     LABELS,

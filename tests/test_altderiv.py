@@ -314,7 +314,7 @@ def test_transport_weights_formed_once_per_mu(monkeypatch):
     at that order."""
     from curlasym import altderiv
 
-    monkeypatch.setattr(altderiv, "_EUCLID", {})
+    altderiv._euclid_jets.cache_clear()
     mj = build_metric_jet(unit_config("c11"))
     eum2 = euclid_norm_power_jet(-2, mj.order)
     xi = xi_polys(mj.order)

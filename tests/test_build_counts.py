@@ -149,12 +149,14 @@ def _polymat_calls(monkeypatch, name: str) -> list:
 def test_run_algorithm_mat_mul_calls(monkeypatch):
     """Every matrix product of one accuracy-3 construction on c11, counted in
     every module that calls ``mat_mul``: one in the metric jet's Neumann
-    series, 96 in ``run_algorithm``.  Step k composes P P at levels k - 1
-    and k and the commutators at level k only; composing the commutators at
-    every level made 140 products in all, and P P too, 163."""
+    series, 90 in ``run_algorithm``.  Step k composes P P at levels k - 1
+    and k and the commutators at level k only, and forms P T and T P once
+    for both other branches; forming them per branch made 97 products in
+    all, composing the commutators at every level too 140, and P P too,
+    163."""
     calls = _polymat_calls(monkeypatch, "mat_mul")
     run_algorithm(build_metric_jet(unit_config("c11")), "+", 3)
-    assert len(calls) == 97
+    assert len(calls) == 91
 
 
 def test_run_algorithm_mat_diff_calls(monkeypatch):

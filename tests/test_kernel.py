@@ -125,7 +125,6 @@ class TestSingularCoefficient:
         )
         assert sc.c_rational == expect
         assert sc.trace() == 0
-        assert sc.unit == "pi**-2"
 
     def test_all_unit_configs_trace_free(self):
         for name in UNIT_CONFIG_NAMES:

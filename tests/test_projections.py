@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -13,11 +14,7 @@ import pytest
 from curlasym import projections
 from curlasym.calculus import SymbolJet, compose, subprincipal
 from curlasym.configs import UNIT_CONFIG_NAMES, random_config, unit_config
-from curlasym.exactpoly import (
-    GaussianRational,
-    TruncatedPoly,
-    poly_mul,
-)
+from curlasym.exactpoly import GaussianRational, TruncatedPoly
 from curlasym.geometry import (
     CurvatureConfig,
     build_metric_jet,
@@ -35,12 +32,9 @@ from curlasym.polymat import (
     mat_poly_scale,
     mat_restrict,
     mat_sub,
-    mat_truncate,
 )
 from curlasym.projections import (
     LABELS,
-    AsymmetryReport,
-    ProjectionFamily,
     aprin_closed_form,
     asymmetry_report,
     run_algorithm,
@@ -48,7 +42,7 @@ from curlasym.projections import (
     verify_projection,
 )
 
-from conftest import anchor_values, const_mat, eigenprojections, gr
+from conftest import anchor_values, const_mat, eigenprojections, epsilon
 
 
 def _gmat(entries, order):
@@ -618,6 +612,26 @@ class TestClosedForm:
             aprin_closed_form(cfg, (0, 0, 0))
         with pytest.raises(ValueError):
             aprin_closed_form(cfg, (1, 1, 0))
+
+    def test_matches_direct_epsilon_sum(self):
+        """Against the contraction written out term by term:
+        -(1/(2|xi|^5)) eps_{abg} (grad_a Ric)_{br} xi_g xi_r, at covectors of
+        rational norm, on every unit config and on random draws."""
+
+        def direct(cfg, xi, norm):
+            total = sum(
+                epsilon(a, b, g) * cfg.dric0[a][b][r] * xi[g] * xi[r]
+                for a, b, g, r in itertools.product(range(3), repeat=4)
+            )
+            return Fraction(-total, 2 * norm**5)
+
+        rng = random.Random(114)
+        configs = [unit_config(name) for name in UNIT_CONFIG_NAMES]
+        configs += [random_config(rng) for _ in range(10)]
+        covectors = {(0, 0, 1): 1, (3, 4, 0): 5, (1, 2, 2): 3, (2, 3, 6): 7}
+        for cfg in configs:
+            for xi, norm in covectors.items():
+                assert aprin_closed_form(cfg, xi) == direct(cfg, xi, norm)
 
     def test_homogeneity(self):
         rng = random.Random(112)

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "curlasym").glob("*.py"))
+#: The unused-import check also covers the tests, conftest included.
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -42,7 +44,7 @@ def unused_imports(source: str) -> list:
     )
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
