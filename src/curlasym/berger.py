@@ -32,9 +32,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 if TYPE_CHECKING:
     import numpy as np
 
-#: Reference constants used to validate the zeta evaluator at runtime.
-ZETA3 = 1.2020569031595942854
-ZETA5 = 1.0369277551433699263
 #: Largest truncation of any spectrum; the work grows as n_max^2 (about
 #: 1 s for weyl_check near this bound on a 2-core machine).
 MAX_NMAX = 10_000

@@ -251,8 +251,9 @@ class TestKernel:
 
     #: Exit code of ``kernel --y`` across its domain [0, 1e72] and past it.
     Y_CODES = {
-        "0": 0, "1e-300": 0, "1e-6": 0, "0.1": 0, "30": 0, "100": 0, "700": 0,
-        "746": 0, "1000": 0, "1e5": 0, "1e20": 0, "1e60": 0, "1e74": 2, "1e300": 2,
+        "0": 0, "5e-324": 0, "1e-320": 0, "1e-300": 0, "1e-6": 0, "0.1": 0,
+        "30": 0, "100": 0, "700": 0, "746": 0, "1000": 0, "1e5": 0, "1e20": 0,
+        "1e60": 0, "1e74": 2, "1e300": 2,
     }
 
     @pytest.mark.parametrize("y, code", Y_CODES.items())

@@ -38,19 +38,35 @@ def assert_one_line_usage_error(code, err, word):
 class TestNoHang:
     @pytest.mark.parametrize(
         "args, word",
+        # Explicit ids keep the names these cases had while the list also
+        # held the two tiny y now in test_tiny_y_answers_in_time.
         [
-            # K_1 series: both sides of its stopping test underflowed to 0.
-            (["kernel", "--y", "1e-320"], "overflows"),
-            (["kernel", "--y", "5e-309"], "overflows"),
             # Above kernel.BASSET_Y_MAX = 1e72 Basset's check is refused.
-            (["kernel", "--y", "1e300"], "not a finite float"),
+            pytest.param(
+                ["kernel", "--y", "1e300"],
+                "not a finite float",
+                id="args2-not a finite float",
+            ),
             # weyl sizes its spectrum as n_max ~ a * lambda, at O(n_max^2) work.
-            (["berger", "weyl", "--a", "1e6", "--lambda", "1"], "n_max"),
+            pytest.param(
+                ["berger", "weyl", "--a", "1e6", "--lambda", "1"],
+                "n_max",
+                id="args3-n_max",
+            ),
         ],
     )
     def test_usage_error_in_time(self, args, word):
         proc = run_cli(args)
         assert_one_line_usage_error(proc.returncode, proc.stderr, word)
+
+    @pytest.mark.parametrize("y", ["1e-320", "5e-309"])
+    def test_tiny_y_answers_in_time(self, y):
+        """Inside Basset's domain: the reference is 2 there, and K_1's series,
+        whose stopping test once hung where both its sides underflow to 0,
+        is not called."""
+        proc = run_cli(["kernel", "--y", y])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["pass"] is True
 
     def test_bessel_k1_finite_or_value_error(self):
         code = (

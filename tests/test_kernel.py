@@ -35,15 +35,13 @@ class TestBesselK1:
             assert abs(bessel_k1(t) - ref) <= 1e-12 * ref
 
     def test_branch_crossover_continuity(self):
-        from curlasym.kernel import _gauss_laguerre, _k1_series
+        from curlasym.kernel import _exp_sinh, _k1_series
 
         t = 2.0
         integral = (
             math.exp(-t)
             / t
-            * float(
-                sum(w * math.sqrt(x + 2 * t) for x, w in zip(*_gauss_laguerre()))
-            )
+            * _exp_sinh(lambda x: math.exp(-x) * math.sqrt(x * (x + 2 * t)))
         )
         assert abs(integral - _k1_series(t)) <= 1e-11
 
@@ -80,6 +78,12 @@ class TestBasset:
         assert ref == 2.0
         assert residual <= 1e-8
 
+    def test_zero_frequency_to_rounding(self):
+        """The exp-sinh rule integrates (1 + t^2)^{-3/2} to 2 within two ulp;
+        cut to s in [-3.75, 3.75] it misses by 1.8e-15."""
+        q, _, _ = basset_check(0.0)
+        assert abs(q - 2) <= 2 * math.ulp(2.0)
+
     def test_grid_residuals(self):
         for k in range(10):
             y = 0.1 * (5.0 / 0.1) ** (k / 9)
@@ -89,6 +93,15 @@ class TestBasset:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             basset_check(-1.0)
+
+    def test_reference_near_zero(self):
+        """The reference is 2 exactly for y <= 1e-9, where 2 y K_1(y) rounds
+        to 2, and 2 y K_1(y) within one ulp of mpmath's above."""
+        for y in (5e-324, 1e-320, 1e-300, 1e-12, 1e-9):
+            assert basset_check(y)[1] == 2.0, y
+        for y in (2e-9, 1e-8, 1e-7, 1e-6, 1e-4, 1e-2):
+            ref = float(2 * y * mpmath.besselk(1, y))
+            assert abs(basset_check(y)[1] - ref) <= math.ulp(ref), y
 
     def test_domain_ends_at_named_bound(self):
         _, _, residual = basset_check(BASSET_Y_MAX)

@@ -1,12 +1,12 @@
 """Independent oracles for the hand-rolled numerics and series.
 
-scipy's K_1 and Gauss-Laguerre nodes back ``bessel_k1``, and scipy's
-adaptive quadrature and mpmath's 2 y K_1(y) back Basset's quadrature in
-``basset_check``; scipy is a test-only dependency.  sympy's truncated power
-series (``sympy.polys.ring_series``) back the binomial series of
-``binomial_power_jet``, the Neumann series of the inverse metric and the
-norm power jets: each jet is compared with the series of the same function
-computed by sympy from the exact inputs.  A jet truncated at joint order N
+scipy's and mpmath's K_1 back ``bessel_k1`` (mpmath to a few ulp on the
+exp-sinh branch), and scipy's adaptive quadrature and mpmath's 2 y K_1(y)
+back Basset's quadrature in ``basset_check``; scipy is a test-only
+dependency.  sympy's truncated power series (``sympy.polys.ring_series``)
+back the binomial series of ``binomial_power_jet``, the Neumann series of
+the inverse metric and the norm power jets: each jet is compared with the
+series of the same function computed by sympy from the exact inputs.  A jet truncated at joint order N
 is the t-series of f(t x, t eta) truncated at t^N, so every variable is
 scaled by one extra ring generator t and sympy truncates in t.
 
@@ -29,7 +29,7 @@ import pytest
 from curlasym.configs import random_bianchi_config, random_config, unit_config
 from curlasym.exactpoly import VAR_NAMES, TruncatedPoly, binomial_power_jet
 from curlasym.geometry import build_metric_jet, euclid_norm_power_jet, norm_power_jet
-from curlasym.kernel import _gauss_laguerre, basset_check, bessel_k1
+from curlasym.kernel import basset_check, bessel_k1
 
 from conftest import random_poly
 
@@ -41,18 +41,15 @@ def test_bessel_k1_against_scipy():
         assert abs(bessel_k1(float(t)) - ref) <= 1e-12 * ref, t
 
 
-def test_golub_welsch_k1_against_scipy_nodes():
-    """K_1 from the Golub-Welsch nodes and from scipy's, on the integral branch."""
-    special = pytest.importorskip("scipy.special")
-    scipy_rule = special.roots_genlaguerre(70, 0.5)
-
-    def k1(t, rule):
-        return math.exp(-t) / t * sum(w * math.sqrt(x + 2 * t) for x, w in zip(*rule))
-
-    for t in np.geomspace(2, 50, 100):
-        t = float(t)
-        ref = k1(t, scipy_rule)
-        assert k1(t, _gauss_laguerre()) == pytest.approx(ref, rel=2e-15, abs=0), t
+def test_bessel_k1_exp_sinh_branch_against_mpmath():
+    """The exp-sinh branch (t > 2) to 1e-14 relative on [2, 700]; the rule
+    at step 1/12 instead of 1/16 misses by 1.7e-13."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for t in np.geomspace(2, 700, 506):
+            t = float(t)
+            ref = float(mpmath.besselk(1, t))
+            assert abs(bessel_k1(t) - ref) <= 1e-14 * ref, t
 
 
 def test_basset_against_scipy_quad_and_mpmath():
