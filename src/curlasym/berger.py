@@ -97,47 +97,43 @@ def _runs(kind: str, n0: int, n_max: int) -> Iterator[tuple[int, int]]:
         n0 = n1
 
 
-def _laplacian_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Laplacian eigenvalues and multiplicities for n0 <= n < n1, by (n, l).
+def _laplacian_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, ...]:
+    """Laplacian values and multiplicities of n0 <= n < n1 by (n, l); the rows l = 0.
 
-    The value is n (n + 2) + (a^-2 - 1) k^2 with k = n - 2 l.
+    The value is n (n + 2) + (a^-2 - 1) k^2 with k = n - 2 l; k, k^2 and
+    n (n + 2) are integers below 2^53, so float64 holds them exactly.
     """
     import numpy as np
 
     n = np.arange(n0, n1)
     rows = n // 2 + 1
-    ends = np.cumsum(rows)
-    k = np.repeat(n + 2 * (ends - rows), rows)
-    k -= np.arange(0, 2 * int(ends[-1]), 2)
-    k *= k
-    values = (a**-2 - 1) * k
-    values += np.repeat(n * (n + 2), rows)
-    mults = np.repeat(2 * n + 2, rows)
+    first = rows.cumsum() - rows
+    values = (n + 2.0 * first).repeat(rows)  # k = n - 2 l, as n + 2 first - 2 i
+    values -= np.arange(0.0, 2.0 * values.size, 2.0)
+    values *= values
+    values *= a**-2 - 1
+    values += (n * (n + 2.0)).repeat(rows)
+    mults = (2.0 * n + 2).repeat(rows)  # whole numbers, as floats for the sums
     even = slice(n0 % 2, None, 2)
-    mults[ends[even] - 1] = n[even] + 1  # l = n / 2
-    return values, mults
+    mults[first[even] + rows[even] - 1] = n[even] + 1  # l = n / 2
+    return values, mults, first
 
 
 def _pair_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, ...]:
     """Laplacian rows of 1 <= n0 <= n < n1 and their curl pairs a + w, a - w.
 
-    Returns mu, its multiplicities, w = sqrt(a^2 + mu), the multiplicities
-    of the pairs (those of mu, zero on the rows l = 0, whose pairs are not
-    curl eigenvalues) and, one per n >= 2, the row l = 0 and the series I
-    and II values and multiplicities that take its place.
+    Returns mu, its multiplicities, w = sqrt(a^2 + mu) and, one per n >= 2,
+    the row l = 0, whose pair is not a curl eigenvalue, and the series I and
+    II values and multiplicities that take its place.
     """
     import numpy as np
 
-    mu, mults = _laplacian_block(a, n0, n1)
-    n = np.arange(n0, n1)
-    first = np.cumsum(n // 2 + 1) - n // 2 - 1  # the row l = 0 of each n
-    pair_mults = mults.copy()
-    pair_mults[first] = 0
-    first, n = first[n >= 2], n[n >= 2]
-    # Series II has multiplicity 1 at n = 2.
-    one_two_mults = np.stack((2 * n - 2, np.where(n == 2, 1, 2 * n - 2)), axis=1)
+    mu, mults, first = _laplacian_block(a, n0, n1)
+    n = np.arange(max(n0, 2), n1)
+    one_two_mults = (2.0 * n - 2).repeat(2).reshape(-1, 2)
+    one_two_mults[n == 2, 1] = 1  # series II has multiplicity 1 at n = 2
     one_two = (n[:, None] + [0.0, 2 * (a**2 - 1)]) / a
-    return mu, mults, np.sqrt(a**2 + mu), pair_mults, first, one_two, one_two_mults
+    return mu, mults, np.sqrt(a**2 + mu), first[n0 < 2 :], one_two, one_two_mults
 
 
 def _curl_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,10 +144,10 @@ def _curl_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
     """
     import numpy as np
 
-    _, _, w, pair_mults, first, one_two, one_two_mults = _pair_block(a, n0, n1)
+    _, mults, w, first, one_two, one_two_mults = _pair_block(a, n0, n1)
     values = np.stack((a + w, a - w), axis=1)
     values[first] = one_two
-    mults = np.stack((pair_mults, pair_mults), axis=1)
+    mults = np.stack((mults, mults), axis=1)
     mults[first] = one_two_mults
     return values.ravel(), mults.ravel()
 
@@ -161,21 +157,16 @@ def _row_labels(kind: str, n0: int, n1: int) -> Iterator[tuple[str, int, int]]:
     for n in range(n0, n1):
         if kind == "laplacian":
             yield from (("LAPLACE", n, l) for l in range(n // 2 + 1))
-            continue
-        yield "I", n, 0
-        yield "II", n, 0
-        for l in range(1, n // 2 + 1):
-            yield "III", n, l
-            yield "IV", n, l
+        else:
+            yield from (("I", n, 0), ("II", n, 0))
+            yield from ((s, n, l) for l in range(1, n // 2 + 1) for s in ("III", "IV"))
 
 
+@dataclass(frozen=True)
 class _Entries:
     """Read-only view of a table's rows as ``SpectrumEntry`` objects."""
 
-    __slots__ = ("_table",)
-
-    def __init__(self, table: SpectrumTable) -> None:
-        self._table = table
+    _table: SpectrumTable
 
     def __len__(self) -> int:
         # Rows per n: n // 2 + 1 (Laplacian) or 2 + 2 * (n // 2) (curl);
@@ -188,8 +179,7 @@ class _Entries:
 
     def __iter__(self) -> Iterator[SpectrumEntry]:
         for rows in self._table._labelled_chunks():
-            for (series, n, l), v, m in rows:
-                yield SpectrumEntry(series, n, l, v, m)
+            yield from (SpectrumEntry(*label, v, m) for label, v, m in rows)
 
 
 @dataclass(frozen=True)
@@ -210,7 +200,8 @@ class SpectrumTable:
         curl = self.kind == "curl"
         block, first = (_curl_block, 2) if curl else (_laplacian_block, 0)
         for n0, n1 in _runs(self.kind, first, self.n_max):
-            yield (n0, n1, *block(self.a, n0, n1))
+            values, mults = block(self.a, n0, n1)[:2]
+            yield n0, n1, values, mults.astype(int)
 
     def _labelled_chunks(self) -> Iterator[Iterator[tuple]]:
         """Per chunk, ((series, n, l), value, multiplicity) for each row."""
@@ -261,8 +252,7 @@ def completeness_bound(t: SpectrumTable) -> float:
     """
     if t.kind != "curl":
         raise ValueError("completeness bound applies to curl tables")
-    values, _ = _curl_block(t.a, t.n_max + 1, t.n_max + 2)
-    return float(abs(values).min())
+    return float(abs(_curl_block(t.a, t.n_max + 1, t.n_max + 2)[0]).min())
 
 
 def _counts(t: SpectrumTable, lam: float) -> tuple[int, int]:
@@ -273,15 +263,15 @@ def _counts(t: SpectrumTable, lam: float) -> tuple[int, int]:
     bound = completeness_bound(t)
     if lam > bound:
         raise ValueError(
-            f"lambda {lam} exceeds the completeness bound {bound}; "
-            "increase n_max"
+            f"lambda {lam} exceeds the completeness bound {bound}; increase n_max"
         )
     plus = minus = 0
     for n0, n1 in _runs("laplacian", 2, t.n_max):
-        _, _, w, pair_mults, _, one_two, one_two_mults = _pair_block(t.a, n0, n1)
+        _, mults, w, first, one_two, one_two_mults = _pair_block(t.a, n0, n1)
+        mults[first] = 0  # series I and II take the places of these pairs
         plus += int(one_two_mults[(0 < one_two) & (one_two < lam)].sum())
-        plus += int(pair_mults[t.a + w < lam].sum())
-        minus += int(pair_mults[(t.a < w) & (w - t.a < lam)].sum())
+        plus += int(mults[t.a + w < lam].sum())
+        minus += int(mults[(t.a < w) & (w - t.a < lam)].sum())
     return plus, minus
 
 
@@ -289,8 +279,7 @@ def counting_function(t: SpectrumTable, lam: float, sign: int) -> int:
     """Multiplicity-weighted count of eigenvalues with 0 < sign*value < lam."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    plus, minus = _counts(t, lam)
-    return plus if sign == 1 else minus
+    return _counts(t, lam)[sign == -1]
 
 
 def weyl_check(p: BergerParams, lam: float) -> dict:
@@ -298,9 +287,15 @@ def weyl_check(p: BergerParams, lam: float) -> dict:
 
     The expected count is Vol * lam^3 / (6 pi^2) with Vol = 2 pi^2 a, so the
     reported ratio is N(lam) * 3 / (a lam^3); the deviation from 1 is
-    expected to decay like 1/lam.  The spectrum is truncated at
-    n_max = ceil(a lam) + ceil(2 lam) + 10, which must not exceed MAX_NMAX.
+    expected to decay like 1/lam.  The spectrum is truncated at the first
+    n_max >= 2 whose curl eigenvalues, like those of every larger n, have
+    |value| >= lam (one n more than the counts need), by lower bounds that
+    grow with n in the table's float operations: n / a, (n + 2 a^2 - 2) / a
+    and w - a at mu = n (n + 2) for a <= 1, at the row l = 1 for a > 1.  It
+    is at most ceil(a lam) + ceil(2 lam) + 10 and must not exceed MAX_NMAX.
     """
+    import numpy as np
+
     a = p.a_float
     try:
         a_lam3 = a * lam**3
@@ -311,9 +306,12 @@ def weyl_check(p: BergerParams, lam: float) -> dict:
             f"lambda must be > 0 with a * lambda**3 a finite non-zero float, got {lam}"
         )
     n_max = int(math.ceil(a * lam)) + int(math.ceil(2 * lam)) + 10
+    n = np.arange(2, min(n_max, MAX_NMAX + 1) + 1)
+    mu = (a**-2 - 1) * (n - 2.0 if a > 1 else 0.0) ** 2 + n * (n + 2.0)
+    low = np.minimum(np.minimum(n, n + 2 * (a**2 - 1)) / a, np.sqrt(a**2 + mu) - a)
+    n_max = int(n[np.searchsorted(low, lam)]) if low[-1] >= lam else n_max
     n_plus, n_minus = _counts(curl_spectrum(p, n_max), lam)
-    ratio_plus = n_plus * 3 / a_lam3
-    ratio_minus = n_minus * 3 / a_lam3
+    ratio_plus, ratio_minus = n_plus * 3 / a_lam3, n_minus * 3 / a_lam3
     return {
         "lambda": lam,
         "n_plus": n_plus,
@@ -331,15 +329,17 @@ def _check_s(s: float, lower: int, what: str) -> None:
         raise ValueError(f"s must be finite and > {lower} for {what}, got {s}")
 
 
-def _extracted(r: np.ndarray, top: float) -> int:
-    """The sum of the finite terms r, with top = max |r|, times 2**_TINY.
+def _extracted(r: np.ndarray, top: float, low: float = 0.0) -> int:
+    """The sum of the finite terms r times 2**_TINY; top = max |r|, low = min |r|.
 
     Error-free extraction: with 2**m >= r.size + 2 and 2**e > top, the
     terms q = (r + sigma) - sigma for sigma = 2**(e + m) are multiples of
     2**(e + m - 53) at most 2**e in absolute value, so the float sum of q
     and each of its partial sums is exact in any order, and so is r - q,
     whose terms are at most 2**(e + m - 53).  Each level extracts the next
-    bits until r is zero.
+    bits until r is zero, or until r - q sums exactly: with 2**(f - 1) <= low
+    < 2**f, each r, q and r - q is a multiple of 2**max(f - 53, -1074), so the
+    partial sums of r - q, below 2**(e + 2m - 53), are floats if that <= 2**f.
     """
     import numpy as np
 
@@ -355,12 +355,16 @@ def _extracted(r: np.ndarray, top: float) -> int:
     q = np.empty_like(r)
     rest = None  # r - q, written over itself after the first level
     while top:
-        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+        e = math.frexp(top)[1]
+        sigma = math.ldexp(1.0, e + m)
         np.add(r, sigma, out=q)
         q -= sigma
         num, den = float(q.sum()).as_integer_ratio()  # den divides 2**_TINY
         total += (num << _TINY) // den
         r = rest = np.subtract(r, q, out=rest)
+        if low and math.frexp(low)[1] >= e + 2 * m - 53:
+            num, den = float(r.sum()).as_integer_ratio()
+            return total + (num << _TINY) // den
         top = max(float(r.max()), -float(r.min()))
     return total
 
@@ -379,8 +383,7 @@ def _exact_sums(chunks: Iterable[tuple], *whats: str) -> list[tuple[float, float
     """
     import numpy as np
 
-    totals = [0] * len(whats)
-    sizes = [0.0] * len(whats)
+    totals, sizes = [0] * len(whats), [0.0] * len(whats)
     with np.errstate(all="ignore"):
         for terms in chunks:
             for i, x in enumerate(terms):
@@ -391,7 +394,9 @@ def _exact_sums(chunks: Iterable[tuple], *whats: str) -> list[tuple[float, float
                     size = math.nan  # marks the sum as not finite
                 sizes[i] += size
                 if not math.isnan(sizes[i]):
-                    totals[i] += _extracted(x, float(magnitudes.max(initial=0.0)))
+                    top = float(magnitudes.max(initial=0.0))
+                    low = float(magnitudes.min(initial=math.inf))
+                    totals[i] += _extracted(x, top, low)
     sums = []
     for total, size, what in zip(totals, sizes, whats):
         try:
@@ -414,17 +419,13 @@ def _powers(a: float, s: float, n_max: int) -> Iterator[tuple[np.ndarray, ...]]:
 
     _check_nmax(n_max, 0)
     for n0, n1 in _runs("laplacian", 1, n_max):
-        mu, mults, w, pair_mults, first, one_two, one_two_mults = _pair_block(a, n0, n1)
-        x, y = (w + a) ** -s, (w - a) ** -s
-        bracket = x - y
+        mu, mults, w, first, one_two, one_two_mults = _pair_block(a, n0, n1)
+        xy = (w + [[a], [-a]]) ** -s
+        bracket = xy[0] - xy[1]
         skip = int(n0 == 1)  # n = 1 has one row, l = 0, and no curl terms
-        curl = np.empty((2, mu.size - skip))
-        np.multiply(pair_mults[skip:], x[skip:], out=curl[0])
-        np.negative(y, out=y)
-        np.multiply(pair_mults[skip:], y[skip:], out=curl[1])
-        one_two **= -s
-        one_two *= one_two_mults
-        curl[:, first - skip] = one_two.T
+        curl = xy[:, skip:] * mults[skip:]
+        np.negative(curl[1], out=curl[1])
+        curl[:, first - skip] = (one_two**-s * one_two_mults).T
         yield mu, w, mults, bracket, curl.ravel()
 
 
@@ -457,8 +458,7 @@ def zeta(s: float) -> float:
 def theta_partial(p: BergerParams, s: float, n_max: int) -> float:
     """The Laplacian-indexed series of the eta decomposition."""
     a = p.a_float
-    runs = _powers(a, s, n_max)
-    brackets = ((m * bracket,) for _, _, m, bracket, _ in runs)
+    brackets = ((m * bracket,) for _, _, m, bracket, _ in _powers(a, s, n_max))
     return _exact_sums(brackets, f"the theta sum at a={a}, s={s}")[0][0]
 
 

@@ -43,7 +43,9 @@ def bessel_k1(t: float) -> float:
     if not (t > 0 and math.isfinite(t)):
         raise ValueError(f"argument must be positive and finite, got {t}")
     if t <= 2:
-        value = _k1_series(t)
+        # K_1(t) > 1 / t, which overflows below 2**-1024; the series' t / 2
+        # would underflow to 0 at the least subnormal.
+        value = _k1_series(t) if math.isfinite(1 / t) else math.inf
         if not math.isfinite(value):
             raise ValueError(f"K_1({t}) overflows a float")
         return value

@@ -188,6 +188,49 @@ class TestWeyl:
         assert r["deviation_plus"] <= 3 / 100
         assert r["deviation_minus"] <= 3 / 100
 
+    @pytest.fixture
+    def n_maxes(self, monkeypatch):
+        """The n_max of every curl table weyl_check builds, in order."""
+        built, spectrum = [], berger.curl_spectrum
+
+        def recording(p, n_max):
+            built.append(n_max)
+            return spectrum(p, n_max)
+
+        monkeypatch.setattr(berger, "curl_spectrum", recording)
+        return built
+
+    @pytest.mark.parametrize(
+        "a", [0.1, 0.37, Fraction(1, 2), 0.9, 1, Fraction(3, 2), 2, 10]
+    )
+    def test_truncation_keeps_the_counts(self, n_maxes, a):
+        """The counts at weyl_check's n_max equal those at
+        ceil(a lam) + ceil(2 lam) + 10, which that n_max never exceeds."""
+        p = BergerParams(a)
+        for lam in (0.5, 1.0, 2.5, 20.0, 100.0, 400.0):
+            r = weyl_check(p, lam)
+            wide = math.ceil(p.a_float * lam) + math.ceil(2 * lam) + 10
+            assert n_maxes[-1] <= wide
+            counts = berger._counts(curl_spectrum(p, wide), lam)
+            assert counts == (r["n_plus"], r["n_minus"])
+
+    @pytest.mark.parametrize("a", [0.1, 0.37])
+    def test_truncation_between_quantum_numbers(self, n_maxes, a):
+        """Below a = 1 an odd n has a larger least |value| than the even
+        n + 1 after it, so the truncation must not stop at the odd n."""
+        p = BergerParams(a)
+        for lam in np.arange(0.5, 40.0, 0.25).tolist():
+            r = weyl_check(p, lam)
+            counts = berger._counts(curl_spectrum(p, n_maxes[-1] + 20), lam)
+            assert counts == (r["n_plus"], r["n_minus"])
+
+    @pytest.mark.parametrize("lam", [1.0, 20.0, 400.0])
+    def test_truncation_on_the_round_sphere(self, n_maxes, lam):
+        """At a = 1 the least |value| of n is n, so every |value| of n = lam
+        and above is at least lam."""
+        weyl_check(BergerParams(1), lam)
+        assert n_maxes == [max(2, int(lam))]
+
 
     @pytest.mark.parametrize("lam", [0.0, -5.0, math.nan, math.inf, 1e-300])
     def test_lambda_domain(self, lam):
@@ -417,11 +460,11 @@ class TestOnePass:
         self.assert_runs(built, 1, 200)
 
     def test_weyl_counts_build_each_laplacian_run_once(self, built):
-        weyl_check(BergerParams(1), 40.0)  # n_max = 40 + 80 + 10
-        # The completeness bound interleaves the first omitted n = 131 alone.
-        assert built[:2] == [("curl", 131, 132), ("laplacian", 131, 132)]
+        weyl_check(BergerParams(1), 100.0)  # n_max = 100: n is the least |value| of n
+        # The completeness bound interleaves the first omitted n = 101 alone.
+        assert built[:2] == [("curl", 101, 102), ("laplacian", 101, 102)]
         assert {kind for kind, _, _ in built[2:]} == {"laplacian"}
-        self.assert_runs(built[2:], 2, 130)
+        self.assert_runs(built[2:], 2, 100)
 
 
 def reference_rows(kind, a, n_max):
@@ -478,6 +521,21 @@ class TestChunks:
         1: ("0x1.bb519a3f76cd9p-46", "0x1.5000000000000p-45"),
         2: ("0x1.0e9442064f273p+1", "0x1.0e9442064f980p+1"),
     }
+
+    #: eta_identity(p, 6, 2000) as float.hex, both sides and the bound, at
+    #: the inputs of the benchmark's berger_eta workload.
+    PINNED_2000 = {
+        Fraction(1, 2): (
+            "0x1.fa18cc39aace4p-1", "0x1.fa18cc39aacedp-1", "0x1.24221d00bf924p-52"
+        ),
+        1: ("0x1.18124dc1da180p-43", "0x1.a600000000000p-43", "0x1.0a7418eca7c62p-49"),
+        2: ("0x1.0e9442064ef84p+1", "0x1.0e94420651300p+1", "0x1.086594aaa17bbp-43"),
+    }
+
+    @pytest.mark.parametrize("a", PINNED_2000)
+    def test_identity_and_bound_at_nmax_2000(self, a):
+        got = eta_identity(BergerParams(a), 6.0, 2000)
+        assert got == tuple(map(float.fromhex, self.PINNED_2000[a]))
 
     def test_rounding_bound_pinned(self):
         """2^-52 times the larger sum of absolute values, as float.hex."""
@@ -601,6 +659,75 @@ class TestExactSum:
         chunks = [(np.ones(3),), (np.array([1.0, bad]),)]
         with pytest.raises(ValueError, match="not a finite float"):
             berger._exact_sums(iter(chunks), "the test sum")
+
+
+@st.composite
+def extraction_arrays(draw):
+    """1 to 20 000 terms of one or both signs within `spread` binades below
+    2**top: one extraction level leaves an exactly summable rest when the
+    spread is small enough for the size.  Some hold zeros, which hide the
+    smallest non-zero magnitude; the exponents run from the subnormals to
+    2**1023, past the 2**(1023 - m) at which sigma would overflow."""
+    size = draw(st.one_of(st.integers(1, 40), st.integers(1, 20_000)))
+    top = draw(
+        st.one_of(
+            st.integers(-1074, 1024), st.integers(1000, 1024), st.integers(-1074, -1000)
+        )
+    )
+    spread = draw(st.integers(0, 60))
+    signs = draw(st.sampled_from([(1,), (-1,), (1, -1)]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    terms = [
+        rng.choice(signs)
+        * math.ldexp(rng.randrange(2**52, 2**53), top - 53 - rng.randrange(spread + 1))
+        for _ in range(size)
+    ]
+    if draw(st.integers(0, 3)) == 0:
+        for i in draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3)):
+            terms[i] = 0.0
+    return np.array(terms)
+
+
+class TestExtraction:
+    """The exact rest after one level gives the sum of the loop of levels."""
+
+    @staticmethod
+    def check(r):
+        """Both forms equal the exact sum; says whether the rest is summed."""
+        magnitudes = np.abs(r)
+        top, low = float(magnitudes.max()), float(magnitudes.min())
+        exact = sum(map(Fraction, r.tolist()), Fraction(0)) * 2**1074
+        assert exact.denominator == 1
+        with np.errstate(all="ignore"):
+            assert berger._extracted(r, top, low) == berger._extracted(r, top) == exact
+        m = (r.size + 1).bit_length()
+        return low > 0 and math.frexp(low)[1] >= math.frexp(top)[1] + 2 * m - 53
+
+    @given(extraction_arrays())
+    def test_equals_loop_and_exact_sum(self, r):
+        self.check(r)
+
+    @pytest.mark.parametrize(
+        "terms, meets",
+        [
+            ([1.0], True),  # one level and an empty rest
+            ([1.0, 2.0**-20, 3.0, 1.0 + 2.0**-52] * 5000, True),
+            ([1.0, 2.0**-30, 3.0, 1.0 + 2.0**-52] * 5000, False),
+            ([1.0, 0.0, 3.0], False),  # a zero hides the least magnitude
+            ([5e-324, -1e-320, 2.0**-1040] * 100, True),
+            ([5e-324, -1e-320, 2.0**-1022] * 100, False),
+            ([2.0**1020, -(2.0**1020), 1.0, 2.0**-1074], False),  # sigma overflows
+            ([1.5 * 2.0**1019, -(2.0**1018), 2.0**1010], True),
+            # Rests 2**-48 - k 2**-98 whose sum needs 54 bits, one binade
+            # short of the condition.
+            ([1.5] + [2.0**-46 + 2.0**-48 - k * 2.0**-98 for k in range(1, 27, 2)],
+             False),
+        ],
+        ids=["one", "meets", "misses", "zero", "subnormal-meets",
+             "subnormal-misses", "huge", "near-overflow", "inexact-rest"],
+    )
+    def test_cases(self, terms, meets):
+        assert self.check(np.array(terms)) == meets
 
 
 class TestPinnedReports:

@@ -51,6 +51,12 @@ class TestBesselK1:
         with pytest.raises(ValueError):
             bessel_k1(-1.0)
 
+    @pytest.mark.parametrize("t", [5e-324, 1e-320, 5e-309])
+    def test_overflow_below_least_finite_value(self, t):
+        # At 5e-324 the series' log(t / 2) would be the log of 0.
+        with pytest.raises(ValueError, match=rf"^K_1\({t}\) overflows a float$"):
+            bessel_k1(t)
+
     def test_leading_singularity(self):
         for t in (1e-4, 1e-3, 1e-2):
             assert t * bessel_k1(t) == pytest.approx(1.0, abs=5e-3)
