@@ -3,20 +3,21 @@
 The Berger sphere squashes the round 3-sphere along the Hopf fibre by a
 parameter a > 0.  Both the Laplace-Beltrami spectrum and the curl spectrum
 are known in closed form, which makes the sphere a complete numerical test
-bed: eigenvalue counting against the Weyl law, partial eta sums against the
-eta decomposition identity, and exact rational closed forms for the eta
+bed: eigenvalue counting against the Weyl law, the eta decomposition
+identity in partial sums, and exact rational closed forms for the eta
 invariant at s = 0.
 
 Spectra are never stored: a table is a (kind, a, n_max) record that yields
 chunks of eigenvalues and multiplicities, each a run of whole quantum numbers
 of at most CHUNK_ROWS rows built in one numpy pass, so memory is bounded by
 the chunk size.  A Laplacian row (n, l >= 1) with eigenvalue mu gives the
-curl pair a +- sqrt(a^2 + mu): the eta identity reads each row once.  Sums
-are exact: error-free extraction splits each chunk's terms into a few
-levels whose float sums are exact, and one Python-integer accumulator of
-the levels is rounded once, so a sum is correctly rounded whatever the order
-or chunking of its terms.  The eta identity's rounding bound, a float sum of
-chunk sums, is not.
+curl pair a +- sqrt(a^2 + mu): ``eta_identity`` sums both sides in one pass
+over the rows, and one lower bound on |value| per quantum number
+(``_least_abs``) certifies every count.  Sums are exact: error-free
+extraction splits each chunk's terms into a few levels whose float sums are
+exact, and one Python-integer accumulator of the levels is rounded once, so
+a sum is correctly rounded whatever the order or chunking of its terms.  The
+eta identity's rounding bound, a float sum of chunk sums, is not.
 
 numpy is imported on the first Berger call, so that the exact pipelines
 start without it.
@@ -243,23 +244,32 @@ def curl_spectrum(p: BergerParams, n_max: int) -> SpectrumTable:
     return SpectrumTable("curl", p.a_float, n_max)
 
 
-def completeness_bound(t: SpectrumTable) -> float:
-    """Largest lambda for which the table certifiably lists all eigenvalues.
+def _least_abs(a: float, n):
+    """A lower bound on |value| over the curl eigenvalues of every n' >= n,
+    for n >= 2 (an integer or integer array): the least of n / a (series I),
+    (n + 2 a^2 - 2) / a (II) and w - a = |a - w| < a + w (III, IV) at the
+    least mu of the rows l >= 1 (n (n + 2) for a <= 1, the row l = 1 for
+    a > 1), each at most the |value| of n it stands for in the table's float
+    operations.  Each grows with n (mu by at least 6 per n, far above its
+    rounding), so the bound is nondecreasing and below every |value| of n'."""
+    import numpy as np
 
-    Every series has |value| nondecreasing in n at fixed l-optimum, so the
-    smallest absolute value among the first omitted quantum number n_max + 1
-    bounds the certified window.
-    """
+    mu = (a**-2 - 1) * (n - 2.0 if a > 1 else 0.0) ** 2 + n * (n + 2.0)
+    return np.minimum(np.minimum(n, n + 2 * (a**2 - 1)) / a, np.sqrt(a**2 + mu) - a)
+
+
+def completeness_bound(t: SpectrumTable) -> float:
+    """Largest lambda for which the table certifiably lists all eigenvalues."""
     if t.kind != "curl":
         raise ValueError("completeness bound applies to curl tables")
-    return float(abs(_curl_block(t.a, t.n_max + 1, t.n_max + 2)[0]).min())
+    return float(_least_abs(t.a, t.n_max + 1))
 
 
 def _counts(t: SpectrumTable, lam: float) -> tuple[int, int]:
     """Multiplicity-weighted counts of eigenvalues in (0, lam) and in
     (-lam, 0), in one pass over the pairs; a - w is the only negative one."""
-    if lam <= 0:
-        return 0, 0
+    if math.isnan(lam):
+        raise ValueError("lambda must not be NaN")
     bound = completeness_bound(t)
     if lam > bound:
         raise ValueError(
@@ -288,11 +298,8 @@ def weyl_check(p: BergerParams, lam: float) -> dict:
     The expected count is Vol * lam^3 / (6 pi^2) with Vol = 2 pi^2 a, so the
     reported ratio is N(lam) * 3 / (a lam^3); the deviation from 1 is
     expected to decay like 1/lam.  The spectrum is truncated at the first
-    n_max >= 2 whose curl eigenvalues, like those of every larger n, have
-    |value| >= lam (one n more than the counts need), by lower bounds that
-    grow with n in the table's float operations: n / a, (n + 2 a^2 - 2) / a
-    and w - a at mu = n (n + 2) for a <= 1, at the row l = 1 for a > 1.  It
-    is at most ceil(a lam) + ceil(2 lam) + 10 and must not exceed MAX_NMAX.
+    n_max >= 2 whose ``_least_abs`` reaches lam (one n more than the counts
+    need), at most ceil(a lam) + ceil(2 lam) + 10 and refused above MAX_NMAX.
     """
     import numpy as np
 
@@ -307,8 +314,7 @@ def weyl_check(p: BergerParams, lam: float) -> dict:
         )
     n_max = int(math.ceil(a * lam)) + int(math.ceil(2 * lam)) + 10
     n = np.arange(2, min(n_max, MAX_NMAX + 1) + 1)
-    mu = (a**-2 - 1) * (n - 2.0 if a > 1 else 0.0) ** 2 + n * (n + 2.0)
-    low = np.minimum(np.minimum(n, n + 2 * (a**2 - 1)) / a, np.sqrt(a**2 + mu) - a)
+    low = _least_abs(a, n)
     n_max = int(n[np.searchsorted(low, lam)]) if low[-1] >= lam else n_max
     n_plus, n_minus = _counts(curl_spectrum(p, n_max), lam)
     ratio_plus, ratio_minus = n_plus * 3 / a_lam3, n_minus * 3 / a_lam3
@@ -413,8 +419,7 @@ def _powers(a: float, s: float, n_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     multiplicities m, the theta brackets x - y of x = (w + a)^-s and
     y = (w - a)^-s, and the run's curl terms sign(v) m |v|^-s in one array:
     m x, then -m y, of the pairs a + w, a - w of the rows of n >= 2, where
-    series I and II take the places of the pairs of the rows l = 0.  Every
-    caller gets the curl terms; the theta-only ones ignore them."""
+    series I and II take the places of the pairs of the rows l = 0."""
     import numpy as np
 
     _check_nmax(n_max, 0)
@@ -427,15 +432,6 @@ def _powers(a: float, s: float, n_max: int) -> Iterator[tuple[np.ndarray, ...]]:
         np.negative(curl[1], out=curl[1])
         curl[:, first - skip] = (one_two**-s * one_two_mults).T
         yield mu, w, mults, bracket, curl.ravel()
-
-
-def eta_partial(t: SpectrumTable, s: float) -> float:
-    """Partial eta sum over the curl table, correctly rounded."""
-    if t.kind != "curl":
-        raise ValueError("eta partial sums apply to curl tables")
-    _check_s(s, 3, "eta partial sums")
-    terms = ((curl,) for *_, curl in _powers(t.a, s, t.n_max))
-    return _exact_sums(terms, f"the eta partial sum at a={t.a}, s={s}")[0][0]
 
 
 def zeta(s: float) -> float:
@@ -453,35 +449,6 @@ def zeta(s: float) -> float:
     tail -= s * (s + 1) * (s + 2) * m ** (-s - 3) / 720
     tail += s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * m ** (-s - 5) / 30240
     return direct + tail
-
-
-def theta_partial(p: BergerParams, s: float, n_max: int) -> float:
-    """The Laplacian-indexed series of the eta decomposition."""
-    a = p.a_float
-    brackets = ((m * bracket,) for _, _, m, bracket, _ in _powers(a, s, n_max))
-    return _exact_sums(brackets, f"the theta sum at a={a}, s={s}")[0][0]
-
-
-def _rhs(a: float, s: float, theta: float) -> tuple[float, float]:
-    """The right-hand side from the theta sum, and the terms it adds."""
-    try:
-        head, tail = (2 * a) ** -s, 4 * a**s * zeta(s - 1)
-        rhs = theta + head + tail
-    except OverflowError:
-        rhs = math.inf
-    if not math.isfinite(rhs):
-        raise ValueError(f"the eta decomposition at a={a}, s={s} is not a finite float")
-    return rhs, head + tail
-
-
-def eta_decomposition_rhs(p: BergerParams, s: float, n_max: int) -> float:
-    """Right-hand side of the eta decomposition identity.
-
-    theta(s) + (2a)^{-s} + 4 a^s zeta(s-1), with theta summed over the
-    positive Laplacian eigenvalues of the same truncation.
-    """
-    _check_s(s, 2, "the decomposition")
-    return _rhs(p.a_float, s, theta_partial(p, s, n_max))[0]
 
 
 def eta_identity(p: BergerParams, s: float, n_max: int) -> tuple[float, float, float]:
@@ -503,8 +470,14 @@ def eta_identity(p: BergerParams, s: float, n_max: int) -> tuple[float, float, f
         f"the eta partial sum at a={a}, s={s}",
         f"the theta sum at a={a}, s={s}",
     )
-    rhs, added = _rhs(a, s, theta)
-    return eta, rhs, 2.0**-52 * max(eta_size, theta_size + added)
+    try:
+        head, tail = (2 * a) ** -s, 4 * a**s * zeta(s - 1)
+        rhs = theta + head + tail
+    except OverflowError:
+        rhs = math.inf
+    if not math.isfinite(rhs):
+        raise ValueError(f"the eta decomposition at a={a}, s={s} is not a finite float")
+    return eta, rhs, 2.0**-52 * max(eta_size, theta_size + (head + tail))
 
 
 def eta_closed_forms(p: BergerParams) -> dict:
@@ -527,13 +500,15 @@ def hitchin_remainder(p: BergerParams, s: float, n_max: int) -> float:
 
     For each positive Laplacian eigenvalue mu the theta bracket behaves like
     -2 s a w^{-(s+1)} - (s(s+1)(s+2)/3) a^3 w^{-(s+3)} + O(w^{-(s+5)}) with
-    w = sqrt(a^2 + mu); the remainder times mu^2 must stay bounded.
+    w = sqrt(a^2 + mu); for s > -1 the remainder times mu^2 must stay
+    bounded, and a NaN remainder is returned as NaN.
     """
+    _check_s(s, -1, "the Hitchin remainder")
     a = p.a_float
     worst = 0.0
     for mu, w, _, bracket, _ in _powers(a, s, n_max):
         expansion = -2 * s * a * w ** -(s + 1)
         expansion -= s * (s + 1) * (s + 2) / 3 * a**3 * w ** -(s + 3)
         scaled = abs(bracket - expansion) * mu**2
-        worst = max(worst, float(scaled.max(initial=0.0)))
+        worst = float(scaled.max(initial=worst))
     return worst

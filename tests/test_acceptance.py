@@ -18,8 +18,7 @@ from curlasym.berger import (
     counting_function,
     curl_spectrum,
     eta_closed_forms,
-    eta_decomposition_rhs,
-    eta_partial,
+    eta_identity,
     weyl_check,
 )
 from curlasym.calculus import (
@@ -210,9 +209,7 @@ def test_criterion_06_berger_decomposition_identity():
     ok = True
     worst = 0.0
     for a in (Fraction(1, 2), 1, 2):
-        p = BergerParams(a)
-        lhs = eta_partial(curl_spectrum(p, 3000), 6.0)
-        rhs = eta_decomposition_rhs(p, 6.0, 3000)
+        lhs, rhs, _ = eta_identity(BergerParams(a), 6.0, 3000)
         worst = max(worst, abs(lhs - rhs))
         ok = ok and abs(lhs - rhs) <= 1e-6
     report(6, ok, f"eta decomposition at s=6, n_max=3000; worst residual {worst:.2e}")

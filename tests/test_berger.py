@@ -21,12 +21,9 @@ from curlasym.berger import (
     counting_function,
     curl_spectrum,
     eta_closed_forms,
-    eta_decomposition_rhs,
     eta_identity,
-    eta_partial,
     hitchin_remainder,
     laplacian_spectrum,
-    theta_partial,
     weyl_check,
     zeta,
 )
@@ -125,21 +122,16 @@ class TestCurlSpectrum:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda n: theta_partial(BergerParams(2), 6.0, n),
-            lambda n: eta_decomposition_rhs(BergerParams(2), 6.0, n),
+            lambda n: eta_identity(BergerParams(2), 6.0, n),
             lambda n: hitchin_remainder(BergerParams(2), 6.0, n),
         ],
-        ids=["theta_partial", "eta_decomposition_rhs", "hitchin_remainder"],
+        ids=["eta_identity", "hitchin_remainder"],
     )
     def test_laplacian_sums_cap_nmax(self, call):
         with pytest.raises(ValueError, match="n_max"):
             call(MAX_NMAX + 1)
         with pytest.raises(ValueError, match="n_max"):
             call(-1)
-
-    def test_eta_partial_requires_curl_table(self):
-        with pytest.raises(ValueError, match="curl tables"):
-            eta_partial(laplacian_spectrum(BergerParams(2), 10), 6.0)
 
     def test_entries_length_matches_rows(self):
         p = BergerParams(Fraction(3, 2))
@@ -169,6 +161,36 @@ class TestCounting:
     def test_bound_requires_curl_table(self):
         with pytest.raises(ValueError):
             completeness_bound(laplacian_spectrum(BergerParams(1), 5))
+
+    def test_bound_below_the_next_odd_quantum_number(self):
+        """At a = 0.1 the least |value| of n = 3 (10.2) is above that of
+        n = 4 (4.80), so n_max = 2 does not list every |value| below 10."""
+        t = curl_spectrum(BergerParams(0.1), 2)
+        with pytest.raises(ValueError, match="increase n_max"):
+            counting_function(t, 10, -1)
+
+    def test_nan_lambda_rejected(self):
+        t = curl_spectrum(BergerParams(1), 10)
+        for sign in (1, -1):
+            with pytest.raises(ValueError, match="lambda must not be NaN"):
+                counting_function(t, math.nan, sign)
+
+    @given(
+        st.one_of(st.sampled_from([0.1, 0.37]), st.floats(0.05, 20)),
+        st.integers(2, 300),
+        st.floats(0, 1),
+    )
+    def test_bound_against_brute_force(self, a, n_max, fraction):
+        """The bound is at most every |value| of the next 200 quantum
+        numbers, and the counts below it equal those of a wider table."""
+        p = BergerParams(a)
+        t, wide = curl_spectrum(p, n_max), curl_spectrum(p, n_max + 200)
+        bound = completeness_bound(t)
+        values = berger._curl_block(t.a, n_max + 1, n_max + 201)[0]
+        assert bound <= np.abs(values).min()
+        lam = fraction * bound
+        for sign in (1, -1):
+            assert counting_function(t, lam, sign) == counting_function(wide, lam, sign)
 
 
 class TestWeyl:
@@ -267,45 +289,45 @@ class TestEta:
     def test_symmetric_spectrum_gives_zero(self):
         # The truncation keeps a few series-III values just above n_max, so
         # the cancellation is limited by that O(n_max^-4) tail imbalance.
-        t = curl_spectrum(BergerParams(1), 200)
-        assert abs(eta_partial(t, 6.0)) < 1e-8
+        assert abs(eta_identity(BergerParams(1), 6.0, 200)[0]) < 1e-8
 
     def test_domain(self):
-        t = curl_spectrum(BergerParams(2), 10)
-        with pytest.raises(ValueError):
-            eta_partial(t, 3.0)
-        with pytest.raises(ValueError):
-            eta_decomposition_rhs(BergerParams(2), 2.0, 10)
+        for s in (3.0, 2.0):
+            with pytest.raises(ValueError):
+                eta_identity(BergerParams(2), s, 10)
 
     @pytest.mark.parametrize("s", [math.nan, math.inf])
     def test_nonfinite_s_rejected(self, s):
         with pytest.raises(ValueError):
-            eta_partial(curl_spectrum(BergerParams(2), 10), s)
-        with pytest.raises(ValueError):
-            eta_decomposition_rhs(BergerParams(2), s, 10)
+            eta_identity(BergerParams(2), s, 10)
+        with pytest.raises(ValueError, match="s must be finite"):
+            hitchin_remainder(BergerParams(2), s, 50)
 
     def test_decomposition_identity_medium_truncation(self):
         for a in (Fraction(1, 2), 1, 2):
-            p = BergerParams(a)
-            lhs = eta_partial(curl_spectrum(p, 600), 6.0)
-            rhs = eta_decomposition_rhs(p, 6.0, 600)
+            lhs, rhs, _ = eta_identity(BergerParams(a), 6.0, 600)
             assert abs(lhs - rhs) <= 1e-6
 
     def test_truncation_tail_shrinks(self):
         p = BergerParams(2)
-        e1 = eta_partial(curl_spectrum(p, 300), 6.0)
-        e2 = eta_partial(curl_spectrum(p, 600), 6.0)
-        e3 = eta_partial(curl_spectrum(p, 1200), 6.0)
+        e1, e2, e3 = (eta_identity(p, 6.0, n)[0] for n in (300, 600, 1200))
         assert abs(e3 - e2) < abs(e2 - e1)
 
     def test_theta_brackets_negative(self):
-        assert theta_partial(BergerParams(2), 6.0, 50) < 0
+        for *_, bracket, _ in berger._powers(2.0, 6.0, 50):
+            assert (bracket < 0).all()
 
     def test_hitchin_remainder_bounded(self):
         p = BergerParams(2)
         r200 = hitchin_remainder(p, 6.0, 200)
         r400 = hitchin_remainder(p, 6.0, 400)
         assert r400 <= r200 + 1e-9
+
+    def test_nan_remainder_is_returned(self):
+        """At s = 1e200, s (s + 1) (s + 2) overflows and every scaled
+        remainder is NaN, which must not read as bounded."""
+        with np.errstate(all="ignore"):
+            assert math.isnan(hitchin_remainder(BergerParams(2), 1e200, 50))
 
 
 class TestEtaIdentityGuards:
@@ -379,13 +401,11 @@ class TestStreaming:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: eta_partial(curl_spectrum(BergerParams(2), 1000), 6.0),
             lambda: weyl_check(BergerParams(1), 100.0),
             lambda: eta_identity(BergerParams(2), 6.0, 1000),
             lambda: entry(["berger", "eta", "--nmax", "1000"]),
         ],
         ids=[
-            "eta_nmax_1000",
             "weyl_lambda_100",
             "identity_nmax_1000",
             "cli_eta_nmax_1000",
@@ -420,7 +440,7 @@ class TestStreaming:
             terms = [x for *_, curl in berger._powers(t.a, 6.0, 40) for x in curl]
             with mpmath.workdps(50):
                 exact = float(mpmath.fsum(terms))
-            assert eta_partial(t, 6.0) == exact
+            assert eta_identity(BergerParams(a), 6.0, 40)[0] == exact
             scalar = [
                 math.copysign(e.multiplicity, e.value) * abs(e.value) ** -6.0
                 for e in t.entries
@@ -461,10 +481,8 @@ class TestOnePass:
 
     def test_weyl_counts_build_each_laplacian_run_once(self, built):
         weyl_check(BergerParams(1), 100.0)  # n_max = 100: n is the least |value| of n
-        # The completeness bound interleaves the first omitted n = 101 alone.
-        assert built[:2] == [("curl", 101, 102), ("laplacian", 101, 102)]
-        assert {kind for kind, _, _ in built[2:]} == {"laplacian"}
-        self.assert_runs(built[2:], 2, 100)
+        assert {kind for kind, _, _ in built} == {"laplacian"}
+        self.assert_runs(built, 2, 100)
 
 
 def reference_rows(kind, a, n_max):
@@ -495,7 +513,7 @@ class TestChunks:
         params = [BergerParams(a) for a in (Fraction(1, 2), Fraction(3, 2), 0.37)]
 
         def sums(p):
-            return eta_partial(curl_spectrum(p, 60), 6.0), theta_partial(p, 4.5, 60)
+            return eta_identity(p, 6.0, 60)[:2], eta_identity(p, 4.5, 60)[:2]
 
         expected = [sums(p) for p in params]
         monkeypatch.setattr(berger, "CHUNK_ROWS", chunk_rows)

@@ -98,8 +98,6 @@ def test_detector_flags_a_scipy_import():
 PAPER_CHECKS = {
     "berger": {
         "counting_function",
-        "eta_decomposition_rhs",
-        "eta_partial",
         "hitchin_remainder",
         "laplacian_spectrum",
     },
