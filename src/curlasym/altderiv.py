@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .configs import EPSILON
 from .exactpoly import (
     E1,
     ETA_VARS,
@@ -34,7 +35,6 @@ from .exactpoly import (
     poly_mul,
 )
 from .geometry import (
-    EPSILON,
     MetricJet,
     covector_norm_sq,
     euclid_norm_power_jet,
@@ -63,14 +63,14 @@ def hodge_symbol(mj: MetricJet) -> tuple:
     origin, read from the metric jet's configuration and its Riemann
     derivative.  Accurate up to the stated higher-order-in-x remainders.
     """
-    if any(v != 0 for row in mj.config.ric0 for v in row):
+    if not mj.config.ricci_flat:
         raise ValueError("requires vanishing Ricci tensor at the origin")
-    # Integer numerators over one common denominator: den times a
+    # Integer numerators over the config's common denominator: den times a
     # Ricci-derivative entry is an integer, and so is den times a Riemann
     # derivative entry (see riemann_from_ricci).  a_tensor and b_tensor
     # return their entries times 12 den.
     dric = mj.config.dric0
-    den = 2 * math.lcm(*(v.denominator for m in dric for row in m for v in row))
+    den = mj.config.denominator
     dric = tensor(lambda s, a, b: numerator_over(dric[s][a][b], den), 3)
     driem0 = tensor(
         lambda s, a, b, c, d: numerator_over(mj.driem0[s][a][b][c][d], den), 5

@@ -268,8 +268,8 @@ def completeness_bound(t: SpectrumTable) -> float:
 def _counts(t: SpectrumTable, lam: float) -> tuple[int, int]:
     """Multiplicity-weighted counts of eigenvalues in (0, lam) and in
     (-lam, 0), in one pass over the pairs; a - w is the only negative one."""
-    if math.isnan(lam):
-        raise ValueError("lambda must not be NaN")
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must not be NaN or infinite, got {lam}")
     bound = completeness_bound(t)
     if lam > bound:
         raise ValueError(

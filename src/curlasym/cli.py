@@ -31,9 +31,9 @@ from .berger import (
     eta_identity,
     weyl_check,
 )
-from .configs import UNIT_CONFIG_NAMES, unit_config
+from .configs import UNIT_CONFIG_NAMES, CurvatureConfig, unit_config
 from .exactpoly import parse_rational
-from .geometry import CurvatureConfig, build_metric_jet
+from .geometry import build_metric_jet
 from .kernel import (
     LOG_COEFF_TARGET,
     basset_check,
@@ -131,7 +131,7 @@ def cmd_asym(args: argparse.Namespace) -> int:
             rep = asymmetry_report(cfg)
             entry = {"name": name, "report": rep.to_dict()}
             ok = rep.passed
-            if all(v == 0 for row in cfg.ric0 for v in row):
+            if cfg.ricci_flat:
                 alt = aprin_alternative(build_hierarchy(rep.mj))
                 entry["alt_a_prin"] = str(alt)
                 ok = ok and alt == rep.a_prin_value
@@ -162,53 +162,50 @@ def _parse_a(text: str):
         raise ValueError(f"parameter a {text!r} is not a number") from None
 
 
-def cmd_berger(args: argparse.Namespace) -> int:
+def cmd_berger_spectrum(args: argparse.Namespace) -> int:
+    table = curl_spectrum(BergerParams(_parse_a(args.a)), args.nmax)
+    _emit(table.csv_chunks(), args.output)
+    return 0
+
+
+def cmd_berger_eta(args: argparse.Namespace) -> int:
     p = BergerParams(_parse_a(args.a))
-    if args.berger_cmd == "spectrum":
-        table = curl_spectrum(p, args.nmax)
-        _emit(table.csv_chunks(), args.output)
-        return 0
-    if args.berger_cmd == "eta":
-        tol = DEFAULTS["eta_identity_tol"]
-        lhs, rhs, rounding = eta_identity(p, args.s, args.nmax)
-        if rounding > tol:
-            raise ValueError(
-                f"float rounding in the eta identity at a={p.a}, s={args.s} may "
-                f"reach {rounding:.3g}, above its tolerance {tol:g}"
-            )
-        residual = abs(lhs - rhs)
-        ok = residual <= tol
-        payload = {
-            "a": str(p.a),
-            "s": args.s,
-            "n_max": args.nmax,
-            "eta_partial": lhs,
-            "decomposition_rhs": rhs,
-            "residual": residual,
-            "tolerance": tol,
-            "pass": ok,
-        }
-        try:
-            closed = eta_closed_forms(p)
-            payload["closed_forms"] = {
-                k: str(v) for k, v in closed.items()
-            }
-        except TypeError:
-            pass
-        _emit(json.dumps(payload, indent=2), args.output)
-        return 0 if ok else 1
-    if args.berger_cmd == "weyl":
-        result = weyl_check(p, args.lam)
-        margin = DEFAULTS["weyl_margin"] / args.lam
-        ok = (
-            result["deviation_plus"] <= margin
-            and result["deviation_minus"] <= margin
+    tol = DEFAULTS["eta_identity_tol"]
+    lhs, rhs, rounding = eta_identity(p, args.s, args.nmax)
+    if rounding > tol:
+        raise ValueError(
+            f"float rounding in the eta identity at a={p.a}, s={args.s} may "
+            f"reach {rounding:.3g}, above its tolerance {tol:g}"
         )
-        result["margin"] = margin
-        result["pass"] = ok
-        _emit(json.dumps(result, indent=2), args.output)
-        return 0 if ok else 1
-    return 2
+    residual = abs(lhs - rhs)
+    ok = residual <= tol
+    payload = {
+        "a": str(p.a),
+        "s": args.s,
+        "n_max": args.nmax,
+        "eta_partial": lhs,
+        "decomposition_rhs": rhs,
+        "residual": residual,
+        "tolerance": tol,
+        "pass": ok,
+    }
+    try:
+        closed = eta_closed_forms(p)
+        payload["closed_forms"] = {k: str(v) for k, v in closed.items()}
+    except TypeError:
+        pass
+    _emit(json.dumps(payload, indent=2), args.output)
+    return 0 if ok else 1
+
+
+def cmd_berger_weyl(args: argparse.Namespace) -> int:
+    result = weyl_check(BergerParams(_parse_a(args.a)), args.lam)
+    margin = DEFAULTS["weyl_margin"] / args.lam
+    ok = result["deviation_plus"] <= margin and result["deviation_minus"] <= margin
+    result["margin"] = margin
+    result["pass"] = ok
+    _emit(json.dumps(result, indent=2), args.output)
+    return 0 if ok else 1
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
@@ -235,8 +232,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         record("basset", {"y": args.y}, q, ref, DEFAULTS["basset_tol"])
     elif args.sphere:
         name = args.config or "flat"
-        sc = singular_coefficient(_load_config(name))
-        avg = sphere_average_check(sc)
+        avg = sphere_average_check(singular_coefficient(_load_config(name)))
         record(
             "sphere_average",
             {"config": name},
@@ -275,10 +271,10 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         )
         worst = 0.0
         for name in UNIT_CONFIG_NAMES:
-            sc = singular_coefficient(unit_config(name))
-            if sc.trace() != 0:
+            c = singular_coefficient(unit_config(name))
+            if sum(c[i][i] for i in range(3)) != 0:
                 record("trace_free", {"config": name}, 1.0, 0.0, 0.0)
-            worst = max(worst, abs(sphere_average_check(sc)))
+            worst = max(worst, abs(sphere_average_check(c)))
         record(
             "sphere_average_sweep",
             {"configs": len(UNIT_CONFIG_NAMES)},
@@ -325,18 +321,18 @@ def build_parser() -> argparse.ArgumentParser:
     b_spec.add_argument("--a", default="1")
     b_spec.add_argument("--nmax", type=int, default=50)
     b_spec.add_argument("--output")
-    b_spec.set_defaults(func=cmd_berger)
+    b_spec.set_defaults(func=cmd_berger_spectrum)
     b_eta = bsub.add_parser("eta")
     b_eta.add_argument("--a", default="2")
     b_eta.add_argument("--s", type=float, default=6.0)
     b_eta.add_argument("--nmax", type=int, default=3000)
     b_eta.add_argument("--output")
-    b_eta.set_defaults(func=cmd_berger)
+    b_eta.set_defaults(func=cmd_berger_eta)
     b_weyl = bsub.add_parser("weyl")
     b_weyl.add_argument("--a", default="1")
     b_weyl.add_argument("--lambda", dest="lam", type=float, default=200.0)
     b_weyl.add_argument("--output")
-    b_weyl.set_defaults(func=cmd_berger)
+    b_weyl.set_defaults(func=cmd_berger_weyl)
 
     p_kernel = sub.add_parser("kernel", help="Bessel-kernel numeric checks")
     check = p_kernel.add_mutually_exclusive_group()

@@ -2,8 +2,8 @@
 
 The sole geometric input is the Ricci tensor and its covariant derivative at
 the origin of a normal coordinate system on an oriented Riemannian
-3-manifold.  In dimension three the Riemann tensor is determined by the Ricci
-tensor, which yields the metric jet
+3-manifold (``configs.CurvatureConfig``).  In dimension three the Riemann
+tensor is determined by the Ricci tensor, which yields the metric jet
 
     g = delta - (1/3) Riem(0) x x - (1/6) (grad Riem)(0) x x x + O(|x|^4),
 
@@ -15,15 +15,13 @@ expansions of parallel transport maps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import lcm
-from typing import Mapping, Sequence
 
 from .calculus import SymbolJet
+from .configs import EPSILON, CurvatureConfig
 from .exactpoly import (
     E1,
     GR_I,
@@ -32,7 +30,6 @@ from .exactpoly import (
     coefficient_reader,
     monomial,
     numerator_over,
-    parse_rational,
     poly_add,
     poly_diff,
     poly_from_monomials,
@@ -49,121 +46,9 @@ from .polymat import (
     tensor,
 )
 
-#: Totally antisymmetric symbol epsilon_{abc} on index triples (0-based).
-EPSILON = {
-    (0, 1, 2): 1,
-    (1, 2, 0): 1,
-    (2, 0, 1): 1,
-    (0, 2, 1): -1,
-    (2, 1, 0): -1,
-    (1, 0, 2): -1,
-}
-
 
 def _delta(a: int, b: int) -> int:
     return 1 if a == b else 0
-
-
-@dataclass(frozen=True)
-class CurvatureConfig:
-    """Ricci tensor and its covariant derivative at the origin.
-
-    ric0 is a symmetric 3x3 matrix of rationals; dric0 holds the three
-    symmetric 3x3 matrices (grad_1 Ric, grad_2 Ric, grad_3 Ric).  Entries are
-    stored as nested tuples of Fractions (strings are parsed exactly; floats
-    are refused, since a binary fraction is not the decimal that was meant).
-    Symmetry in the last two indices is enforced; no differential identity
-    relating the 24 constants is imposed, they are treated as independent.
-    """
-
-    __slots__ = ("ric0", "dric0")
-    ric0: Sequence
-    dric0: Sequence
-
-    def __post_init__(self) -> None:
-        ric = tuple(tuple(_exact(v) for v in row) for row in self.ric0)
-        dric = tuple(
-            tuple(tuple(_exact(v) for v in row) for row in m) for m in self.dric0
-        )
-        if len(ric) != 3 or any(len(r) != 3 for r in ric):
-            raise ValueError("ric0 must be 3x3")
-        if len(dric) != 3 or any(
-            len(m) != 3 or any(len(r) != 3 for r in m) for m in dric
-        ):
-            raise ValueError("dric0 must be 3x3x3")
-        if ric != tuple(zip(*ric)):
-            raise ValueError("ric0 must be symmetric")
-        if any(m != tuple(zip(*m)) for m in dric):
-            raise ValueError("each dric0 slice must be symmetric")
-        object.__setattr__(self, "ric0", ric)
-        object.__setattr__(self, "dric0", dric)
-
-    @staticmethod
-    def flat() -> "CurvatureConfig":
-        z = ((0, 0, 0),) * 3
-        return CurvatureConfig(z, (z, z, z))
-
-    def scalar0(self) -> object:
-        return sum(self.ric0[i][i] for i in range(3))
-
-    def dscalar0(self, s: int) -> object:
-        return sum(self.dric0[s][i][i] for i in range(3))
-
-    def to_dict(self) -> dict:
-        return {
-            "ric": [[str(v) for v in row] for row in self.ric0],
-            "dric": [[[str(v) for v in row] for row in m] for m in self.dric0],
-        }
-
-    @staticmethod
-    def from_dict(data: object) -> "CurvatureConfig":
-        """Inverse of to_dict.
-
-        Entries must be integers, exact rationals or rational strings; read
-        JSON with ``parse_float=parse_rational`` so that decimals stay exact.
-        """
-        if not isinstance(data, Mapping) or not {"ric", "dric"} <= data.keys():
-            raise ValueError("config must be an object with keys 'ric' and 'dric'")
-        for key, depth in (("ric", 2), ("dric", 3)):
-            if not _is_exact_array(data[key], depth):
-                raise ValueError(
-                    f"{key} must be a {'x'.join('3' * depth)} list of integers, "
-                    "decimals or 'p/q' strings"
-                )
-        return CurvatureConfig(data["ric"], data["dric"])
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
-
-    @staticmethod
-    def loads(text: str) -> "CurvatureConfig":
-        try:
-            data = json.loads(text, parse_float=parse_rational)
-        except RecursionError:
-            raise ValueError("config JSON nests too deeply") from None
-        return CurvatureConfig.from_dict(data)
-
-
-def _exact(value: object) -> Fraction:
-    if isinstance(value, float):
-        raise ValueError(f"entry {value!r} is a float: give it as a 'p/q' string")
-    if not isinstance(value, str):
-        return Fraction(value)
-    try:
-        return parse_rational(value)
-    except ZeroDivisionError:
-        raise ValueError(f"entry {value!r} divides by zero") from None
-
-
-def _is_exact_array(value: object, depth: int) -> bool:
-    """Whether value is a depth-fold nested 3-list of exact rational entries."""
-    if depth == 0:
-        return isinstance(value, (int, Fraction, str)) and not isinstance(value, bool)
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) == 3
-        and all(_is_exact_array(v, depth - 1) for v in value)
-    )
 
 
 def riemann_from_ricci(cfg: CurvatureConfig):
@@ -174,10 +59,11 @@ def riemann_from_ricci(cfg: CurvatureConfig):
     the Kronecker delta and coordinate derivatives agree with covariant ones.
     """
 
+    # Integer numerators over the config's common denominator: den times a
+    # Ricci entry, and den times half the scalar curvature, are integers.
+    den = cfg.denominator
+
     def riemann(ric, scal):
-        # Integer numerators over one common denominator: den times a Ricci
-        # entry, and den times half the scalar curvature, are integers.
-        den = 2 * lcm(*(v.denominator for row in ric for v in row))
         num = tensor(lambda a, b: numerator_over(ric[a][b], den), 2)
         half_scal = numerator_over(scal, den // 2)
 
@@ -254,9 +140,7 @@ def build_metric_jet(cfg: CurvatureConfig, order: int = 3) -> MetricJet:
 
     # Integer coefficients over the common denominator 6 * den: den times
     # every Riemann entry is an integer (see riemann_from_ricci).
-    den = 2 * lcm(
-        *(v.denominator for m in (cfg.ric0, *cfg.dric0) for row in m for v in row)
-    )
+    den = cfg.denominator
     g = tensor(
         lambda a, b: _quadratic_cubic(
             order,

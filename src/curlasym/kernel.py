@@ -17,10 +17,9 @@ commands (project, asym) start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import EPSILON, CurvatureConfig
+from .configs import EPSILON, CurvatureConfig
 from .polymat import tensor
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -188,33 +187,13 @@ def log_coefficient_check(t: float = 1e-3) -> float:
 LOG_COEFF_TARGET = 1 / (12 * math.pi**2)
 
 
-@dataclass(frozen=True)
-class SingularCoefficient:
-    """Trace-free curvature matrix weighting the log-singular kernel part.
-
-    The rational matrix C = (1/12) eps grad Ric carries the contraction of
-    the alternating symbol with the covariant Ricci derivative.  The kernel
-    coefficient is C in units of pi^-2, a factor kept out of the exact part
-    so that it stays rational; ``as_float`` applies it.  The same C gives the
-    principal asymmetry value (``projections.aprin_closed_form``).
-    """
-
-    c_rational: tuple
-
-    def trace(self):
-        return sum(self.c_rational[i][i] for i in range(3))
-
-    def as_float(self) -> list:
-        scale = 1 / math.pi**2
-        try:
-            return [[float(v) * scale for v in row] for row in self.c_rational]
-        except OverflowError:
-            raise ValueError("a singular coefficient entry overflows a float") from None
-
-
-def singular_coefficient(cfg: CurvatureConfig) -> SingularCoefficient:
+def singular_coefficient(cfg: CurvatureConfig) -> tuple:
     """Exact contraction c_{g r} = (1/12) eps^{ab}{}_g (grad_a Ric)_{br}.
 
+    The trace-free rational 3x3 matrix C weighting the log-singular kernel
+    part, in units of pi^-2 (a factor kept out of the exact part so that it
+    stays rational; ``sphere_average_check`` applies it).  The same C gives
+    the principal asymmetry value (``projections.aprin_closed_form``).
     Index raising at the origin is trivial; the result is trace-free by the
     symmetry of the Ricci derivative in its last two indices.
     """
@@ -225,7 +204,7 @@ def singular_coefficient(cfg: CurvatureConfig) -> SingularCoefficient:
         )
         return total * Fraction(1, 12)
 
-    return SingularCoefficient(tensor(entry, 2))
+    return tensor(entry, 2)
 
 
 def sphere_quadrature(r: float = 1.0) -> tuple:
@@ -260,22 +239,27 @@ def second_moment(r: float = 1.0) -> list:
     return out
 
 
-def sphere_average_check(sc: SingularCoefficient, r: float = 1.0) -> float:
+def sphere_average_check(c: tuple, r: float = 1.0) -> float:
     """Sphere average of the singular kernel part; contract: vanishes.
 
-    Averages c_{g r} y^g y^r / r^2 over the radius-r sphere.  Because the
-    second moment is isotropic and the coefficient matrix is trace-free, the
+    Averages pi^-2 c_{g r} y^g y^r / r^2 over the radius-r sphere, for the
+    rational matrix c of ``singular_coefficient``.  Because the second
+    moment is isotropic and the coefficient matrix is trace-free, the
     average is zero up to rounding for any symmetric quadrature of degree
     at least 2.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    c = sc.as_float()
+    scale = 1 / math.pi**2
+    try:
+        c_float = [[float(v) * scale for v in row] for row in c]
+    except OverflowError:
+        raise ValueError("a singular coefficient entry overflows a float") from None
     total = 0.0
     for p, w in sphere_quadrature(r):
         val = 0.0
         for g in range(3):
             for rho in range(3):
-                val += c[g][rho] * p[g] * p[rho]
+                val += c_float[g][rho] * p[g] * p[rho]
         total += w * val / (r * r)
     return total

@@ -31,9 +31,9 @@ from .calculus import (
     trace_diag,
     transport_correction,
 )
+from .configs import CurvatureConfig
 from .exactpoly import X_VARS, GaussianRational, TruncatedPoly, poly_mul
 from .geometry import (
-    CurvatureConfig,
     MetricJet,
     build_metric_jet,
     covector_norm_sq,
@@ -297,6 +297,6 @@ def aprin_closed_form(cfg: CurvatureConfig, xi: Sequence) -> object:
     if n2 == 0:
         raise ValueError("zero covector")
     norm = _rational_sqrt(n2)
-    c = singular_coefficient(cfg).c_rational
+    c = singular_coefficient(cfg)
     paired = sum(xs[g] * c[g][r] * xs[r] for g in range(3) for r in range(3))
     return -6 * paired / norm**5

@@ -14,8 +14,8 @@ from curlasym.exactpoly import (
     poly_to_dict,
 )
 from curlasym.calculus import SymbolJet
-from curlasym.configs import random_config, unit_config
-from curlasym.geometry import EPSILON, curl_symbol, norm_power_jet, raised_covector
+from curlasym.configs import EPSILON, random_config, unit_config
+from curlasym.geometry import curl_symbol, norm_power_jet, raised_covector
 from curlasym.polymat import identity_mat, mat_shape
 from curlasym.projections import initial_symbols
 

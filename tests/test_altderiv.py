@@ -31,7 +31,6 @@ from curlasym.exactpoly import (
     poly_mul,
 )
 from curlasym.geometry import (
-    CurvatureConfig,
     build_metric_jet,
     curl_symbol,
     d_delta_symbols,
@@ -156,7 +155,7 @@ class TestHodgeSymbol:
             hodge_symbol(build_metric_jet(unit_config("c1")))
 
     def test_flat_is_zero(self):
-        q1, q0 = hodge_symbol(build_metric_jet(CurvatureConfig.flat()))
+        q1, q0 = hodge_symbol(build_metric_jet(unit_config("flat")))
         assert mat_is_zero(q1)
         assert mat_is_zero(q0)
 
@@ -216,7 +215,7 @@ class TestSqrtHierarchy:
             assert _derivative_term(m, weight, derivs, rank) == expected
 
     def test_flat_subleading_components_vanish(self):
-        h = build_hierarchy(build_metric_jet(CurvatureConfig.flat()))
+        h = build_hierarchy(build_metric_jet(unit_config("flat")))
         for m in (h.r0, h.r_m1, h.r_m2, h.s_m2, h.s_m3, h.s_m4):
             assert mat_is_zero(m)
         assert aprin_alternative(h).is_zero()

@@ -175,6 +175,14 @@ class TestCounting:
             with pytest.raises(ValueError, match="lambda must not be NaN"):
                 counting_function(t, math.nan, sign)
 
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+    def test_non_finite_lambda_named(self, lam):
+        """inf was refused with advice to increase n_max, which no table
+        can follow, and -inf counted nothing."""
+        t = curl_spectrum(BergerParams(1), 10)
+        with pytest.raises(ValueError, match=f"NaN or infinite, got {lam}$"):
+            counting_function(t, lam, 1)
+
     @given(
         st.one_of(st.sampled_from([0.1, 0.37]), st.floats(0.05, 20)),
         st.integers(2, 300),
@@ -736,13 +744,16 @@ class TestExtraction:
             ([5e-324, -1e-320, 2.0**-1022] * 100, False),
             ([2.0**1020, -(2.0**1020), 1.0, 2.0**-1074], False),  # sigma overflows
             ([1.5 * 2.0**1019, -(2.0**1018), 2.0**1010], True),
+            # The top term, scaled by 2**-_SHIFT, no longer overflows sigma.
+            ([2.0**1022, 2.0**-1074], False),
             # Rests 2**-48 - k 2**-98 whose sum needs 54 bits, one binade
             # short of the condition.
             ([1.5] + [2.0**-46 + 2.0**-48 - k * 2.0**-98 for k in range(1, 27, 2)],
              False),
         ],
         ids=["one", "meets", "misses", "zero", "subnormal-meets",
-             "subnormal-misses", "huge", "near-overflow", "inexact-rest"],
+             "subnormal-misses", "huge", "near-overflow", "scaled-top",
+             "inexact-rest"],
     )
     def test_cases(self, terms, meets):
         assert self.check(np.array(terms)) == meets

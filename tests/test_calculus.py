@@ -33,7 +33,6 @@ from curlasym.exactpoly import (
     poly_diff,
 )
 from curlasym.geometry import (
-    CurvatureConfig,
     build_metric_jet,
     curl_symbol,
     d_delta_symbols,
@@ -277,7 +276,7 @@ class TestOperatorSubprincipals:
             assert mat_is_zero(subprincipal(identity_jet(2), mj))
 
     def test_requires_two_levels(self):
-        mj = build_metric_jet(CurvatureConfig.flat(), order=3)
+        mj = build_metric_jet(unit_config("flat"), order=3)
         with pytest.raises(ValueError):
             subprincipal(identity_jet(1), mj)
 
@@ -356,7 +355,7 @@ class TestOrderContract:
         assert bracket2 == mat_truncate(bracket3, 1)
 
     def test_bracket_refuses_order_zero(self):
-        mj = build_metric_jet(CurvatureConfig.flat())
+        mj = build_metric_jet(unit_config("flat"))
         with pytest.raises(ValueError, match="order >= 1"):
             poisson_bracket(identity_mat(0), identity_mat(2), mj)
 

@@ -295,7 +295,7 @@ class TestKernel:
             },
             "log_coefficient": {"log_coefficient_check": lambda t: value},
             "second_moment_diag": {"second_moment": lambda r: diag},
-            "sphere_average_sweep": {"sphere_average_check": lambda sc: value},
+            "sphere_average_sweep": {"sphere_average_check": lambda c: value},
         }[name]
 
     REFERENCES = {
@@ -395,6 +395,31 @@ def test_exact_commands_start_without_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "module, allowed",
+    [
+        ("kernel", {"configs", "exactpoly", "polymat", "kernel"}),
+        ("configs", {"configs", "exactpoly"}),
+    ],
+)
+def test_layer_imports(module, allowed):
+    """The curvature input lives in configs, which needs only exactpoly, so
+    the kernel checks start without the exact construction (calculus,
+    geometry, projections, altderiv)."""
+    code = (
+        "import sys\n"
+        f"import curlasym.{module}\n"
+        "print(' '.join(sorted(m.split('.')[1] for m in sys.modules\n"
+        "                      if m.startswith('curlasym.'))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert loaded <= allowed, f"import curlasym.{module} loaded {loaded - allowed}"
 
 
 def test_kernel_runs_without_scipy():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -10,6 +11,7 @@ import pytest
 
 from curlasym.configs import (
     UNIT_CONFIG_NAMES,
+    CurvatureConfig,
     random_bianchi_config,
     random_config,
     unit_config,
@@ -23,7 +25,6 @@ from curlasym.exactpoly import (
     poly_mul,
 )
 from curlasym.geometry import (
-    CurvatureConfig,
     build_metric_jet,
     curl_symbol,
     d_delta_symbols,
@@ -91,7 +92,7 @@ def mono(exps, num, den=1):
 
 class TestCurvatureConfig:
     def test_flat(self):
-        cfg = CurvatureConfig.flat()
+        cfg = unit_config("flat")
         assert cfg == CurvatureConfig(((0, 0, 0),) * 3, (((0, 0, 0),) * 3,) * 3)
         assert cfg.scalar0() == 0
 
@@ -125,12 +126,35 @@ class TestCurvatureConfig:
         with pytest.raises(ValueError, match="float"):
             CurvatureConfig(zero, [ric, zero, zero])
 
+    @pytest.mark.parametrize(
+        "entry",
+        [None, [0], True, Decimal("0.5")],
+        ids=["None", "nested", "bool", "Decimal"],
+    )
+    def test_direct_construction_refuses_what_json_refuses(self, entry):
+        """One validator for both paths: a wrongly nested or non-rational
+        entry raised TypeError, and a bool was stored as 1."""
+        zero = [[0] * 3 for _ in range(3)]
+        bad = [[entry, 0, 0], [0, 0, 0], [0, 0, 0]]
+        with pytest.raises(ValueError, match="^ric must be a 3x3 list"):
+            CurvatureConfig(bad, [zero] * 3)
+        with pytest.raises(ValueError, match="^dric must be a 3x3x3 list"):
+            CurvatureConfig(zero, [bad, zero, zero])
+
+    @pytest.mark.parametrize("value", [None, 0, [0, 0, 0], [[0] * 3] * 2])
+    def test_direct_construction_refuses_wrong_shapes(self, value):
+        zero = [[0] * 3 for _ in range(3)]
+        with pytest.raises(ValueError, match="^ric must be a 3x3 list"):
+            CurvatureConfig(value, [zero] * 3)
+        with pytest.raises(ValueError, match="^dric must be a 3x3x3 list"):
+            CurvatureConfig(zero, [zero, zero, value])
+
     def test_equal_configs_hash_equal(self):
         cfg = random_config(random.Random(13))
         as_lists = [[str(v) for v in row] for row in cfg.ric0]
         same = CurvatureConfig(as_lists, [list(m) for m in cfg.dric0])
         assert same == cfg and hash(same) == hash(cfg)
-        assert len({cfg, same, CurvatureConfig.flat()}) == 2
+        assert len({cfg, same, unit_config("flat")}) == 2
 
     def test_records_are_frozen(self):
         cfg = unit_config("c7")
@@ -233,7 +257,7 @@ class TestRiemannFromRicci:
 
 class TestMetricJet:
     def test_flat_is_identity(self):
-        mj = build_metric_jet(CurvatureConfig.flat(), order=3)
+        mj = build_metric_jet(unit_config("flat"), order=3)
         assert mj.g == identity_mat(3)
         assert mj.g_inv == identity_mat(3)
         assert mj.rho == TruncatedPoly.constant(1, 3)
@@ -333,13 +357,13 @@ class TestNormJets:
         assert euclid_norm_power_jet(2, 4) == sq
 
     def test_flat_norms_agree(self):
-        mj = build_metric_jet(CurvatureConfig.flat(), order=3)
+        mj = build_metric_jet(unit_config("flat"), order=3)
         assert norm_power_jet(mj, -1, 3) == euclid_norm_power_jet(-1, 3)
 
 
 class TestOperatorSymbols:
     def test_flat_curl_principal(self):
-        mj = build_metric_jet(CurvatureConfig.flat(), order=3)
+        mj = build_metric_jet(unit_config("flat"), order=3)
         jet = curl_symbol(mj, accuracy=2)
         xi = xi_polys(2)
         for a in range(3):
@@ -366,7 +390,7 @@ class TestOperatorSymbols:
                 assert at0[a][b] == at0[b][a].conjugate()
 
     def test_d_delta_shapes_and_flat_values(self):
-        mj = build_metric_jet(CurvatureConfig.flat(), order=3)
+        mj = build_metric_jet(unit_config("flat"), order=3)
         d_sym, delta_sym = d_delta_symbols(mj, accuracy=2)
         assert d_sym.shape == (3, 1)
         assert delta_sym.shape == (1, 3)
@@ -401,7 +425,7 @@ class TestOrderContract:
 
 class TestTransport:
     def test_flat_transport_is_identity(self):
-        mj = build_metric_jet(CurvatureConfig.flat(), order=3)
+        mj = build_metric_jet(unit_config("flat"), order=3)
         tj = transport_jet(mj, "origin_to_y")
         assert tj.z_vector == identity_mat(3)
         assert tj.z_covector == identity_mat(3)
@@ -435,6 +459,6 @@ class TestTransport:
         assert to_origin.z_vector == transport_jet(mj, "y_to_origin").z_vector
 
     def test_unknown_endpoints_rejected(self):
-        mj = build_metric_jet(CurvatureConfig.flat(), order=3)
+        mj = build_metric_jet(unit_config("flat"), order=3)
         with pytest.raises(ValueError):
             transport_jet(mj, "elsewhere")

@@ -9,11 +9,9 @@ from fractions import Fraction
 import pytest
 
 from curlasym.configs import UNIT_CONFIG_NAMES, random_config, unit_config
-from curlasym.geometry import CurvatureConfig
 from curlasym.kernel import (
     BASSET_Y_MAX,
     LOG_COEFF_TARGET,
-    SingularCoefficient,
     basset_check,
     bessel_k1,
     k1_small_argument,
@@ -26,6 +24,10 @@ from curlasym.kernel import (
 from curlasym.projections import aprin_closed_form
 
 mpmath = pytest.importorskip("mpmath")
+
+
+def trace(c) -> Fraction:
+    return sum(c[i][i] for i in range(3))
 
 
 class TestBesselK1:
@@ -132,27 +134,27 @@ class TestLogCoefficient:
 
 class TestSingularCoefficient:
     def test_flat_is_zero(self):
-        sc = singular_coefficient(CurvatureConfig.flat())
-        assert all(v == 0 for row in sc.c_rational for v in row)
+        c = singular_coefficient(unit_config("flat"))
+        assert all(v == 0 for row in c for v in row)
 
     def test_c11_matrix(self):
-        sc = singular_coefficient(unit_config("c11"))
+        c = singular_coefficient(unit_config("c11"))
         expect = (
             (Fraction(0), Fraction(0), Fraction(0)),
             (Fraction(0), Fraction(-1, 12), Fraction(0)),
             (Fraction(0), Fraction(0), Fraction(1, 12)),
         )
-        assert sc.c_rational == expect
-        assert sc.trace() == 0
+        assert c == expect
+        assert trace(c) == 0
 
     def test_all_unit_configs_trace_free(self):
         for name in UNIT_CONFIG_NAMES:
-            assert singular_coefficient(unit_config(name)).trace() == 0
+            assert trace(singular_coefficient(unit_config(name))) == 0
 
     def test_random_configs_trace_free(self):
         rng = random.Random(140)
         for _ in range(20):
-            assert singular_coefficient(random_config(rng)).trace() == 0
+            assert trace(singular_coefficient(random_config(rng))) == 0
 
     def test_consistent_with_closed_form_contraction(self):
         """Pairing the coefficient matrix with the anchor covector reproduces
@@ -160,8 +162,7 @@ class TestSingularCoefficient:
         rng = random.Random(141)
         for _ in range(10):
             cfg = random_config(rng)
-            sc = singular_coefficient(cfg)
-            paired = sc.c_rational[2][2]
+            paired = singular_coefficient(cfg)[2][2]
             assert paired == -aprin_closed_form(cfg, (0, 0, 1)) * Fraction(1, 6)
 
 
@@ -190,27 +191,27 @@ class TestSphereQuadrature:
 
     def test_singular_average_vanishes_all_configs(self):
         for name in UNIT_CONFIG_NAMES:
-            sc = singular_coefficient(unit_config(name))
-            assert abs(sphere_average_check(sc)) <= 1e-10
+            c = singular_coefficient(unit_config(name))
+            assert abs(sphere_average_check(c)) <= 1e-10
 
     def test_singular_average_random_configs_and_radii(self):
         rng = random.Random(142)
         for _ in range(10):
-            sc = singular_coefficient(random_config(rng))
+            c = singular_coefficient(random_config(rng))
             for r in (0.5, 1.0, 3.0):
-                assert abs(sphere_average_check(sc, r=r)) <= 1e-10
+                assert abs(sphere_average_check(c, r=r)) <= 1e-10
 
     def test_non_trace_free_average_at_radius_two(self):
         """Positive control: a coefficient of trace 3 averages to exactly
         tr(C) / (3 pi^2) at every radius, off-diagonal entries included; a
         division by r instead of r^2 would double it at r = 2."""
         rows = ((1, 2, 0), (2, -3, 1), (0, 1, 5))
-        sc = SingularCoefficient(tuple(tuple(map(Fraction, row)) for row in rows))
-        assert sc.trace() == 3
+        c = tuple(tuple(map(Fraction, row)) for row in rows)
+        assert trace(c) == 3
         expect = 3 / (3 * math.pi**2)
-        assert sphere_average_check(sc, r=2.0) == pytest.approx(expect, rel=1e-14)
+        assert sphere_average_check(c, r=2.0) == pytest.approx(expect, rel=1e-14)
 
     def test_radius_validation(self):
-        sc = singular_coefficient(unit_config("c11"))
+        c = singular_coefficient(unit_config("c11"))
         with pytest.raises(ValueError):
-            sphere_average_check(sc, r=0.0)
+            sphere_average_check(c, r=0.0)

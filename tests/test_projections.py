@@ -13,10 +13,14 @@ import pytest
 
 from curlasym import projections
 from curlasym.calculus import SymbolJet, compose, subprincipal
-from curlasym.configs import UNIT_CONFIG_NAMES, random_config, unit_config
+from curlasym.configs import (
+    UNIT_CONFIG_NAMES,
+    CurvatureConfig,
+    random_config,
+    unit_config,
+)
 from curlasym.exactpoly import GaussianRational, TruncatedPoly
 from curlasym.geometry import (
-    CurvatureConfig,
     build_metric_jet,
     curl_symbol,
     norm_power_jet,
@@ -94,7 +98,7 @@ X2X3 = (0, 1, 1, 0, 0, 0)
 
 class TestInitialSymbols:
     def test_flat_anchor_values(self):
-        mj = build_metric_jet(CurvatureConfig.flat(), order=3)
+        mj = build_metric_jet(unit_config("flat"), order=3)
         prin = eigenprojections(mj, 2)
         assert anchor_values(prin["0"]) == anchor_values(
             const_mat([[0, 0, 0], [0, 0, 0], [0, 0, 1]], 2)
@@ -148,14 +152,14 @@ class TestInitialSymbols:
 class TestRunAlgorithm:
     def test_flat_steps_are_zero(self):
         for aleph in LABELS:
-            fam = run_algorithm(build_metric_jet(CurvatureConfig.flat()), aleph, 3)
+            fam = run_algorithm(build_metric_jet(unit_config("flat")), aleph, 3)
             for step in fam.steps:
                 assert mat_is_zero(step["X"])
             for k in (1, 2, 3):
                 assert mat_is_zero(fam.jet.components[k])
 
     def test_bad_inputs(self):
-        cfg = CurvatureConfig.flat()
+        cfg = unit_config("flat")
         with pytest.raises(ValueError):
             run_algorithm(build_metric_jet(cfg), "x", 2)
         with pytest.raises(ValueError):
@@ -447,7 +451,7 @@ class TestSubprincipalCheck:
     def test_vanishes_for_unit_and_random_configs(self):
         rng = random.Random(110)
         configs = [unit_config(n) for n in ("c1", "c5", "c11", "c20")]
-        configs.append(CurvatureConfig.flat())
+        configs.append(unit_config("flat"))
         configs.extend(random_config(rng) for _ in range(3))
         for cfg in configs:
             mj = build_metric_jet(cfg, order=3)
@@ -603,7 +607,7 @@ class TestClosedForm:
 
     def test_examples(self):
         assert aprin_closed_form(unit_config("c11"), self.XI0) == Fraction(-1, 2)
-        assert aprin_closed_form(CurvatureConfig.flat(), self.XI0) == 0
+        assert aprin_closed_form(unit_config("flat"), self.XI0) == 0
         assert aprin_closed_form(unit_config("c7"), self.XI0) == 0
 
     def test_errors(self):
