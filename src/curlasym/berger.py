@@ -133,8 +133,11 @@ def _pair_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, ...]:
     n = np.arange(max(n0, 2), n1)
     one_two_mults = (2.0 * n - 2).repeat(2).reshape(-1, 2)
     one_two_mults[n == 2, 1] = 1  # series II has multiplicity 1 at n = 2
-    one_two = (n[:, None] + [0.0, 2 * (a**2 - 1)]) / a
-    return mu, mults, np.sqrt(a**2 + mu), first[n0 < 2 :], one_two, one_two_mults
+    one_two = np.empty((n.size, 2))
+    one_two[:, 0], one_two[:, 1] = n, n + 2 * (a**2 - 1)
+    one_two /= a
+    w = a**2 + mu
+    return mu, mults, np.sqrt(w, out=w), first[n0 < 2 :], one_two, one_two_mults
 
 
 def _curl_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -335,8 +338,9 @@ def _check_s(s: float, lower: int, what: str) -> None:
         raise ValueError(f"s must be finite and > {lower} for {what}, got {s}")
 
 
-def _extracted(r: np.ndarray, top: float, low: float = 0.0) -> int:
-    """The sum of the finite terms r times 2**_TINY; top = max |r|, low = min |r|.
+def _extracted(r: np.ndarray, top: float, low: float = 0.0, q=None) -> int:
+    """The sum of the finite terms r times 2**_TINY; top = max |r|, low = min |r|;
+    q, if given, a scratch array of r's shape whose values are overwritten.
 
     Error-free extraction: with 2**m >= r.size + 2 and 2**e > top, the
     terms q = (r + sigma) - sigma for sigma = 2**(e + m) are multiples of
@@ -358,7 +362,7 @@ def _extracted(r: np.ndarray, top: float, low: float = 0.0) -> int:
         total += _extracted(r[big] * 2.0**-_SHIFT, top * 2.0**-_SHIFT) << _SHIFT
         r = np.where(big, 0.0, r)
         top = float(np.abs(r).max())
-    q = np.empty_like(r)
+    q = np.empty_like(r) if q is None else q
     rest = None  # r - q, written over itself after the first level
     while top:
         e = math.frexp(top)[1]
@@ -390,10 +394,13 @@ def _exact_sums(chunks: Iterable[tuple], *whats: str) -> list[tuple[float, float
     import numpy as np
 
     totals, sizes = [0] * len(whats), [0.0] * len(whats)
+    scratch = np.empty(0)  # |x|, then _extracted's q
     with np.errstate(all="ignore"):
         for terms in chunks:
             for i, x in enumerate(terms):
-                magnitudes = np.abs(x)
+                if scratch.size < x.size:
+                    scratch = np.empty(x.size)
+                magnitudes = np.abs(x, out=scratch[: x.size])
                 size = float(magnitudes.sum())
                 # A non-finite term makes size non-finite; so can an overflow.
                 if not math.isfinite(size) and not np.isfinite(x).all():
@@ -402,7 +409,7 @@ def _exact_sums(chunks: Iterable[tuple], *whats: str) -> list[tuple[float, float
                 if not math.isnan(sizes[i]):
                     top = float(magnitudes.max(initial=0.0))
                     low = float(magnitudes.min(initial=math.inf))
-                    totals[i] += _extracted(x, top, low)
+                    totals[i] += _extracted(x, top, low, magnitudes)
     sums = []
     for total, size, what in zip(totals, sizes, whats):
         try:
@@ -423,12 +430,15 @@ def _powers(a: float, s: float, n_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     import numpy as np
 
     _check_nmax(n_max, 0)
+    shift = np.array([[a], [-a]])
     for n0, n1 in _runs("laplacian", 1, n_max):
         mu, mults, w, first, one_two, one_two_mults = _pair_block(a, n0, n1)
-        xy = (w + [[a], [-a]]) ** -s
+        xy = np.add(w, shift)
+        xy **= -s  # in place, by the same float operation as ``**``
         bracket = xy[0] - xy[1]
         skip = int(n0 == 1)  # n = 1 has one row, l = 0, and no curl terms
-        curl = xy[:, skip:] * mults[skip:]
+        curl = xy[:, skip:]
+        curl *= mults[skip:]
         np.negative(curl[1], out=curl[1])
         curl[:, first - skip] = (one_two**-s * one_two_mults).T
         yield mu, w, mults, bracket, curl.ravel()
@@ -462,11 +472,14 @@ def eta_identity(p: BergerParams, s: float, n_max: int) -> tuple[float, float, f
     Both are summed in one pass over the Laplacian rows (``_powers``):
     the curl terms of each run and its theta brackets times multiplicity.
     """
+    import numpy as np
+
     _check_nmax(n_max, 2)
     _check_s(s, 3, "eta partial sums")
     a = p.a_float
+    runs = _powers(a, s, n_max)
     (eta, eta_size), (theta, theta_size) = _exact_sums(
-        ((curl, m * bracket) for _, _, m, bracket, curl in _powers(a, s, n_max)),
+        ((curl, np.multiply(m, b, out=b)) for *_, m, b, curl in runs),
         f"the eta partial sum at a={a}, s={s}",
         f"the theta sum at a={a}, s={s}",
     )

@@ -8,14 +8,16 @@ levels with exact float sums, into one integer accumulator that is rounded
 once, so every floating-point sum is correctly rounded and does not depend
 on summation order or on the chunk size, which bounds the memory (the eta
 identity's rounding bound, a float sum of chunk sums, may differ in its last
-bits).  The
-spectrum CSV is written one chunk at a time, and the ~1 MB JSON of
-``project`` in pieces of 4096 encoder chunks.
+bits).  The spectrum CSV is written one chunk at a time, and the ~1 MB JSON
+of ``project`` in pieces of 4096 encoder chunks.  Only the parser outlives a
+call: ``build_parser`` runs once per process.  A call reuses its own buffers
+(a Berger sum's one scratch array) and leaves nothing behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -294,6 +296,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="curlasym",

@@ -127,7 +127,7 @@ def _exact_array(value: object, depth: int, key: str) -> tuple:
             except ZeroDivisionError:
                 raise ValueError(f"entry {v!r} divides by zero") from None
         elif isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-            return Fraction(v)
+            return v if isinstance(v, Fraction) else Fraction(v)
         raise ValueError(
             f"{key} must be a {'x'.join('3' * depth)} list of integers, "
             "decimals or 'p/q' strings"

@@ -17,9 +17,8 @@ commands (project, asym) start without it.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .configs import EPSILON, CurvatureConfig
+from .configs import CurvatureConfig
 from .polymat import tensor
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -199,10 +198,8 @@ def singular_coefficient(cfg: CurvatureConfig) -> tuple:
     """
 
     def entry(g, r):
-        total = sum(
-            sign * cfg.dric0[a][b][r] for (a, b, c), sign in EPSILON.items() if c == g
-        )
-        return total * Fraction(1, 12)
+        a, b = (g + 1) % 3, (g + 2) % 3  # eps_{abg} = 1 = -eps_{bag}
+        return (cfg.dric0[a][b][r] - cfg.dric0[b][a][r]) / 12
 
     return tensor(entry, 2)
 

@@ -331,6 +331,13 @@ class TestEta:
         r400 = hitchin_remainder(p, 6.0, 400)
         assert r400 <= r200 + 1e-9
 
+    def test_eta_identity_leaves_the_remainder(self):
+        """eta_identity forms its theta terms in place in buffers of its own."""
+        p = BergerParams(2)
+        before = hitchin_remainder(p, 6.0, 200)
+        eta_identity(p, 6.0, 200)
+        assert hitchin_remainder(p, 6.0, 200) == before
+
     def test_nan_remainder_is_returned(self):
         """At s = 1e200, s (s + 1) (s + 2) overflows and every scaled
         remainder is NaN, which must not read as bounded."""
@@ -680,6 +687,18 @@ class TestExactSum:
         except OverflowError:
             pass  # fsum overflows in an intermediate sum that is not the result
 
+    @given(st.one_of(term_chunks(), sized_chunks()))
+    def test_caller_arrays_unchanged(self, chunks):
+        """The scratch array of the sums is their own: the term arrays, two
+        per chunk, come back bit for bit."""
+        arrays = [(np.array(c, dtype=np.float64), -np.array(c[::-1])) for c in chunks]
+        kept = [[x.tobytes() for x in pair] for pair in arrays]
+        try:
+            berger._exact_sums(iter(arrays), "the sum", "the reversed negated sum")
+        except ValueError:
+            pass
+        assert [[x.tobytes() for x in pair] for pair in arrays] == kept
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_term_rejected(self, bad):
         chunks = [(np.ones(3),), (np.array([1.0, bad]),)]
@@ -732,6 +751,17 @@ class TestExtraction:
     @given(extraction_arrays())
     def test_equals_loop_and_exact_sum(self, r):
         self.check(r)
+
+    @given(extraction_arrays())
+    def test_scratch_array(self, r):
+        """A scratch q, whatever it holds, gives the same sum and leaves r."""
+        kept = r.tobytes()
+        magnitudes = np.abs(r)
+        top, low = float(magnitudes.max()), float(magnitudes.min())
+        with np.errstate(all="ignore"):
+            total = berger._extracted(r, top, low)
+            assert berger._extracted(r, top, low, np.full_like(r, np.nan)) == total
+        assert r.tobytes() == kept
 
     @pytest.mark.parametrize(
         "terms, meets",

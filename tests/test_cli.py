@@ -330,6 +330,31 @@ class TestKernel:
             )
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """build_parser runs once per process.  After a usage error and a call
+    with --output, a report prints the bytes a fresh process prints."""
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        entry(["kernel", "--y", "1", "--sphere"])
+    assert exc.value.code == 2
+    out = tmp_path / "eta.json"
+    assert run(["berger", "eta", "--nmax", "60"], out) == 1  # too few terms for 1e-6
+    capsys.readouterr()
+    printed = []
+    for argv in (["berger", "eta", "--nmax", "60"], ["kernel"]):
+        code = entry(argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "curlasym.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert code == fresh.returncode
+        printed.append(capsys.readouterr().out)
+        assert printed[-1] == fresh.stdout
+    assert printed[0] == out.read_text() + "\n"
+
+
 class TestUsageErrorBeforeWork:
     """Options that cannot go together are refused before any computation."""
 

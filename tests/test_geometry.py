@@ -126,6 +126,22 @@ class TestCurvatureConfig:
         with pytest.raises(ValueError, match="float"):
             CurvatureConfig(zero, [ric, zero, zero])
 
+    def test_fraction_entries_kept_as_given(self):
+        """A Fraction entry is stored as it is, an int as its Fraction; a
+        float or a bool is still refused."""
+        x = Fraction(-7, 3)
+        zero = [[0] * 3 for _ in range(3)]
+        ric = [[x, 0, 0], [0, 0, 0], [0, 0, 0]]
+        cfg = CurvatureConfig(ric, [zero, zero, ric])
+        assert cfg.ric0[0][0] is x and cfg.dric0[2][0][0] is x
+        assert type(cfg.ric0[1][1]) is Fraction and cfg.ric0[1][1] == 0
+        for bad in (0.5, True):
+            ric[0][0] = bad
+            with pytest.raises(ValueError):
+                CurvatureConfig(ric, [zero] * 3)
+            with pytest.raises(ValueError):
+                CurvatureConfig(zero, [zero, zero, ric])
+
     @pytest.mark.parametrize(
         "entry",
         [None, [0], True, Decimal("0.5")],

@@ -8,7 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from curlasym.configs import UNIT_CONFIG_NAMES, random_config, unit_config
+from curlasym.configs import (
+    EPSILON,
+    UNIT_CONFIG_NAMES,
+    random_bianchi_config,
+    random_config,
+    unit_config,
+)
 from curlasym.kernel import (
     BASSET_Y_MAX,
     LOG_COEFF_TARGET,
@@ -28,6 +34,18 @@ mpmath = pytest.importorskip("mpmath")
 
 def trace(c) -> Fraction:
     return sum(c[i][i] for i in range(3))
+
+
+def filtered_epsilon_sum(cfg) -> tuple:
+    """c_{g r} as the sum over all six epsilon triples, kept when c = g."""
+
+    def entry(g, r):
+        total = sum(
+            sign * cfg.dric0[a][b][r] for (a, b, c), sign in EPSILON.items() if c == g
+        )
+        return total * Fraction(1, 12)
+
+    return tuple(tuple(entry(g, r) for r in range(3)) for g in range(3))
 
 
 class TestBesselK1:
@@ -155,6 +173,17 @@ class TestSingularCoefficient:
         rng = random.Random(140)
         for _ in range(20):
             assert trace(singular_coefficient(random_config(rng))) == 0
+
+    def test_equals_filtered_epsilon_sum(self):
+        """The two epsilon triples with c = g give every entry."""
+        rng = random.Random(142)
+        configs = [unit_config(name) for name in ("flat", *UNIT_CONFIG_NAMES)]
+        configs += [random_config(rng) for _ in range(20)]
+        configs += [random_bianchi_config(rng) for _ in range(20)]
+        for cfg in configs:
+            c = singular_coefficient(cfg)
+            assert c == filtered_epsilon_sum(cfg)
+            assert all(type(v) is Fraction for row in c for v in row)
 
     def test_consistent_with_closed_form_contraction(self):
         """Pairing the coefficient matrix with the anchor covector reproduces
