@@ -9,8 +9,9 @@ invariant at s = 0.
 
 Spectra are never stored: a table is a (kind, a, n_max) record that yields
 chunks of eigenvalues and multiplicities, each a run of whole quantum numbers
-of at most CHUNK_ROWS rows built in one numpy pass, so memory is bounded by
-the chunk size.  A Laplacian row (n, l >= 1) with eigenvalue mu gives the
+of at most CHUNK_ROWS rows built in one numpy pass from per-n arrays that each
+call makes once (``_Quanta``, O(n_max)), so memory is bounded by the chunk
+size and n_max.  A Laplacian row (n, l >= 1) with eigenvalue mu gives the
 curl pair a +- sqrt(a^2 + mu): ``eta_identity`` sums both sides in one pass
 over the rows, and one lower bound on |value| per quantum number
 (``_least_abs``) certifies every count.  Sums are exact: error-free
@@ -34,7 +35,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 #: Largest truncation of any spectrum; the work grows as n_max^2 (about
-#: 1 s for weyl_check near this bound on a 2-core machine).
+#: 0.25 s for weyl_check near this bound on a 2-core machine).
 MAX_NMAX = 10_000
 #: Most rows in one chunk, unless a single quantum number has more (up to
 #: 2 + MAX_NMAX rows of curl).  It bounds the memory of every reduction.
@@ -98,29 +99,44 @@ def _runs(kind: str, n0: int, n_max: int) -> Iterator[tuple[int, int]]:
         n0 = n1
 
 
-def _laplacian_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, ...]:
+class _Quanta:
+    """The per-n arrays of one Berger call, n = 0 .. n_max (O(n_max), ~0.8 MB at
+    MAX_NMAX), sliced by the blocks per run of ``_runs``: n // 2 + 1 rows from
+    the offset first, top = n + 2 first, nn = n (n + 2), mults = 2n + 2, the
+    series I and II of n >= 2 with multiplicities, and a ramp 0, 2, 4, ..."""
+
+    def __init__(self, a: float, n_max: int) -> None:
+        import numpy as np
+
+        n = np.arange(n_max + 1)
+        self.a, self.rows = a, n // 2 + 1
+        self.first = self.rows.cumsum() - self.rows
+        self.top, self.nn = n + 2.0 * self.first, n * (n + 2.0)
+        self.mults = 2.0 * n + 2  # whole numbers, as floats for the sums
+        self.one_two = np.stack((n / a, (n + 2 * (a**2 - 1)) / a), axis=1)[2:]
+        self.one_two_mults = np.stack((self.mults - 4,) * 2, axis=1)[2:]
+        self.one_two_mults[:1, 1] = 1  # series II has multiplicity 1 at n = 2
+        self.ramp = np.arange(0.0, 2.0 * max(CHUNK_ROWS, n_max // 2 + 1), 2.0)
+
+
+def _laplacian_block(q: _Quanta, n0: int, n1: int) -> tuple[np.ndarray, ...]:
     """Laplacian values and multiplicities of n0 <= n < n1 by (n, l); the rows l = 0.
 
     The value is n (n + 2) + (a^-2 - 1) k^2 with k = n - 2 l; k, k^2 and
     n (n + 2) are integers below 2^53, so float64 holds them exactly.
     """
-    import numpy as np
-
-    n = np.arange(n0, n1)
-    rows = n // 2 + 1
-    first = rows.cumsum() - rows
-    values = (n + 2.0 * first).repeat(rows)  # k = n - 2 l, as n + 2 first - 2 i
-    values -= np.arange(0.0, 2.0 * values.size, 2.0)
+    rows, first = q.rows[n0:n1], q.first[n0:n1] - q.first[n0]
+    values = (q.top[n0:n1] - 2.0 * q.first[n0]).repeat(rows)  # top - 2 i = n - 2 l
+    values -= q.ramp[: values.size]
     values *= values
-    values *= a**-2 - 1
-    values += (n * (n + 2.0)).repeat(rows)
-    mults = (2.0 * n + 2).repeat(rows)  # whole numbers, as floats for the sums
-    even = slice(n0 % 2, None, 2)
-    mults[first[even] + rows[even] - 1] = n[even] + 1  # l = n / 2
+    values *= q.a**-2 - 1
+    values += q.nn[n0:n1].repeat(rows)
+    mults = q.mults[n0:n1].repeat(rows)
+    mults[(first + rows - 1)[n0 % 2 :: 2]] /= 2  # n + 1 at l = n / 2
     return values, mults, first
 
 
-def _pair_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, ...]:
+def _pair_block(q: _Quanta, n0: int, n1: int) -> tuple[np.ndarray, ...]:
     """Laplacian rows of 1 <= n0 <= n < n1 and their curl pairs a + w, a - w.
 
     Returns mu, its multiplicities, w = sqrt(a^2 + mu) and, one per n >= 2,
@@ -129,18 +145,13 @@ def _pair_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, ...]:
     """
     import numpy as np
 
-    mu, mults, first = _laplacian_block(a, n0, n1)
-    n = np.arange(max(n0, 2), n1)
-    one_two_mults = (2.0 * n - 2).repeat(2).reshape(-1, 2)
-    one_two_mults[n == 2, 1] = 1  # series II has multiplicity 1 at n = 2
-    one_two = np.empty((n.size, 2))
-    one_two[:, 0], one_two[:, 1] = n, n + 2 * (a**2 - 1)
-    one_two /= a
-    w = a**2 + mu
-    return mu, mults, np.sqrt(w, out=w), first[n0 < 2 :], one_two, one_two_mults
+    mu, mults, first = _laplacian_block(q, n0, n1)
+    w, n = q.a**2 + mu, slice(max(n0, 2) - 2, n1 - 2)  # the series of n >= 2
+    np.sqrt(w, out=w)
+    return mu, mults, w, first[n0 < 2 :], q.one_two[n], q.one_two_mults[n]
 
 
-def _curl_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
+def _curl_block(q: _Quanta, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
     """Curl eigenvalues and multiplicities for 2 <= n0 <= n < n1.
 
     The rows of each n are series I, II, then III and IV interleaved for
@@ -148,8 +159,8 @@ def _curl_block(a: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
     """
     import numpy as np
 
-    _, mults, w, first, one_two, one_two_mults = _pair_block(a, n0, n1)
-    values = np.stack((a + w, a - w), axis=1)
+    _, mults, w, first, one_two, one_two_mults = _pair_block(q, n0, n1)
+    values = np.stack((q.a + w, q.a - w), axis=1)
     values[first] = one_two
     mults = np.stack((mults, mults), axis=1)
     mults[first] = one_two_mults
@@ -201,10 +212,10 @@ class SpectrumTable:
         """(n0, n1, values, multiplicities) of the quantum numbers
         n0 <= n < n1, in order; a chunk holds at most CHUNK_ROWS rows or a
         single quantum number."""
-        curl = self.kind == "curl"
+        q, curl = _Quanta(self.a, self.n_max), self.kind == "curl"
         block, first = (_curl_block, 2) if curl else (_laplacian_block, 0)
         for n0, n1 in _runs(self.kind, first, self.n_max):
-            values, mults = block(self.a, n0, n1)[:2]
+            values, mults = block(q, n0, n1)[:2]
             yield n0, n1, values, mults.astype(int)
 
     def _labelled_chunks(self) -> Iterator[Iterator[tuple]]:
@@ -279,8 +290,9 @@ def _counts(t: SpectrumTable, lam: float) -> tuple[int, int]:
             f"lambda {lam} exceeds the completeness bound {bound}; increase n_max"
         )
     plus = minus = 0
+    q = _Quanta(t.a, t.n_max)
     for n0, n1 in _runs("laplacian", 2, t.n_max):
-        _, mults, w, first, one_two, one_two_mults = _pair_block(t.a, n0, n1)
+        _, mults, w, first, one_two, one_two_mults = _pair_block(q, n0, n1)
         mults[first] = 0  # series I and II take the places of these pairs
         plus += int(one_two_mults[(0 < one_two) & (one_two < lam)].sum())
         plus += int(mults[t.a + w < lam].sum())
@@ -430,9 +442,10 @@ def _powers(a: float, s: float, n_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     import numpy as np
 
     _check_nmax(n_max, 0)
-    shift = np.array([[a], [-a]])
+    q, shift = _Quanta(a, n_max), np.array([[a], [-a]])
+    series = (q.one_two**-s * q.one_two_mults).T  # m |v|^-s of series I, II
     for n0, n1 in _runs("laplacian", 1, n_max):
-        mu, mults, w, first, one_two, one_two_mults = _pair_block(a, n0, n1)
+        mu, mults, w, first = _pair_block(q, n0, n1)[:4]
         xy = np.add(w, shift)
         xy **= -s  # in place, by the same float operation as ``**``
         bracket = xy[0] - xy[1]
@@ -440,7 +453,7 @@ def _powers(a: float, s: float, n_max: int) -> Iterator[tuple[np.ndarray, ...]]:
         curl = xy[:, skip:]
         curl *= mults[skip:]
         np.negative(curl[1], out=curl[1])
-        curl[:, first - skip] = (one_two**-s * one_two_mults).T
+        curl[:, first - skip] = series[:, max(n0, 2) - 2 : n1 - 2]
         yield mu, w, mults, bracket, curl.ravel()
 
 

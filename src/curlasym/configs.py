@@ -18,6 +18,7 @@ asymmetry value with its closed form is a formal identity in the constants.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -141,6 +142,7 @@ _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 UNIT_CONFIG_NAMES = tuple(f"c{i}" for i in range(1, 25))
 
 
+@functools.cache  # a frozen config of Fractions: every caller shares one
 def unit_config(name: str) -> CurvatureConfig:
     """Configuration by name: "flat" or "c1" .. "c24"."""
     ric = [[Fraction(0)] * 3 for _ in range(3)]

@@ -7,10 +7,11 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curlasym import berger
@@ -194,7 +195,9 @@ class TestCounting:
         p = BergerParams(a)
         t, wide = curl_spectrum(p, n_max), curl_spectrum(p, n_max + 200)
         bound = completeness_bound(t)
-        values = berger._curl_block(t.a, n_max + 1, n_max + 201)[0]
+        q = berger._Quanta(t.a, n_max + 200)
+        runs = berger._runs("curl", n_max + 1, n_max + 200)
+        values = np.concatenate([berger._curl_block(q, *run)[0] for run in runs])
         assert bound <= np.abs(values).min()
         lam = fraction * bound
         for sign in (1, -1):
@@ -498,6 +501,116 @@ class TestOnePass:
         weyl_check(BergerParams(1), 100.0)  # n_max = 100: n is the least |value| of n
         assert {kind for kind, _, _ in built} == {"laplacian"}
         self.assert_runs(built, 2, 100)
+
+
+def per_chunk_laplacian_block(a, n0, n1):
+    """``_laplacian_block`` with every array built per chunk from n0 and n1,
+    no table: the reference of ``TestQuanta``."""
+    n = np.arange(n0, n1)
+    rows = n // 2 + 1
+    first = rows.cumsum() - rows
+    values = (n + 2.0 * first).repeat(rows)
+    values -= np.arange(0.0, 2.0 * values.size, 2.0)
+    values *= values
+    values *= a**-2 - 1
+    values += (n * (n + 2.0)).repeat(rows)
+    mults = (2.0 * n + 2).repeat(rows)
+    even = slice(n0 % 2, None, 2)
+    mults[first[even] + rows[even] - 1] = n[even] + 1
+    return values, mults, first
+
+
+def per_chunk_pair_block(a, n0, n1):
+    """``_pair_block`` built per chunk, no table."""
+    mu, mults, first = per_chunk_laplacian_block(a, n0, n1)
+    n = np.arange(max(n0, 2), n1)
+    one_two_mults = (2.0 * n - 2).repeat(2).reshape(-1, 2)
+    one_two_mults[n == 2, 1] = 1
+    one_two = np.empty((n.size, 2))
+    one_two[:, 0], one_two[:, 1] = n, n + 2 * (a**2 - 1)
+    one_two /= a
+    w = a**2 + mu
+    return mu, mults, np.sqrt(w, out=w), first[n0 < 2 :], one_two, one_two_mults
+
+
+def per_chunk_curl_block(a, n0, n1):
+    """``_curl_block`` built per chunk, no table."""
+    _, mults, w, first, one_two, one_two_mults = per_chunk_pair_block(a, n0, n1)
+    values = np.stack((a + w, a - w), axis=1)
+    values[first] = one_two
+    mults = np.stack((mults, mults), axis=1)
+    mults[first] = one_two_mults
+    return values.ravel(), mults.ravel()
+
+
+def per_chunk_powers(a, s, n_max):
+    """``_powers`` built per chunk, no table: the series I and II terms
+    raised per chunk."""
+    shift = np.array([[a], [-a]])
+    for n0, n1 in berger._runs("laplacian", 1, n_max):
+        mu, mults, w, first, one_two, one_two_mults = per_chunk_pair_block(a, n0, n1)
+        xy = np.add(w, shift)
+        xy **= -s
+        bracket = xy[0] - xy[1]
+        skip = int(n0 == 1)
+        curl = xy[:, skip:]
+        curl *= mults[skip:]
+        np.negative(curl[1], out=curl[1])
+        curl[:, first - skip] = (one_two**-s * one_two_mults).T
+        yield mu, w, mults, bracket, curl.ravel()
+
+
+def assert_same_bytes(got, want):
+    """The arrays agree in dtype, shape and every byte."""
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+#: Squashing parameters: the round sphere, the pinned ones, and a range.
+A_FLOATS = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 20))
+#: Chunk sizes: one row, a few rows, and the default.
+CHUNK_SIZES = st.sampled_from([1, 7, berger.CHUNK_ROWS])
+
+
+class TestQuanta:
+    """The blocks slice one per-call table of the quantum numbers; every run
+    they build equals, byte for byte, the same run built per chunk."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(A_FLOATS, st.integers(2, 400), CHUNK_SIZES)
+    def test_blocks_equal_per_chunk_reference(self, a, n_max, chunk_rows):
+        with mock.patch.object(berger, "CHUNK_ROWS", chunk_rows):
+            q = berger._Quanta(a, n_max)
+            for block, reference, starts in (
+                (berger._laplacian_block, per_chunk_laplacian_block, (0, 1, 2)),
+                (berger._pair_block, per_chunk_pair_block, (1, 2)),
+                (berger._curl_block, per_chunk_curl_block, (2,)),
+            ):
+                kind = "curl" if block is berger._curl_block else "laplacian"
+                for n0 in starts:
+                    for run in berger._runs(kind, n0, n_max):
+                        assert_same_bytes(block(q, *run), reference(a, *run))
+
+    @settings(max_examples=40, deadline=None)
+    @given(A_FLOATS, st.sampled_from([4.5, 6.0, 9.0]), st.integers(0, 400), CHUNK_SIZES)
+    def test_powers_equal_per_chunk_reference(self, a, s, n_max, chunk_rows):
+        """The series I and II terms, raised once per call, fill the same
+        slots with the same bits as when raised per chunk."""
+        with mock.patch.object(berger, "CHUNK_ROWS", chunk_rows):
+            got = list(berger._powers(a, s, n_max))
+            want = list(per_chunk_powers(a, s, n_max))
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert_same_bytes(x, y)
+
+    def test_table_memory_at_max_nmax(self):
+        """At MAX_NMAX the table holds 10 001 entries per array and a ramp of
+        CHUNK_ROWS: about 0.8 MB, against the 25 M rows it indexes."""
+        q = berger._Quanta(1.0, MAX_NMAX)
+        arrays = [v for v in vars(q).values() if isinstance(v, np.ndarray)]
+        assert max(x.shape[0] for x in arrays) == MAX_NMAX + 1
+        assert sum(x.nbytes for x in arrays) < 0.9e6
 
 
 def reference_rows(kind, a, n_max):

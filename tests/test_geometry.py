@@ -165,6 +165,20 @@ class TestCurvatureConfig:
         with pytest.raises(ValueError, match="^dric must be a 3x3x3 list"):
             CurvatureConfig(zero, [zero, zero, value])
 
+    @pytest.mark.parametrize("name", ["flat", *UNIT_CONFIG_NAMES])
+    def test_unit_configs_are_shared(self, name):
+        """A unit config is built once per process: every call returns the
+        same frozen record, which equals a fresh parse of its JSON."""
+        cfg = unit_config(name)
+        assert unit_config(name) is cfg
+        assert cfg == CurvatureConfig.loads(cfg.dumps())
+
+    def test_unknown_unit_config_raises_on_every_call(self):
+        """The cache stores no exception: each call refuses the name again."""
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^unknown configuration 'c25'$"):
+                unit_config("c25")
+
     def test_equal_configs_hash_equal(self):
         cfg = random_config(random.Random(13))
         as_lists = [[str(v) for v in row] for row in cfg.ric0]
