@@ -186,11 +186,19 @@ def build_hierarchy(mj: MetricJet) -> HodgeHierarchy:
 
     r0, r_m1, r_m2 are the components of the half power below the Riemannian
     norm; s_m2, s_m3, s_m4 those of the inverse-half power below the inverse
-    norm.  Each identity mixes the Euclidean norm jet (covector derivatives)
-    with Riemannian norm jets (base derivatives), exactly as the hierarchy is
-    stated, and each result is reliable only up to its stated remainder.  On
-    an order-3 jet q1 and q0 have order 3, r0 and s_m2 order 2, r_m1 and s_m3
-    order 1, r_m2 and s_m4 order 0: all that aprin_alternative reads.
+    norm.  They follow two recursions for j = 0, 1, 2, in which a term whose
+    component does not exist is dropped:
+
+      r_{-j}   = |xi|^-1 (q_{1-j}/2 + D2 r_{2-j}/4 - i D3 r_{3-j}/12) - T r_{1-j}/2
+      s_{-2-j} = -|xi|^-2 r_{-j} - T s_{-1-j} + |xi|^-1 (D2 s_{-j}/2 - i D3 s_{1-j}/6)
+
+    with r_1 = ||xi|| Id and s_-1 = ||xi||^-1 Id.  T is the transport term
+    (1/(i |xi|^2)) xi^mu d_x^mu and Dk the derivative term of rank k.  Each
+    rule mixes the Euclidean norm jet (covector derivatives) with Riemannian
+    norm jets (base derivatives), exactly as the hierarchy is stated, and
+    each result is reliable only up to its stated remainder.  On an order-3
+    jet q1 and q0 have order 3, r0 and s_m2 order 2, r_m1 and s_m3 order 1,
+    r_m2 and s_m4 order 0: all that aprin_alternative reads.
     """
     q1, q0 = hodge_symbol(mj)
     order = mj.order
@@ -198,75 +206,54 @@ def build_hierarchy(mj: MetricJet) -> HodgeHierarchy:
     # norm_derivs[I] is d^I |xi|; eum2_xi are the transport weights.
     eum1, eum2, norm_derivs, eum2_xi = _euclid_jets(order)
     quad = covector_norm_sq(raised_covector(mj, order))
-    rn1 = norm_power(quad, 1)
-    rnm1 = norm_power(quad, -1)
+    # The Riemannian norm powers enter as multiples of the identity: they are
+    # kept as 1x1 matrices, and their terms are formed on the scalar and then
+    # put on the diagonal.
+    q = {1: q1, 0: q0}
+    r = {1: ((norm_power(quad, 1),),)}
+    s = {-1: ((norm_power(quad, -1),),)}
 
-    half = Fraction(1, 2)
-    inv_i = -GR_I  # 1/i
+    def weighted_term(m: Matrix, weight: TruncatedPoly, coeff) -> Matrix:
+        return mat_poly_scale(m, weight.scale(coeff))
 
-    def transport_term(m: Matrix) -> Matrix:
-        """(1/(i |xi|^2)) xi^mu d_x^mu applied to a matrix symbol."""
+    def transport_term(m: Matrix, coeff) -> Matrix:
+        """coeff (1/(i |xi|^2)) xi^mu d_x^mu applied to a matrix symbol."""
         out = None
         for mu, weight in enumerate(eum2_xi):
             term = mat_map(lambda p: poly_mul(weight, poly_diff(p, mu)), m)
             out = term if out is None else mat_add(out, term)
-        return mat_scale(out, inv_i)
+        return mat_scale(out, -GR_I * coeff)
 
-    def derivative_term(m: Matrix, weight: TruncatedPoly, rank: int) -> Matrix:
-        return _derivative_term(m, weight, norm_derivs, rank)
+    def derivative_term(m: Matrix, coeff, rank: int) -> Matrix:
+        return _derivative_term(m, eum1.scale(coeff), norm_derivs, rank)
 
-    # The Riemannian norm powers enter as multiples of the identity: their
-    # terms are formed on 1x1 matrices and then put on the diagonal.
-    rn_scalar = ((rn1,),)
-    rnm1_scalar = ((rnm1,),)
+    def combine(*terms) -> Matrix:
+        """Sum of make(m, *args) over the terms whose component m exists; a
+        norm power's 1x1 term goes on the diagonal."""
+        out = None
+        for make, m, *args in terms:
+            if m is not None:
+                term = make(m, *args)
+                if len(term) == 1:
+                    term = mat_poly_scale(ident, term[0][0])
+                out = term if out is None else mat_add(out, term)
+        return out
 
-    def diag(m: Matrix) -> Matrix:
-        return mat_poly_scale(ident, m[0][0])
-
-    half_eum1 = eum1.scale(half)
-
-    r0 = mat_add(
-        mat_poly_scale(q1, half_eum1),
-        mat_scale(diag(transport_term(rn_scalar)), Fraction(-1, 2)),
-    )
-    r_m1 = mat_add(
-        mat_add(
-            mat_poly_scale(q0, half_eum1),
-            mat_scale(transport_term(r0), Fraction(-1, 2)),
-        ),
-        diag(derivative_term(rn_scalar, eum1.scale(Fraction(1, 4)), 2)),
-    )
-    r_m2 = mat_add(
-        mat_add(
-            mat_scale(transport_term(r_m1), Fraction(-1, 2)),
-            derivative_term(r0, eum1.scale(Fraction(1, 4)), 2),
-        ),
-        mat_scale(diag(derivative_term(rn_scalar, eum1.scale(Fraction(1, 12)), 3)), inv_i),
-    )
-
-    s_m2 = mat_add(
-        mat_scale(mat_poly_scale(r0, eum2), Fraction(-1)),
-        mat_scale(diag(transport_term(rnm1_scalar)), Fraction(-1)),
-    )
-    s_m3 = mat_add(
-        mat_add(
-            mat_scale(mat_poly_scale(r_m1, eum2), Fraction(-1)),
-            mat_scale(transport_term(s_m2), Fraction(-1)),
-        ),
-        diag(derivative_term(rnm1_scalar, eum1.scale(half), 2)),
-    )
-    s_m4 = mat_add(
-        mat_add(
-            mat_add(
-                mat_scale(mat_poly_scale(r_m2, eum2), Fraction(-1)),
-                mat_scale(transport_term(s_m3), Fraction(-1)),
-            ),
-            derivative_term(s_m2, eum1.scale(half), 2),
-        ),
-        mat_scale(diag(derivative_term(rnm1_scalar, eum1.scale(Fraction(1, 6)), 3)), inv_i),
-    )
-
-    return HodgeHierarchy(mj, q1, q0, r0, r_m1, r_m2, s_m2, s_m3, s_m4)
+    half = Fraction(1, 2)
+    for j in range(3):
+        r[-j] = combine(
+            (weighted_term, q.get(1 - j), eum1, half),
+            (derivative_term, r.get(2 - j), Fraction(1, 4), 2),
+            (derivative_term, r.get(3 - j), -GR_I / 12, 3),
+            (transport_term, r[1 - j], -half),
+        )
+        s[-2 - j] = combine(
+            (weighted_term, r[-j], eum2, -1),
+            (transport_term, s[-1 - j], -1),
+            (derivative_term, s.get(-j), half, 2),
+            (derivative_term, s.get(1 - j), -GR_I / 6, 3),
+        )
+    return HodgeHierarchy(mj, q1, q0, r[0], r[-1], r[-2], s[-2], s[-3], s[-4])
 
 
 def aprin_alternative(h: HodgeHierarchy) -> GaussianRational:

@@ -66,23 +66,18 @@ _EXP_MASK = (1 << _DEG_SHIFT) - 1
 _SHIFTS = tuple(3 * (NUM_VARS - 1 - v) for v in range(NUM_VARS))
 
 
-def _pack(exp: Iterable[int]) -> int | None:
-    """Key of an exponent tuple; None if it has none."""
+def _key(exp: Iterable[int]) -> int | None:
+    """Key of an exponent; None if an exponent digit exceeds MAX_ORDER, and
+    ValueError unless exp is six non-negative integers."""
     exp = tuple(exp)
-    if len(exp) != NUM_VARS or not all(0 <= e <= MAX_ORDER for e in exp):
+    if len(exp) != NUM_VARS or not all(isinstance(e, int) and e >= 0 for e in exp):
+        raise ValueError(f"bad exponent tuple {exp!r}")
+    if max(exp) > MAX_ORDER:
         return None
     key = sum(exp)
     for e in exp:
         key = key << 3 | e
     return key
-
-
-def _exponent(exp: Iterable[int]) -> Exponent:
-    """exp as a tuple; ValueError unless it is six non-negative integers."""
-    exp = tuple(exp)
-    if len(exp) != NUM_VARS or not all(isinstance(e, int) and e >= 0 for e in exp):
-        raise ValueError(f"bad exponent tuple {exp!r}")
-    return exp
 
 
 def _unpack(key: int) -> Exponent:
@@ -269,8 +264,9 @@ class TruncatedPoly:
             coeff = _coerce(coeff)
             if coeff.is_zero():
                 continue
-            if sum(_exponent(exp)) <= order:
-                coeffs[_pack(exp)] = coeff
+            key = _key(exp)
+            if key is not None and key >> _DEG_SHIFT <= order:
+                coeffs[key] = coeff
         den = lcm(*(c.den for c in coeffs.values()))
         num = {k: (c.x * den // c.den, c.y * den // c.den) for k, c in coeffs.items()}
         _poly(order, den, num, self)
@@ -400,7 +396,7 @@ def _poly(order, den, num, out=None, reduce=True) -> TruncatedPoly:
 
 def coefficient_reader(exp: Iterable[int]) -> Callable:
     """p -> p.coefficient(exp), with exp checked and packed once."""
-    key = _pack(_exponent(exp))
+    key = _key(exp)
     return lambda p: _gr(*p._num[key], p.den) if key in p._num else GR_ZERO
 
 

@@ -230,6 +230,19 @@ class TestSqrtHierarchy:
             assert compose(r_jet, s_jet) == ident
             assert compose(s_jet, r_jet) == ident
 
+    def test_half_powers_are_mutually_inverse_on_bianchi_configs(self):
+        """As above, on seeded Bianchi configs.  The -i D3 s_-1 / 6 term of
+        s_m4 is a multiple of the identity, which the asymmetry value cannot
+        see, and D3 s_-1 at the anchor is half of d_3 Ric_33, which is zero
+        on every unit config but c24: only here does an oracle check it."""
+        rng = random.Random(125)
+        for _ in range(2):
+            h = build_hierarchy(build_metric_jet(random_bianchi_config(rng)))
+            r_jet, s_jet = _power_jets(h)
+            ident = identity_jet(3)
+            assert compose(r_jet, s_jet) == ident
+            assert compose(s_jet, r_jet) == ident
+
     def test_half_power_squares_to_laplacian_oracle(self):
         """The half-power jet composed with itself reproduces the symbol of
         the operator it is a square root of."""

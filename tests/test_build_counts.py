@@ -146,6 +146,24 @@ def _polymat_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+def test_hierarchy_poly_calls(monkeypatch):
+    """The polynomial work of one hierarchy on c11, counted in every module,
+    once its Euclidean jets are cached.  The Riemannian norm powers enter
+    as multiples of the identity, and their terms are formed on the scalar:
+    forming them on 3x3 identity multiples made 693 products and 828
+    derivatives."""
+    mj = build_metric_jet(unit_config("c11"))
+    build_hierarchy(mj)
+    names = ("poly_mul", "poly_diff", "poly_add")
+    calls = {name: _polymat_calls(monkeypatch, name) for name in names}
+    build_hierarchy(mj)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "poly_mul": 393,
+        "poly_diff": 332,
+        "poly_add": 309,
+    }
+
+
 def test_run_algorithm_mat_mul_calls(monkeypatch):
     """Every matrix product of one accuracy-3 construction on c11, counted in
     every module that calls ``mat_mul``: one in the metric jet's Neumann
