@@ -1,12 +1,16 @@
 """Command-line front end for all verification suites.
 
-Exit codes: 0 all assertions pass, 1 a mathematical verification failed,
-2 usage or IO error.  Reports are deterministic byte-for-byte for identical
-arguments: the symbolic pipelines are exact, and the Berger spectra are
-summed chunk by chunk, each chunk split by error-free extraction into a few
-levels with exact float sums, into one integer accumulator that is rounded
-once, so every floating-point sum is correctly rounded and does not depend
-on summation order or on the chunk size, which bounds the memory (the eta
+Each command returns its report: a JSON-ready dict whose top-level
+``"pass"`` is the verdict, or the CSV pieces of ``berger spectrum``.
+``entry`` alone writes it, and the exit code is the printed ``pass`` flag:
+0 all assertions pass (and always for the CSV), 1 a mathematical
+verification failed, 2 usage or IO error, reported as one line on standard
+error.  Reports are deterministic byte-for-byte for identical arguments:
+the symbolic pipelines are exact, and the Berger spectra are summed chunk by
+chunk, each chunk split by error-free extraction into a few levels with
+exact float sums, into one integer accumulator that is rounded once, so
+every floating-point sum is correctly rounded and does not depend on
+summation order or on the chunk size, which bounds the memory (the eta
 identity's rounding bound, a float sum of chunk sums, may differ in its last
 bits).  The spectrum CSV is written one chunk at a time, and the ~1 MB JSON
 of ``project`` in pieces of 4096 encoder chunks.  Only the parser outlives a
@@ -71,12 +75,11 @@ def _load_config(name: str) -> CurvatureConfig:
         with open(name, "r", encoding="utf-8") as fh:
             return CurvatureConfig.loads(fh.read())
     except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot load config {name!r}: {exc}")
+        raise ValueError(f"cannot load config {name!r}: {exc}") from None
 
 
-def _emit(text: str | Iterable[str], output: str | None) -> None:
-    """Write a report, whole or as a stream of pieces, to output or stdout."""
-    pieces = [text] if isinstance(text, str) else text
+def _emit(pieces: Iterable[str], output: str | None) -> None:
+    """Write a report's pieces to output or stdout."""
     try:
         if output:
             with open(output, "w", encoding="utf-8") as fh:
@@ -89,19 +92,18 @@ def _emit(text: str | Iterable[str], output: str | None) -> None:
             # Python flushes stdout again at exit; let that flush go nowhere.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         target = repr(output) if output else "standard output"
-        print(f"cannot write {target}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"cannot write {target}: {exc}") from None
 
 
 def _json_pieces(payload: object) -> Iterator[str]:
-    """The text of json.dumps(payload, indent=2), joined 4096 encoder chunks
-    at a time, so the encoder's many small chunks are never all held at once."""
+    """The indent-2 JSON text of payload, joined 4096 encoder chunks at a
+    time, so the encoder's many small chunks are never all held at once."""
     chunks = json.JSONEncoder(indent=2).iterencode(payload)
     while piece := "".join(islice(chunks, 4096)):
         yield piece
 
 
-def cmd_project(args: argparse.Namespace) -> int:
+def cmd_project(args: argparse.Namespace) -> dict:
     alephs = args.aleph.split(",")
     for i, aleph in enumerate(alephs):
         if aleph not in LABELS:
@@ -110,45 +112,36 @@ def cmd_project(args: argparse.Namespace) -> int:
             raise ValueError(f"branch label {aleph!r} given twice")
     cfg = _load_config(args.config)
     mj = build_metric_jet(cfg)
-    payload = {"config": cfg.to_dict(), "accuracy": args.accuracy, "runs": []}
-    all_pass = True
+    runs = []
     for aleph in alephs:
         fam = run_algorithm(mj, aleph, args.accuracy)
         report = verify_projection(fam)
-        all_pass = all_pass and report["pass"]
-        payload["runs"].append(
-            {"family": fam.to_dict(), "verification": report}
-        )
-    payload["pass"] = all_pass
-    _emit(_json_pieces(payload), args.output)
-    return 0 if all_pass else 1
+        runs.append({"family": fam.to_dict(), "verification": report})
+    return {
+        "config": cfg.to_dict(),
+        "accuracy": args.accuracy,
+        "runs": runs,
+        "pass": all(run["verification"]["pass"] for run in runs),
+    }
 
 
-def cmd_asym(args: argparse.Namespace) -> int:
-    if args.sweep:
-        results = []
-        all_pass = True
-        for name in UNIT_CONFIG_NAMES:
-            cfg = unit_config(name)
-            rep = asymmetry_report(cfg)
-            entry = {"name": name, "report": rep.to_dict()}
-            ok = rep.passed
-            if cfg.ricci_flat:
-                alt = aprin_alternative(build_hierarchy(rep.mj))
-                entry["alt_a_prin"] = str(alt)
-                ok = ok and alt == rep.a_prin_value
-            entry["pass"] = ok
-            all_pass = all_pass and ok
-            results.append(entry)
-        _emit(
-            json.dumps({"sweep": results, "pass": all_pass}, indent=2),
-            args.output,
-        )
-        return 0 if all_pass else 1
-    cfg = _load_config(args.config or "flat")
-    rep = asymmetry_report(cfg)
-    _emit(rep.dumps(), args.output)
-    return 0 if rep.passed else 1
+def cmd_asym(args: argparse.Namespace) -> dict:
+    if not args.sweep:
+        name = "flat" if args.config is None else args.config
+        return asymmetry_report(_load_config(name)).to_dict()
+    results = []
+    for name in UNIT_CONFIG_NAMES:
+        cfg = unit_config(name)
+        rep = asymmetry_report(cfg)
+        entry = {"name": name, "report": rep.to_dict()}
+        ok = rep.passed
+        if cfg.ricci_flat:
+            alt = aprin_alternative(build_hierarchy(rep.mj))
+            entry["alt_a_prin"] = str(alt)
+            ok = ok and alt == rep.a_prin_value
+        entry["pass"] = ok
+        results.append(entry)
+    return {"sweep": results, "pass": all(entry["pass"] for entry in results)}
 
 
 def _parse_a(text: str):
@@ -164,13 +157,11 @@ def _parse_a(text: str):
         raise ValueError(f"parameter a {text!r} is not a number") from None
 
 
-def cmd_berger_spectrum(args: argparse.Namespace) -> int:
-    table = curl_spectrum(BergerParams(_parse_a(args.a)), args.nmax)
-    _emit(table.csv_chunks(), args.output)
-    return 0
+def cmd_berger_spectrum(args: argparse.Namespace) -> Iterator[str]:
+    return curl_spectrum(BergerParams(_parse_a(args.a)), args.nmax).csv_chunks()
 
 
-def cmd_berger_eta(args: argparse.Namespace) -> int:
+def cmd_berger_eta(args: argparse.Namespace) -> dict:
     p = BergerParams(_parse_a(args.a))
     tol = DEFAULTS["eta_identity_tol"]
     lhs, rhs, rounding = eta_identity(p, args.s, args.nmax)
@@ -180,7 +171,6 @@ def cmd_berger_eta(args: argparse.Namespace) -> int:
             f"reach {rounding:.3g}, above its tolerance {tol:g}"
         )
     residual = abs(lhs - rhs)
-    ok = residual <= tol
     payload = {
         "a": str(p.a),
         "s": args.s,
@@ -189,28 +179,27 @@ def cmd_berger_eta(args: argparse.Namespace) -> int:
         "decomposition_rhs": rhs,
         "residual": residual,
         "tolerance": tol,
-        "pass": ok,
+        "pass": residual <= tol,
     }
     try:
         closed = eta_closed_forms(p)
         payload["closed_forms"] = {k: str(v) for k, v in closed.items()}
     except TypeError:
         pass
-    _emit(json.dumps(payload, indent=2), args.output)
-    return 0 if ok else 1
+    return payload
 
 
-def cmd_berger_weyl(args: argparse.Namespace) -> int:
+def cmd_berger_weyl(args: argparse.Namespace) -> dict:
     result = weyl_check(BergerParams(_parse_a(args.a)), args.lam)
     margin = DEFAULTS["weyl_margin"] / args.lam
-    ok = result["deviation_plus"] <= margin and result["deviation_minus"] <= margin
     result["margin"] = margin
-    result["pass"] = ok
-    _emit(json.dumps(result, indent=2), args.output)
-    return 0 if ok else 1
+    result["pass"] = (
+        result["deviation_plus"] <= margin and result["deviation_minus"] <= margin
+    )
+    return result
 
 
-def cmd_kernel(args: argparse.Namespace) -> int:
+def cmd_kernel(args: argparse.Namespace) -> dict:
     if args.config is not None and not args.sphere:
         raise ValueError("argument --config: only allowed with argument --sphere")
     checks = []
@@ -233,7 +222,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         q, ref, _ = basset_check(args.y)
         record("basset", {"y": args.y}, q, ref, DEFAULTS["basset_tol"])
     elif args.sphere:
-        name = args.config or "flat"
+        name = "flat" if args.config is None else args.config
         avg = sphere_average_check(singular_coefficient(_load_config(name)))
         record(
             "sphere_average",
@@ -284,9 +273,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
             0.0,
             DEFAULTS["sphere_average_tol"],
         )
-    all_pass = all(c["pass"] for c in checks)
-    _emit(json.dumps({"checks": checks, "pass": all_pass}, indent=2), args.output)
-    return 0 if all_pass else 1
+    return {"checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -349,24 +336,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def entry(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and write its report.  A usage error that argparse
+    finds exits with code 2 from parse_args, before any work."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SystemExit as exc:
-        code = exc.code
-        if isinstance(code, str):
-            print(code, file=sys.stderr)
-            return 2
-        return 2 if code is None else code
+        report = args.func(args)
+        if not isinstance(report, dict):
+            _emit(report, args.output)
+            return 0
+        _emit(_json_pieces(report), args.output)
+        return 0 if report["pass"] else 1
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 2
 
 
-def main() -> None:
-    sys.exit(entry())
-
-
 if __name__ == "__main__":
-    main()
+    sys.exit(entry())

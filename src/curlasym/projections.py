@@ -17,7 +17,6 @@ and ``asymmetry_report`` builds only the "+" branch.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -249,9 +248,6 @@ class AsymmetryReport:
             "closed_form": str(self.closed_form_value),
             "pass": self.passed,
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def asymmetry_report(cfg: CurvatureConfig) -> AsymmetryReport:

@@ -7,11 +7,13 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from curlasym import berger, cli
 from curlasym.cli import entry
+from curlasym.configs import UNIT_CONFIG_NAMES, unit_config
 
 
 def run(args, output=None):
@@ -328,6 +330,117 @@ class TestKernel:
             assert {c["name"] for c in checks if not c["pass"]} == (
                 set() if code == 0 else {name}
             )
+
+
+class TestVerdicts:
+    """Each verdict that cli.py forms is seen to fail: one sub-check is made
+    to fail through a patched name in the cli namespace, and the run exits 1
+    with top-level "pass": false and that check alone failing."""
+
+    @staticmethod
+    def report(argv, capsys, code=1):
+        capsys.readouterr()
+        assert entry(argv) == code
+        data = json.loads(capsys.readouterr().out)
+        assert data["pass"] is (code == 0)
+        return data
+
+    @staticmethod
+    def failing(data):
+        return [c["name"] for c in data["checks"] if not c["pass"]]
+
+    def test_sweep_fails_when_the_two_pipelines_disagree(self, monkeypatch, capsys):
+        c11, true = unit_config("c11"), cli.aprin_alternative
+
+        def off_on_c11(h):
+            return true(h) + Fraction(1, 7) if h.mj.config == c11 else true(h)
+
+        monkeypatch.setattr(cli, "aprin_alternative", off_on_c11)
+        sweep = self.report(["asym", "--sweep"], capsys)["sweep"]
+        assert [e["name"] for e in sweep if not e["pass"]] == ["c11"]
+        assert all(e["report"]["pass"] for e in sweep)
+
+    def test_project_fails_when_one_branch_fails(self, monkeypatch, capsys):
+        true = cli.verify_projection
+
+        def fail_plus(fam):
+            report = true(fam)
+            return {**report, "pass": False} if fam.aleph == "+" else report
+
+        monkeypatch.setattr(cli, "verify_projection", fail_plus)
+        data = self.report(["project", "--config", "c11", "--accuracy", "1"], capsys)
+        assert [r["verification"]["pass"] for r in data["runs"]] == [False, True, True]
+
+    @pytest.mark.parametrize("plus, minus", [(0.0, 1.0), (1.0, 0.0)])
+    def test_weyl_fails_on_either_deviation(self, monkeypatch, capsys, plus, minus):
+        monkeypatch.setattr(
+            cli,
+            "weyl_check",
+            lambda p, lam: {"deviation_plus": plus, "deviation_minus": minus},
+        )
+        data = self.report(["berger", "weyl", "--lambda", "20"], capsys)
+        assert min(plus, minus) <= data["margin"] < max(plus, minus)
+
+    def test_eta_residual_at_tolerance_passes_and_above_fails(
+        self, monkeypatch, capsys
+    ):
+        tol = cli.DEFAULTS["eta_identity_tol"]
+        argv = ["berger", "eta", "--nmax", "60"]
+        for lhs, code in ((tol, 0), (math.nextafter(tol, math.inf), 1)):
+            monkeypatch.setattr(cli, "eta_identity", lambda p, s, n: (lhs, 0.0, 0.0))
+            assert self.report(argv, capsys, code)["residual"] == lhs
+
+    def test_negative_sphere_average_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "sphere_average_check", lambda c: -1.0)
+        data = self.report(["kernel"], capsys)
+        assert self.failing(data) == ["sphere_average_sweep"]
+
+    def test_largest_diagonal_second_moment_is_checked(self, monkeypatch, capsys):
+        t = 4 * math.pi / 3
+        diag = [[t, 0.0, 0.0], [0.0, t, 0.0], [0.0, 0.0, t + 1]]
+        monkeypatch.setattr(cli, "second_moment", lambda r: diag)
+        data = self.report(["kernel"], capsys)
+        assert self.failing(data) == ["second_moment_diag"]
+
+    def test_trace_not_free_fails(self, monkeypatch, capsys):
+        one = [[Fraction(1), 0, 0], [0, 0, 0], [0, 0, 0]]
+        monkeypatch.setattr(cli, "singular_coefficient", lambda cfg: one)
+        monkeypatch.setattr(cli, "sphere_average_check", lambda c: 0.0)
+        data = self.report(["kernel"], capsys)
+        assert self.failing(data) == ["trace_free"] * len(UNIT_CONFIG_NAMES)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asym", "--config", "c1"],
+        ["kernel", "--y", "1"],
+        ["berger", "spectrum", "--nmax", "5"],
+    ],
+)
+def test_unwritable_output_is_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "report"
+    assert run(argv, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {str(out)!r}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asym", "--config", ""],
+        ["kernel", "--sphere", "--config", ""],
+        ["project", "--config", ""],
+    ],
+)
+def test_empty_config_is_usage_error(capsys, argv):
+    """An empty --config names no file; it is not a missing --config."""
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot load config '': ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

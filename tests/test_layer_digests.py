@@ -370,7 +370,9 @@ def projection_digests(name: str) -> dict:
         out[f"verify.{aleph}"] = _text_digest(
             json.dumps(verify_projection(fam), sort_keys=True)
         )
-    out["asymmetry_report"] = _text_digest(asymmetry_report(cfg).dumps())
+    out["asymmetry_report"] = _text_digest(
+        json.dumps(asymmetry_report(cfg).to_dict(), indent=2)
+    )
     h = build_hierarchy(build_metric_jet(_hodge_config(name), 4))
     for field in HIERARCHY_FIELDS:
         out[f"hierarchy.{field}"] = _digest(getattr(h, field))

@@ -589,7 +589,7 @@ class TestAsymmetryReport:
 
     def test_report_json_schema(self):
         rep = asymmetry_report(unit_config("c11"))
-        data = json.loads(rep.dumps())
+        data = rep.to_dict()
         assert set(data) == {
             "config",
             "diag_traces",
