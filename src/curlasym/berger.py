@@ -20,6 +20,14 @@ exact, and one Python-integer accumulator of the levels is rounded once, so
 a sum is correctly rounded whatever the order or chunking of its terms.  The
 eta identity's rounding bound, a float sum of chunk sums, is not.
 
+Each eta term is a power v^-s.  For 2 s an integer from 4 to _MAX_TWICE_S,
+``_negative_power`` builds it by binary powering, one square root and one
+division, all rounded correctly by IEEE 754, so eta reports at such s have
+the same bits whatever SIMD kernels numpy dispatches to; any other s takes
+numpy's ``**``, whose AVX-512 kernels and libm's pow differ in about 5 % of
+results.  (The Basset values of ``kernel`` still depend on the dispatch:
+they use exp, expm1 and log, and move 1-2 ulp without AVX-512.)
+
 numpy is imported on the first Berger call, so that the exact pipelines
 start without it.
 """
@@ -46,6 +54,9 @@ _TINY = 1074
 #: extracted times 2**-_SHIFT: below 2**(1024 - _SHIFT) <= 2**(1023 - m) for
 #: every array of fewer than 2**62 terms (2**m >= size + 2).
 _SHIFT = 64
+#: Largest 2 s at which ``_negative_power`` squares instead of calling ``**``:
+#: its error bound, k + 2 ulp, stays at most 34 ulp.
+_MAX_TWICE_S = 64
 
 
 @dataclass(frozen=True)
@@ -433,27 +444,65 @@ def _exact_sums(chunks: Iterable[tuple], *whats: str) -> list[tuple[float, float
     return sums
 
 
+def _negative_power(v: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
+    """out = v^-s elementwise, returned; v may be overwritten (by its root).
+
+    When 2 s is an integer 2 k + h in 4 .. _MAX_TWICE_S (h = 0 or 1), only
+    IEEE 754's correctly rounded *, / and sqrt are used, in this order, so
+    the bits do not depend on the CPU or on numpy's SIMD dispatch:
+    v^k by left-to-right binary powering (start from v, then per bit of k
+    after the leading one: square, and multiply by v if the bit is 1); times
+    sqrt(v) if h = 1; then 1 / (...).  Each step rounds once and a squaring
+    doubles the relative error it is given, so v^k is within (k - 1) u of
+    exact (u = 2^-53) and the result within (k + 2) u, less than k + 2 ulp,
+    of v^-s unless v^k overflows or underflows.  Any other s takes numpy's
+    ``v ** -s``.
+    """
+    import numpy as np
+
+    twice = 2 * s
+    if not (4 <= twice <= _MAX_TWICE_S and twice == int(twice)):
+        return np.power(v, -s, out=out)
+    k, half = divmod(int(twice), 2)
+    power = v  # then out, from the first squaring on (k >= 2 has one)
+    for bit in bin(k)[3:]:
+        power = np.multiply(power, power, out=out)
+        if bit == "1":
+            out *= v
+    if half:
+        out *= np.sqrt(v, out=v)
+    return np.divide(1.0, out, out=out)
+
+
 def _powers(a: float, s: float, n_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     """Per run of the Laplacian rows 1 <= n <= n_max (mu > 0): mu, w, the
     multiplicities m, the theta brackets x - y of x = (w + a)^-s and
     y = (w - a)^-s, and the run's curl terms sign(v) m |v|^-s in one array:
     m x, then -m y, of the pairs a + w, a - w of the rows of n >= 2, where
-    series I and II take the places of the pairs of the rows l = 0."""
+    series I and II take the places of the pairs of the rows l = 0.
+
+    Every power is taken by ``_negative_power``.  w +- a, the powers and the
+    brackets are written into two flat buffers of the call, each run a
+    contiguous (2, rows) view, so a run's brackets and curl terms hold only
+    until the next run is drawn."""
     import numpy as np
 
     _check_nmax(n_max, 0)
     q, shift = _Quanta(a, n_max), np.array([[a], [-a]])
-    series = (q.one_two**-s * q.one_two_mults).T  # m |v|^-s of series I, II
+    series = _negative_power(q.one_two.copy(), s, np.empty_like(q.one_two))
+    series *= q.one_two_mults  # m |v|^-s of series I, II
+    size = 2 * max(CHUNK_ROWS, n_max // 2 + 1)  # rows of the largest run, doubled
+    powers, scratch = np.empty(size), np.empty(size)
     for n0, n1 in _runs("laplacian", 1, n_max):
         mu, mults, w, first = _pair_block(q, n0, n1)[:4]
-        xy = np.add(w, shift)
-        xy **= -s  # in place, by the same float operation as ``**``
-        bracket = xy[0] - xy[1]
+        base = np.add(w, shift, out=scratch[: 2 * w.size].reshape(2, -1))
+        xy = _negative_power(base, s, powers[: 2 * w.size].reshape(2, -1))
+        bracket = np.subtract(xy[0], xy[1], out=base[0])
         skip = int(n0 == 1)  # n = 1 has one row, l = 0, and no curl terms
         curl = xy[:, skip:]
         curl *= mults[skip:]
         np.negative(curl[1], out=curl[1])
-        curl[:, first - skip] = series[:, max(n0, 2) - 2 : n1 - 2]
+        curl[:, first - skip] = series[max(n0, 2) - 2 : n1 - 2].T
         yield mu, w, mults, bracket, curl.ravel()
 
 
@@ -529,12 +578,16 @@ def hitchin_remainder(p: BergerParams, s: float, n_max: int) -> float:
     w = sqrt(a^2 + mu); for s > -1 the remainder times mu^2 must stay
     bounded, and a NaN remainder is returned as NaN.
     """
+    import numpy as np
+
     _check_s(s, -1, "the Hitchin remainder")
     a = p.a_float
     worst = 0.0
     for mu, w, _, bracket, _ in _powers(a, s, n_max):
-        expansion = -2 * s * a * w ** -(s + 1)
-        expansion -= s * (s + 1) * (s + 2) / 3 * a**3 * w ** -(s + 3)
+        low = _negative_power(w.copy(), s + 1, np.empty_like(w))
+        high = _negative_power(w, s + 3, np.empty_like(w))  # w is not read again
+        expansion = -2 * s * a * low
+        expansion -= s * (s + 1) * (s + 2) / 3 * a**3 * high
         scaled = abs(bracket - expansion) * mu**2
         worst = float(scaled.max(initial=worst))
     return worst

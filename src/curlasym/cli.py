@@ -79,19 +79,20 @@ def _load_config(name: str) -> CurvatureConfig:
 
 
 def _emit(pieces: Iterable[str], output: str | None) -> None:
-    """Write a report's pieces to output or stdout."""
+    """Write a report's pieces to the file named output, or to stdout if
+    output is None."""
     try:
-        if output:
+        if output is not None:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)
         else:
             sys.stdout.writelines(pieces)
             print(flush=True)
     except OSError as exc:  # BrokenPipeError too, when stdout's reader quits
-        if not output:
+        if output is None:
             # Python flushes stdout again at exit; let that flush go nowhere.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        target = repr(output) if output else "standard output"
+        target = "standard output" if output is None else repr(output)
         raise ValueError(f"cannot write {target}: {exc}") from None
 
 

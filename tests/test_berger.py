@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import zip_longest
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -460,11 +468,12 @@ class TestStreaming:
                 exact = float(mpmath.fsum(terms))
             assert eta_identity(BergerParams(a), 6.0, 40)[0] == exact
             scalar = [
-                math.copysign(e.multiplicity, e.value) * abs(e.value) ** -6.0
+                math.copysign(e.multiplicity, e.value)
+                * squaring_power(abs(e.value), 6.0)
                 for e in t.entries
             ]
             # The pairs come per run of Laplacian rows, not in table order.
-            assert sorted(terms) == pytest.approx(sorted(scalar), rel=5e-16, abs=0)
+            assert sorted(terms) == sorted(scalar)
 
 
 class TestOnePass:
@@ -543,20 +552,35 @@ def per_chunk_curl_block(a, n0, n1):
     return values.ravel(), mults.ravel()
 
 
+def squaring_power(v, s):
+    """v^-s for 2 s = 2 k + h in 4 .. 64, by the operation sequence that
+    ``berger._negative_power`` documents, each step into a fresh value: v^k
+    by left-to-right binary powering, times sqrt(v) if h = 1, then 1 / (...).
+    v is a Python float or an array."""
+    k, half = divmod(int(2 * s), 2)
+    power = v
+    for bit in bin(k)[3:]:
+        power = power * power
+        if bit == "1":
+            power = power * v
+    if half:
+        power = power * (np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v))
+    return 1 / power
+
+
 def per_chunk_powers(a, s, n_max):
     """``_powers`` built per chunk, no table: the series I and II terms
-    raised per chunk."""
+    raised per chunk, every array fresh."""
     shift = np.array([[a], [-a]])
     for n0, n1 in berger._runs("laplacian", 1, n_max):
         mu, mults, w, first, one_two, one_two_mults = per_chunk_pair_block(a, n0, n1)
-        xy = np.add(w, shift)
-        xy **= -s
+        xy = squaring_power(np.add(w, shift), s)
         bracket = xy[0] - xy[1]
         skip = int(n0 == 1)
         curl = xy[:, skip:]
         curl *= mults[skip:]
         np.negative(curl[1], out=curl[1])
-        curl[:, first - skip] = (one_two**-s * one_two_mults).T
+        curl[:, first - skip] = (squaring_power(one_two, s) * one_two_mults).T
         yield mu, w, mults, bracket, curl.ravel()
 
 
@@ -596,13 +620,15 @@ class TestQuanta:
     @given(A_FLOATS, st.sampled_from([4.5, 6.0, 9.0]), st.integers(0, 400), CHUNK_SIZES)
     def test_powers_equal_per_chunk_reference(self, a, s, n_max, chunk_rows):
         """The series I and II terms, raised once per call, fill the same
-        slots with the same bits as when raised per chunk."""
+        slots with the same bits as when raised per chunk.  A run's arrays
+        are compared before the next is drawn: its buffers are reused."""
         with mock.patch.object(berger, "CHUNK_ROWS", chunk_rows):
-            got = list(berger._powers(a, s, n_max))
-            want = list(per_chunk_powers(a, s, n_max))
-        assert len(got) == len(want)
-        for x, y in zip(got, want):
-            assert_same_bytes(x, y)
+            runs = zip_longest(
+                berger._powers(a, s, n_max), per_chunk_powers(a, s, n_max)
+            )
+            for x, y in runs:
+                assert x is not None and y is not None
+                assert_same_bytes(x, y)
 
     def test_table_memory_at_max_nmax(self):
         """At MAX_NMAX the table holds 10 001 entries per array and a ramp of
@@ -611,6 +637,50 @@ class TestQuanta:
         arrays = [v for v in vars(q).values() if isinstance(v, np.ndarray)]
         assert max(x.shape[0] for x in arrays) == MAX_NMAX + 1
         assert sum(x.nbytes for x in arrays) < 0.9e6
+
+
+class TestNegativePower:
+    """``_negative_power`` builds v^-s from correctly rounded operations
+    when 2 s is an integer from 4 up to its cap, and takes ``**`` otherwise."""
+
+    #: The least and the largest s it squares for, and some between.
+    SQUARING_S = [2.0, 3.5, 4.0, 6.0, 10.0, 17.5, 32.0]
+
+    @staticmethod
+    def values():
+        """v from 1e-3 to 1e4, and the |values| of one chunk of a table."""
+        spread = 10 ** np.random.default_rng(32).uniform(-3, 4, 2000)
+        chunk = next(curl_spectrum(BergerParams(Fraction(1, 2)), 300).chunks())[2]
+        return np.concatenate((spread, np.abs(chunk)))
+
+    @pytest.mark.parametrize("s", SQUARING_S)
+    def test_equals_the_sequence_on_python_floats(self, s):
+        v = self.values()
+        got = berger._negative_power(v.copy(), s, np.empty_like(v))
+        want = np.array([squaring_power(x, s) for x in v.tolist()])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("s", SQUARING_S)
+    def test_within_k_plus_2_ulp(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        v = self.values()[::10]
+        got = berger._negative_power(v.copy(), s, np.empty_like(v))
+        with mpmath.workdps(40):
+            exact = [mpmath.mpf(x) ** -mpmath.mpf(s) for x in v.tolist()]
+            ulps = [
+                abs(g - e) / math.ulp(float(e)) for g, e in zip(got.tolist(), exact)
+            ]
+        assert max(ulps) <= int(s) + 2
+
+    @pytest.mark.parametrize(
+        "s", [6.3, 32.5, 33.0, 1.5, 1.0, 0.5, 0.0, -2.0, 1e200, 1e308, math.nan]
+    )
+    def test_other_s_takes_numpy_power(self, s):
+        """Off the squaring path, including s so large that 2 s overflows."""
+        v = self.values()
+        with np.errstate(all="ignore"):
+            got = berger._negative_power(v.copy(), s, np.empty_like(v))
+            assert got.tobytes() == (v ** -s).tobytes()
 
 
 def reference_rows(kind, a, n_max):
@@ -657,14 +727,14 @@ class TestChunks:
     #: eta_identity(p, 6, 60) as float.hex and weyl_check(p, 20) counts.
     PINNED = {
         Fraction(1, 2): ("0x1.fa18cd42f114dp-1", "0x1.fa18cd4da78e5p-1", 1296, 1349),
-        Fraction(3, 2): ("0x1.24a349d6d820ep-2", "0x1.24a38593c2700p-2", 3939, 3998),
-        0.37: ("0x1.852da1ed28a29p+2", "0x1.852da1ed61032p+2", 948, 1025),
+        Fraction(3, 2): ("0x1.24a349d6d820cp-2", "0x1.24a38593c2780p-2", 3939, 3998),
+        0.37: ("0x1.852da1ed28a28p+2", "0x1.852da1ed61032p+2", 948, 1025),
     }
 
     #: eta_identity(p, 6, 3000) as float.hex, at the north-star truncation.
     PINNED_3000 = {
         Fraction(1, 2): ("0x1.fa18cc39aac1cp-1", "0x1.fa18cc39aac1ep-1"),
-        1: ("0x1.bb519a3f76cd9p-46", "0x1.5000000000000p-45"),
+        1: ("0x1.bb519a3db6329p-46", "0x1.5000000000000p-45"),
         2: ("0x1.0e9442064f273p+1", "0x1.0e9442064f980p+1"),
     }
 
@@ -674,7 +744,7 @@ class TestChunks:
         Fraction(1, 2): (
             "0x1.fa18cc39aace4p-1", "0x1.fa18cc39aacedp-1", "0x1.24221d00bf924p-52"
         ),
-        1: ("0x1.18124dc1da180p-43", "0x1.a600000000000p-43", "0x1.0a7418eca7c62p-49"),
+        1: ("0x1.18124dc1a2049p-43", "0x1.a600000000000p-43", "0x1.0a7418eca7c62p-49"),
         2: ("0x1.0e9442064ef84p+1", "0x1.0e94420651300p+1", "0x1.086594aaa17bbp-43"),
     }
 
@@ -906,31 +976,31 @@ class TestPinnedReports:
     """SHA-256 of reports whose spectra span many chunks: a changed
     eigenvalue, multiplicity, row or rounded sum shows here."""
 
-    @pytest.mark.parametrize(
-        "args, digest",
-        [
-            ("spectrum --a 1/2 --nmax 300",
-             "ec070ca6284931eac98725b95e691725ff89dc0ba7a7cb3cd32d355296d777cc"),
-            ("spectrum --a 2 --nmax 300",
-             "b96339e9eb0e0074e088203f94072b68324c125f901eae108ec32588c34966a8"),
-            ("eta --a 1/2 --s 6 --nmax 300",
-             "78b6491552d13923b73cdca602a15f93d9f0d46713b4be89b282759ccc35a2f9"),
-            ("eta --a 1 --s 6 --nmax 300",
-             "cded6a604849038e3f78d11985963e99d33f44f420c3cdfb68cb50a03413e226"),
-            ("eta --a 2 --s 6 --nmax 300",
-             "193a8368afefa3be6f4d895bd92bd6d80879345d0481b3194d0886742247386d"),
-            ("eta --a 1/2 --s 6 --nmax 2000",
-             "29ccfe100cdc4f9a34acb4b4978d76005bc1a9dc27c1e4c5c8c1bdd6ec112c24"),
-            ("eta --a 1 --s 6 --nmax 2000",
-             "1c2d290f297e889b76f121c4140b2fea693a85cbd54a005366005a77fb591c8c"),
-            ("eta --a 2 --s 6 --nmax 2000",
-             "47ab46d591a5a029916f4cf1458a584e274190fd170a3579e6cc6dbf3702c647"),
-            ("weyl --lambda 50",
-             "e1a15df435f55c4f7f5c6f8e246481e10670160750e32522bf5be0c6efffa50f"),
-            ("weyl --lambda 400",
-             "990254fd8e55203f8ab2538219c8c8575718a022fa997d884727d6cdd373eda3"),
-        ],
-    )
+    #: (arguments of ``berger``, SHA-256 of the report).
+    REPORTS = [
+        ("spectrum --a 1/2 --nmax 300",
+         "ec070ca6284931eac98725b95e691725ff89dc0ba7a7cb3cd32d355296d777cc"),
+        ("spectrum --a 2 --nmax 300",
+         "b96339e9eb0e0074e088203f94072b68324c125f901eae108ec32588c34966a8"),
+        ("eta --a 1/2 --s 6 --nmax 300",
+         "812132a9522d97b1a62fbec7b97572926c81144087f070fb48ade02f30172a80"),
+        ("eta --a 1 --s 6 --nmax 300",
+         "c6142a0e0656231e5046aa9005d0eac9ba1468c4525b59b93674c3f74ed0fe38"),
+        ("eta --a 2 --s 6 --nmax 300",
+         "193a8368afefa3be6f4d895bd92bd6d80879345d0481b3194d0886742247386d"),
+        ("eta --a 1/2 --s 6 --nmax 2000",
+         "29ccfe100cdc4f9a34acb4b4978d76005bc1a9dc27c1e4c5c8c1bdd6ec112c24"),
+        ("eta --a 1 --s 6 --nmax 2000",
+         "7b8b12752999915897dcae403b6e40eac60d23dd594ec0e54f5ffb476c554d65"),
+        ("eta --a 2 --s 6 --nmax 2000",
+         "47ab46d591a5a029916f4cf1458a584e274190fd170a3579e6cc6dbf3702c647"),
+        ("weyl --lambda 50",
+         "e1a15df435f55c4f7f5c6f8e246481e10670160750e32522bf5be0c6efffa50f"),
+        ("weyl --lambda 400",
+         "990254fd8e55203f8ab2538219c8c8575718a022fa997d884727d6cdd373eda3"),
+    ]
+
+    @pytest.mark.parametrize("args, digest", REPORTS)
     def test_report_digest(self, tmp_path, args, digest):
         out = tmp_path / "report"
         assert entry(["berger", *args.split(), "--output", str(out)]) == 0
@@ -948,15 +1018,15 @@ class TestPinnedReports:
         "eta --a 3/2 --s 3.5 --nmax 2":
             (1, "f97076c3150cef763e03f63d13b053281b6b5bd271d7207c68f2ce00f751812b"),
         "eta --a 3/2 --s 3.5 --nmax 3":
-            (1, "6d9bb25ab74934a8bd95062a2ca3618e2f833f3ca36019c6608d0b47c24928b3"),
+            (1, "5c020aff20d016a4fd011aec261b546c1f74366c8a73dae2122aae1067ec613e"),
         "eta --a 3/2 --s 3.5 --nmax 61":
-            (1, "b6fa89328ed1bc242b91851f4f4ff51ae488cfe0526dd4f90513a8f939699a73"),
+            (1, "a713c3ed20ad4faa65d0bfe323b10c56d5b0269825c99fe67c458c0a4ec6daa9"),
         "eta --a 5 --s 3.5 --nmax 2":
-            (1, "48137e8d26a33eaa30e40514fbc9c3b9a34d435491100effb1fd05b7d44ff711"),
+            (1, "82c5b33be501e27e5198b85fb004948c9a87beb45f25b4d1b582b3e2040b0862"),
         "eta --a 5 --s 3.5 --nmax 3":
-            (1, "81722b929c2b7754d2afcc50d2a2bda78fc732821d634fbd115c93649d9e6624"),
+            (1, "c034a92631e8e8223cbfc03e019b639bc038b5c352577ccc3d4b662305305573"),
         "eta --a 5 --s 3.5 --nmax 61":
-            (1, "3a572644101c5950fb803cfc43db367ea4097e9fb224b8582d27dd9a621cb2a0"),
+            (1, "0df99c1d7a658a6558a8d9a31a6c5bce9ce6bc19d57ac9df69a0f3b529652836"),
         "eta --a 0.37 --s 10 --nmax 2":
             (1, "b72e470e80551ce0c859d5cff7d84266ce5783c2ccc61337e5abfe9a305c78e2"),
         "eta --a 0.37 --s 10 --nmax 3":
@@ -964,17 +1034,17 @@ class TestPinnedReports:
         "eta --a 0.37 --s 10 --nmax 61":
             (0, "75dea94dbee193108f151a57e601e8010fe45978388934807ab6b6141a7920d1"),
         "eta --a 3/2 --s 10 --nmax 2":
-            (1, "ddfa7ea654749935387981f3ddbf66a2aa23b877af2d5cab2f68cc783eb3bf48"),
+            (1, "e1bfb1a49ebe17cc0b7720d89f95c4dbeeffaade0807d51568245806d771835f"),
         "eta --a 3/2 --s 10 --nmax 3":
-            (1, "81483d0b0665a775749c6c31e78db446585faf1d62d8c909dbb4891d7e0e933f"),
+            (1, "453f061c9666064cd66c332207b45e222f9d39eafc4c0ce7c79ebb4fdfac8c1b"),
         "eta --a 3/2 --s 10 --nmax 61":
-            (0, "8153743961952fbd6d08eac89a5498717c3b2f7e95b8864b07c2aac887c4b18c"),
+            (0, "b4e987f670a0742c89be00cbff6a72b83efede7b25171a68f13eefe433cef726"),
         "eta --a 5 --s 10 --nmax 2":
-            (1, "5ca3fb9edeee459f24e83e615bc0dd88791795eb44f6b58fb84bd0600b3e3562"),
+            (1, "11511a5d40ce1a7453e3cc9c797d1421eda6a6e3b2f4932b558bc75ba632816e"),
         "eta --a 5 --s 10 --nmax 3":
-            (1, "d05da3c90aae78be7624fa1ad038ad0a59be2a366727471366d60f3c967b8376"),
+            (1, "c39a84ac8d77131cebc119b78af43a979a37e745067f6885bd6b01faf933b324"),
         "eta --a 5 --s 10 --nmax 61":
-            (0, "e104279d95113829c8ae76d1a791a1a6d8044752820f7ecd4cb6760615d644c5"),
+            (0, "04d1d5a4b243cef3f31f2685dc5f58754fb0027e7aace3d1538e8404323b2138"),
         "weyl --a 1/2 --lambda 100":
             (0, "82a57fdaee3049752aca7c94a2884d3898ccc601e197c88622b87b7b082e53cb"),
         "weyl --a 2 --lambda 100":
@@ -989,3 +1059,65 @@ class TestPinnedReports:
         out = tmp_path / "report"
         assert entry(["berger", *args.split(), "--output", str(out)]) == code
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def avx512_targets():
+    """The AVX-512 targets that numpy both dispatches to and finds on this
+    CPU: the only names ``NPY_DISABLE_CPU_FEATURES`` may take here, since
+    numpy warns on import about any other."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [
+        t for t in __cpu_dispatch__
+        if (t == "X86_V4" or t.startswith("AVX512")) and __cpu_features__.get(t)
+    ]
+
+
+def pinned_eta_bits():
+    """What this module pins of the eta sums: the exit code and text of each
+    eta report of ``TestPinnedReports``, and the ``eta_identity`` values of
+    ``TestChunks`` as float.hex."""
+    bits = {}
+    reports = [args for args, _ in TestPinnedReports.REPORTS]
+    for args in reports + list(TestPinnedReports.GRID):
+        if args.startswith("eta"):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = entry(["berger", *args.split()])
+            bits[args] = [code, out.getvalue()]
+    for n_max, params in (
+        (60, TestChunks.PINNED),
+        (2000, TestChunks.PINNED_2000),
+        (3000, TestChunks.PINNED_3000),
+        (60, [2]),  # the rounding bound of test_rounding_bound_pinned
+    ):
+        for a in params:
+            values = eta_identity(BergerParams(a), 6.0, n_max)
+            bits[f"eta_identity a={a} n_max={n_max}"] = [x.hex() for x in values]
+    return bits
+
+
+def test_eta_bits_without_avx512():
+    """The pinned eta bits are the same when numpy runs without its AVX-512
+    kernels, whose ``**`` differs from libm's ``pow`` in about 5 % of
+    results: the terms come from correctly rounded operations only.  The
+    subprocess also reports that none of the targets is left on."""
+    targets = avx512_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 target on this CPU")
+    code = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(Path(__file__).parent)!r}, "
+        f"{str(Path(berger.__file__).parents[1])!r}]\n"
+        "import test_berger\n"
+        "print(json.dumps([test_berger.avx512_targets(), "
+        "test_berger.pinned_eta_bits()]))\n"
+    )
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout) == [[], pinned_eta_bits()]

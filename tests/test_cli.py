@@ -427,6 +427,17 @@ def test_unwritable_output_is_exit_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_empty_output_is_exit_2(capsys):
+    """An empty --output names no file; it is not a missing --output, so
+    nothing goes to standard output."""
+    assert run(["kernel", "--y", "1"], "") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("cannot write '': ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
